@@ -1,9 +1,10 @@
 """Online trackers (range, extrema, return times) and inequality checkers.
 
 Everything here consumes a :class:`~rangewalk.core.WalkStream` in numpy
-blocks, so horizons of 10^6..10^9 steps stay cheap.  All inequality checks
-are carried out in exact integer arithmetic (squared norms for d >= 2); no
-float rounding can flip a verdict.
+blocks of B positions: interval mode costs O(B) per block, set mode
+O(B log R) plus one copy of its R stored keys.  All inequality checks are
+carried out in exact integer arithmetic (squared norms for d >= 2); no float
+rounding can flip a verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import WalkStream
+from .core import INT64_MAX, WalkStream, squared_distances
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -129,27 +130,26 @@ class RangeTracker:
 
     def _update_set(self, block: np.ndarray) -> np.ndarray:
         keys = _pack_keys(block)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable")  # each key's first visit leads its run
         sk = keys[order]
         uniq = np.empty(len(keys), dtype=bool)
         uniq[0] = True
         uniq[1:] = sk[1:] != sk[:-1]
-        first = np.empty(len(keys), dtype=bool)
-        first[order] = uniq
-        if self._known is not None and self._known.size:
-            idx = np.minimum(np.searchsorted(self._known, keys), self._known.size - 1)
-            new = first & (self._known[idx] != keys)
-        else:
-            new = first
-        r = self._count + np.cumsum(new)
+        fresh = sk[uniq]
+        known = fresh[:0] if self._known is None else self._known
+        at = np.searchsorted(known, fresh)  # O(B log R); np.insert is the one O(R) copy
+        seen = at < known.size
+        seen[seen] = known[at[seen]] == fresh[seen]
+        new = np.zeros(len(keys), dtype=bool)
+        new[order[uniq][~seen]] = True
+        r = self._count + np.cumsum(new, dtype=np.int64)
         self._count = int(r[-1])
         if self._count > self._cap:
             raise MemoryGuardError(
                 f"range tracker exceeded its cap of {self._cap} stored points"
             )
-        fresh = sk[uniq]
-        self._known = fresh if self._known is None else np.union1d(self._known, fresh)
-        return r.astype(np.int64)
+        self._known = np.insert(known, at[~seen], fresh[~seen])
+        return r
 
 
 class _ExtremaTracker:
@@ -166,14 +166,19 @@ class _ExtremaTracker:
         return self._best
 
     def update(self, block: np.ndarray) -> np.ndarray:
-        """Return per-position running max (|disp| for d=1, disp^2 otherwise)."""
+        """Return per-position running max (|disp| for d=1, disp^2 otherwise).
+
+        For d >= 2 the values are Python ints (object dtype) once they
+        outgrow int64.
+        """
         if self._x0 is None:
             self._x0 = block[0].copy() if block.ndim > 1 else np.int64(block[0])
         if block.ndim == 1:
             disp = np.abs(block - self._x0)
         else:
-            delta = block - self._x0
-            disp = np.sum(delta * delta, axis=1)
+            disp = squared_distances(block, self._x0)
+            if self._best > INT64_MAX:  # an earlier block outgrew int64
+                disp = disp.astype(object)
         run = np.maximum.accumulate(disp)
         if self._best:
             np.maximum(run, self._best, out=run)
@@ -182,7 +187,8 @@ class _ExtremaTracker:
 
     def norms(self, raw: np.ndarray) -> np.ndarray:
         """Convert tracked values to Euclidean norms as floats."""
-        return raw.astype(np.float64) if self.d == 1 else np.sqrt(raw)
+        raw = raw.astype(np.float64)
+        return raw if self.d == 1 else np.sqrt(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +304,18 @@ def track_extrema(stream: WalkStream, horizon: int, checkpoints=None):
 # ---------------------------------------------------------------------------
 
 
+def _maximal_range_violated(disp: np.ndarray, r: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Where M_n / m + 1 <= r_n fails; `disp` is |x_n - x_0|, squared for d >= 2.
+
+    The bound m (r_n - 1), squared likewise, is exact: int64 while it fits.
+    """
+    bound = r - 1
+    if (m * int(r[-1])) ** (1 if d == 1 else 2) > INT64_MAX:
+        bound = bound.astype(object)
+    bound = m * bound
+    return disp > (bound if d == 1 else bound * bound)
+
+
 def check_maximal_range(stream: WalkStream, m: int, horizon: int) -> Optional[int]:
     """Verify M_n / m + 1 <= r_n for every n <= horizon (any d).
 
@@ -311,14 +329,7 @@ def check_maximal_range(stream: WalkStream, m: int, horizon: int) -> Optional[in
     done = 0
     for block in stream.blocks(horizon):
         r = tracker.update(block)
-        disp = extrema.update(block)
-        if stream.d == 1:
-            bad = disp > m * (r - 1)
-        else:
-            rhs = r - 1
-            if rhs[-1] > 3_000_000_000 // m:
-                raise ValueError("horizon too large for the exact d >= 2 range check")
-            bad = disp > (m * m) * rhs * rhs
+        bad = _maximal_range_violated(extrema.update(block), r, m, stream.d)
         if bad.any():
             return done + int(np.argmax(bad))
         done += block.shape[0]
@@ -553,10 +564,7 @@ def analyze_stream(
         r = tracker.update(block)
         disp = extrema.update(block)
         if not maximal_seen:
-            if d == 1:
-                bad = disp > m * (r - 1)
-            else:
-                bad = disp > (m * m) * (r - 1) * (r - 1)
+            bad = _maximal_range_violated(disp, r, m, d)
             if bad.any():
                 maximal_seen = True
                 pending_violations.append(
@@ -585,7 +593,7 @@ def analyze_stream(
             if d == 1:
                 x_over = float(block[k]) / n if n else float(block[k])
             else:
-                x_over = math.sqrt(float(np.dot(block[k], block[k]))) / n if n else 0.0
+                x_over = math.sqrt(sum(c * c for c in block[k].tolist())) / n if n else 0.0
             m_over = float(extrema.norms(disp[k : k + 1])[0]) / n if n else 0.0
             rows.append(
                 {

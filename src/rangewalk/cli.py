@@ -1,8 +1,9 @@
 """Command-line front end: generate walks, analyze them, run Monte Carlo, verify.
 
 Exit codes: 0 success, 1 a verified property or tolerance check failed,
-2 usage or I/O error.  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis
-reports as JSON lines, experiment reports as a single JSON document.
+2 usage, I/O or limit error (a coordinate beyond int64, the set-mode point
+cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
+JSON lines, experiment reports as a single JSON document.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .analysis import analyze_stream, arith_checkpoints, dyadic_checkpoints
+from .analysis import MemoryGuardError, analyze_stream, arith_checkpoints, dyadic_checkpoints
 from .core import WalkStream, walk_from_path
 from .experiments import METRICS, TrialSpec, compare, run_trials
 from .generators import make_walk
@@ -358,7 +359,7 @@ def run_command(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -156,13 +156,41 @@ def path_to_array(path) -> np.ndarray:
     return np.array([p.coords for p in points], dtype=np.int64)
 
 
+def _increments(arr: np.ndarray) -> np.ndarray:
+    """Consecutive steps x_{k+1} - x_k; raises if one does not fit in int64."""
+    a, b = arr[:-1], arr[1:]
+    diffs = b - a
+    # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
+    if ((b < a) != (diffs < 0)).any():
+        raise CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
+    return diffs
+
+
+def squared_distances(rows: np.ndarray, origin) -> np.ndarray:
+    """Exact ||row - origin||^2 for each row of an (N, d) int64 array.
+
+    int64 while d * max|row - origin|^2 fits, Python ints (object dtype)
+    beyond, so neither the difference nor the sum can wrap.  Works column
+    by column: numpy reduces along a short axis far more slowly.
+    """
+    cols = [(rows[:, j], int(c)) for j, c in enumerate(origin)]
+    peak = max(max(int(col.max()) - c, c - int(col.min())) for col, c in cols)
+    exact = len(cols) * peak * peak > INT64_MAX
+    total = 0
+    for col, c in cols:
+        delta = (col.astype(object) if exact else col) - c
+        total = total + delta * delta
+    return total
+
+
 def validate_increment_bound(path, m: int) -> Optional[int]:
     """Check that every step of `path` has Euclidean norm <= m.
 
     Returns None when the bound holds everywhere (confirmation), otherwise
     the smallest index k with ||x_{k+1} - x_k|| > m.
 
-    Raises on an empty path, mixed dimensions, or m < 1.
+    Raises on an empty path, mixed dimensions, or m < 1, and
+    :class:`CoordinateOverflowError` on a step that does not fit in int64.
     """
     if m < 1:
         raise ValueError("increment bound m must be >= 1")
@@ -171,18 +199,11 @@ def validate_increment_bound(path, m: int) -> Optional[int]:
         raise ValueError("empty path")
     if arr.shape[0] == 1:
         return None
-    diffs = np.diff(arr, axis=0)
+    diffs = _increments(arr)
     if arr.ndim == 1:
-        bad = np.abs(diffs) > m
+        bad = (diffs > m) | (diffs < -m)
     else:
-        d = arr.shape[1]
-        # Largest per-coordinate step whose squared sum still fits int64.
-        guard = math.isqrt((2**63 - 1) // d)
-        if m > guard:
-            raise ValueError(f"increment bound m={m} outside the supported range")
-        huge = (np.abs(diffs) > guard).any(axis=1)
-        sq = np.sum(diffs * diffs, axis=1)
-        bad = huge | (sq > m * m)
+        bad = squared_distances(diffs, (0,) * arr.shape[1]) > m * m
     if not bad.any():
         return None
     return int(np.argmax(bad))
@@ -371,14 +392,12 @@ def walk_from_path(
         raise ValueError("empty path")
     d = 1 if arr.ndim == 1 else arr.shape[1]
     if arr.shape[0] > 1:
-        diffs = np.diff(arr, axis=0)
+        diffs = _increments(arr)
         if d == 1:
-            observed = int(np.max(np.abs(diffs))) if diffs.size else 0
+            observed = max(int(diffs.max()), -int(diffs.min()))
         else:
-            worst = int(np.max(np.sum(diffs * diffs, axis=1)))
-            observed = math.isqrt(worst)
-            if observed * observed < worst:
-                observed += 1
+            worst = int(np.max(squared_distances(diffs, (0,) * d)))
+            observed = math.isqrt(worst - 1) + 1 if worst else 0  # ceil(sqrt(worst))
     else:
         diffs = np.zeros((0,) if d == 1 else (0, d), dtype=np.int64)
         observed = 0

@@ -133,7 +133,7 @@ def _trial_counts(stream: WalkStream, horizon: int) -> dict:
         max_disp = extrema.peak
     else:
         final_signed = None
-        final_abs = math.sqrt(float(np.dot(last, last)))
+        final_abs = math.sqrt(sum(c * c for c in last.tolist()))
         max_disp = math.sqrt(extrema.peak)
     return {
         "range": tracker.count,

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangewalk.analysis import (
+    DEFAULT_SET_CAP,
     ClassRAssumptionError,
     MemoryGuardError,
     RangeTracker,
@@ -42,6 +45,32 @@ def _brute_force_range(path):
         seen.add(p)
         out.append(len(seen))
     return np.asarray(out, dtype=np.int64)
+
+
+# Each step has norm 1.7e9 (the inferred m); ||x_n||^2 outgrows int64 from n = 2.
+_FAR_3D = [(0, 0, 0), (1_700_000_000, 0, 0), (3_400_000_000, 0, 0), (5_100_000_000, 0, 0)]
+
+
+@st.composite
+def _blocked_paths(draw):
+    """A path of points from a small pool, cut into blocks, for set mode.
+
+    The pool forces revisits; d = 2 coordinates reach the packing limit
+    +-(2^31 - 1), d = 1 and d = 3 the int64 limits.  The last block only
+    revisits earlier points.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    lo, hi = (-(2**31) + 1, 2**31 - 1) if d == 2 else (-(2**63), 2**63 - 1)
+    coord = st.sampled_from([lo, -1, 0, 1, hi]) | st.integers(lo, hi)
+    point = coord if d == 1 else st.tuples(*[coord] * d)
+    pool = draw(st.lists(point, min_size=1, max_size=12, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=120))
+    path = np.array([pool[i] for i in picks], dtype=np.int64)
+    cuts = sorted(draw(st.sets(st.integers(1, len(picks)), max_size=30)))
+    blocks = np.split(path, cuts)
+    repeat = draw(st.lists(st.integers(0, len(picks) - 1), min_size=1, max_size=10))
+    blocks.append(path[repeat])
+    return d, [b for b in blocks if b.shape[0]]
 
 
 class TestCheckpoints:
@@ -142,6 +171,25 @@ class TestRangeTrackerModes:
         with pytest.raises(MemoryGuardError):
             tracker.update(np.arange(100, dtype=np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(_blocked_paths(), st.sampled_from([DEFAULT_SET_CAP, 1, 2, 3, 5, 8]))
+    def test_set_mode_matches_python_set(self, case, cap):
+        d, blocks = case
+        tracker = RangeTracker("set", d=d, cap=cap)
+        seen = set()
+        for block in blocks:
+            expected = []
+            for p in block.tolist():
+                seen.add(p if d == 1 else tuple(p))
+                expected.append(len(seen))
+            if len(seen) > cap:
+                # The guard fires on the first update past the cap, not before.
+                with pytest.raises(MemoryGuardError):
+                    tracker.update(block)
+                return
+            assert tracker.update(block).tolist() == expected
+            assert tracker.count == len(seen)
+
 
 class TestTrackExtrema:
     def test_small_example(self):
@@ -163,6 +211,10 @@ class TestTrackExtrema:
         s = walk_from_path([5, 6, 7, 6], m=1)
         _, M = track_extrema(s, 3, checkpoints=[3])
         assert M[-1] == 2
+
+    def test_squared_norm_beyond_int64(self):
+        _, M = track_extrema(walk_from_path(_FAR_3D), 3, checkpoints=[1, 2, 3])
+        assert M.tolist() == [1.7e9, 3.4e9, 5.1e9]
 
 
 class TestReturnTimes:
@@ -210,6 +262,10 @@ class TestMaximalRange:
     def test_single_point(self):
         s = walk_from_path([7], m=3)
         assert check_maximal_range(s, 3, 0) is None
+
+    def test_squared_bound_beyond_int64(self):
+        s = walk_from_path(_FAR_3D)
+        assert check_maximal_range(s, s.m, 3) is None  # tight: M_3 / m + 1 = 4 = r_3
 
     def test_mismatched_m_rejected(self):
         s = walk_from_path([0, 1], m=1)
@@ -398,6 +454,12 @@ class TestAnalyzeStream:
         assert last["tau_count"] == 4  # 0, 2, 6, 18
         assert last["last_tau"] == 18
         assert last["violations"] == []
+
+    def test_squared_norms_beyond_int64(self):
+        rows = analyze_stream(walk_from_path(_FAR_3D), 3, checkpoints=[1, 2, 3]).rows
+        assert [row["M_over_n"] for row in rows] == [1.7e9, 3.4e9 / 2, 5.1e9 / 3]
+        assert [row["x_over_n"] for row in rows] == [1.7e9, 3.4e9 / 2, 5.1e9 / 3]
+        assert all(row["violations"] == [] for row in rows)
 
     def test_theory_deltas_for_srw(self):
         report = analyze_stream(gen_simple_rw(1.0, 100, 0), 100)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from rangewalk.analysis import RangeTracker
 from rangewalk.cli import (
     CsvFormatError,
     read_trajectory_csv,
@@ -127,6 +128,27 @@ class TestAnalyze:
         bad.write_text("n,x1\n0,0\n1,1\n2,6\n")
         assert run(["analyze", "--in", str(bad), "--m", "1"]) == 2
         assert "step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,9223372036854775808\n",  # 2^63 does not fit in int64
+            "0,9223372036854775807\n1,-9223372036854775808\n",  # a wrapped step
+        ],
+    )
+    def test_coordinate_overflow_is_a_limit_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "big.csv"
+        bad.write_text("n,x1\n" + rows)
+        assert run(["analyze", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_set_mode_cap_is_a_limit_error(self, monkeypatch, capsys):
+        # Lower the default point cap so the spiral's 10^3 new points exceed it.
+        monkeypatch.setattr(RangeTracker.__init__, "__defaults__", ("auto", 1, 1, 100))
+        assert run(["analyze", "--gen", "spiral2d", "--steps", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap of 100" in err
 
     def test_missing_input(self, capsys):
         assert run(["analyze", "--in", "/nonexistent/file.csv", "--m", "1"]) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rangewalk.core import (
     INT64_MAX,
+    INT64_MIN,
     CoordinateOverflowError,
     DimensionMismatchError,
     LatticePoint,
@@ -171,6 +172,29 @@ class TestWalkFromPath:
         meta = WalkMetadata("x", {}, None, m=2, d=1)
         with pytest.raises(ValueError):
             walk_from_path([0, 1], m=1, metadata=meta)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            [INT64_MAX, INT64_MIN],
+            [INT64_MIN, INT64_MAX],
+            [(0, INT64_MAX), (0, INT64_MIN)],
+            [(INT64_MIN, 0, 0), (1, 0, 0)],
+        ],
+    )
+    def test_wrapped_step_refused(self, path):
+        # np.diff in int64 turns these steps into small ones (2^64 - 1 -> -1).
+        with pytest.raises(CoordinateOverflowError):
+            walk_from_path(path)
+        with pytest.raises(CoordinateOverflowError):
+            validate_increment_bound(path, 1)
+
+    def test_extreme_steps_infer_the_exact_bound(self):
+        assert walk_from_path([0, INT64_MIN]).m == 2**63
+        # 2 * (2^62)^2 = 2^125 does not fit in int64; m = ceil(sqrt(2^125)).
+        s = walk_from_path([(0, 0), (2**62, 2**62)])
+        assert s.m == 6521908912666391107
+        assert validate_increment_bound([(0, 0), (2**62, 2**62)], s.m - 1) == 0
 
 
 class TestWalkMetadata:
