@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, WalkStream, squared_distances
+from .core import INT64_MAX, WalkStream, at_origin, squared_distances
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -157,7 +157,7 @@ class _ExtremaTracker:
 
     def __init__(self, d: int):
         self.d = d
-        self._x0: Optional[np.ndarray] = None
+        self._x0 = None  # an int for d = 1, an int64 row otherwise
         self._best = 0  # |x-x0| for d=1, squared norm otherwise
 
     @property
@@ -168,17 +168,23 @@ class _ExtremaTracker:
     def update(self, block: np.ndarray) -> np.ndarray:
         """Return per-position running max (|disp| for d=1, disp^2 otherwise).
 
-        For d >= 2 the values are Python ints (object dtype) once they
-        outgrow int64.
+        The values are Python ints (object dtype) once they outgrow int64.
         """
         if self._x0 is None:
-            self._x0 = block[0].copy() if block.ndim > 1 else np.int64(block[0])
+            self._x0 = block[0].copy() if block.ndim > 1 else int(block[0])
         if block.ndim == 1:
-            disp = np.abs(block - self._x0)
+            # WalkStream.blocks keeps |x| <= INT64_MAX, so x - x0 can leave
+            # int64 only when x0 != 0, and only on the side away from x0.
+            x0, far = self._x0, 0
+            if x0 > 0:
+                far = x0 - int(block.min())
+            elif x0 < 0:
+                far = int(block.max()) - x0
+            disp = np.abs(block - x0 if far <= INT64_MAX else block.astype(object) - x0)
         else:
             disp = squared_distances(block, self._x0)
-            if self._best > INT64_MAX:  # an earlier block outgrew int64
-                disp = disp.astype(object)
+        if self._best > INT64_MAX:  # an earlier block outgrew int64
+            disp = disp.astype(object)
         run = np.maximum.accumulate(disp)
         if self._best:
             np.maximum(run, self._best, out=run)
@@ -261,21 +267,28 @@ def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
 
 
 def _series_at_checkpoints(stream, horizon, checkpoints, per_block):
-    """Run `per_block(block) -> values` over the stream, sampling checkpoints."""
+    """Run `per_block(block) -> values` over the stream, sampling checkpoints.
+
+    The samples are exact: int64, or Python ints (object dtype) when one
+    does not fit.
+    """
     cps = _as_checkpoints(horizon, checkpoints)
-    out = np.empty(cps.size, dtype=np.float64)
+    out = []
     ptr = 0
     done = 0
     for block in stream.blocks(horizon):
         values = per_block(block)
         hi = done + block.shape[0]
         while ptr < cps.size and cps[ptr] < hi:
-            out[ptr] = values[cps[ptr] - done]
+            out.append(int(values[cps[ptr] - done]))
             ptr += 1
         done = hi
         if ptr == cps.size:
             break
-    return cps, out
+    try:
+        return cps, np.array(out, dtype=np.int64)
+    except OverflowError:
+        return cps, np.array(out, dtype=object)
 
 
 def track_range(stream: WalkStream, horizon: int, checkpoints=None):
@@ -284,19 +297,18 @@ def track_range(stream: WalkStream, horizon: int, checkpoints=None):
     Interval mode is selected automatically iff d = 1 and m = 1.
     """
     tracker = RangeTracker("auto", d=stream.d, m=stream.m)
-    cps, values = _series_at_checkpoints(stream, horizon, checkpoints, tracker.update)
-    return cps, values.astype(np.int64)
+    return _series_at_checkpoints(stream, horizon, checkpoints, tracker.update)
 
 
 def track_extrema(stream: WalkStream, horizon: int, checkpoints=None):
-    """Running max displacement M_n at each checkpoint; returns (checkpoints, M)."""
+    """Running max displacement M_n at each checkpoint; returns (checkpoints, M).
+
+    M is exact for d = 1 (see `_series_at_checkpoints`) and a float norm for
+    d >= 2.
+    """
     tracker = _ExtremaTracker(stream.d)
-    cps, raw = _series_at_checkpoints(
-        stream, horizon, checkpoints, lambda b: tracker.update(b)
-    )
-    if stream.d == 1:
-        return cps, raw.astype(np.int64)
-    return cps, np.sqrt(raw)
+    cps, raw = _series_at_checkpoints(stream, horizon, checkpoints, tracker.update)
+    return cps, raw if stream.d == 1 else tracker.norms(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +589,7 @@ def analyze_stream(
                 pending_violations.append(
                     {"check": "range_sandwich_1d", "n": done + int(np.argmax(bad))}
                 )
-        if d == 1:
-            hits = np.flatnonzero(block == 0)
-        else:
-            hits = np.flatnonzero(~block.any(axis=1))
+        hits = np.flatnonzero(at_origin(block))
         hi = done + block.shape[0]
         while ptr < cps.size and cps[ptr] < hi:
             k = int(cps[ptr]) - done

@@ -3,15 +3,20 @@
 Exit codes: 0 success, 1 a verified property or tolerance check failed,
 2 usage, I/O or limit error (a coordinate beyond int64, the set-mode point
 cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
-JSON lines, experiment reports as a single JSON document.
+JSON lines, experiment reports as a single JSON document.  A CSV whose data
+rows use only ASCII digits, `+`, `-`, `,` and LF is read in one
+`np.loadtxt` pass; other spellings that `int()` accepts (`1_000`, Unicode
+digits, padding whitespace) are read line by line.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+import warnings
 from typing import Optional, TextIO
 
 import numpy as np
@@ -36,23 +41,29 @@ def write_trajectory_csv(stream: WalkStream, horizon: int, fh: TextIO) -> None:
     """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings."""
     d = stream.d
     fh.write("n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
+    row_fmt = ",".join(["{}"] * (d + 1)) + "\n"
     n = 0
     for block in stream.blocks(horizon):
-        rows = block.tolist()
-        if d == 1:
-            fh.write("".join(f"{n + i},{x}\n" for i, x in enumerate(rows)))
-        else:
-            fh.write(
-                "".join(
-                    f"{n + i}," + ",".join(str(c) for c in row) + "\n"
-                    for i, row in enumerate(rows)
-                )
-            )
-        n += len(rows)
+        k = block.shape[0]
+        table = np.column_stack((np.arange(n, n + k, dtype=np.int64), block))
+        fh.write((row_fmt * k).format(*table.ravel().tolist()))
+        n += k
+
+
+# Data rows spelled with these characters alone mean the same to np.loadtxt
+# as to the line loop; any other character sends the file to the loop.
+_LOADTXT_CHARS = str.maketrans("", "", "0123456789+-,\n")
 
 
 def read_trajectory_csv(fh: TextIO) -> np.ndarray:
-    """Parse a trajectory CSV; malformed rows report their line number."""
+    """Parse a trajectory CSV; malformed rows report their line number.
+
+    Data rows spelled with ASCII digits, `+`, `-`, `,` and LF only are
+    parsed in one `np.loadtxt` call.  Any other character (a CR that `fh`
+    did not translate, other whitespace, `_`, non-ASCII digits), and every
+    file that call rejects or misreads, goes through the line loop, which
+    accepts what `int()` accepts and names the line of the first error.
+    """
     header = fh.readline()
     if not header:
         raise CsvFormatError("line 1: empty file, expected header n,x1[,...]")
@@ -60,9 +71,35 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     if len(cols) < 2 or cols[0] != "n" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
         raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
     d = len(cols) - 1
+    text = fh.read()
+    arr = _parse_rows_loadtxt(text, d)
+    if arr is None:
+        arr = _parse_rows_loop(text, d)
+    return arr[:, 0] if d == 1 else arr
+
+
+def _parse_rows_loadtxt(text: str, d: int) -> Optional[np.ndarray]:
+    """The (N, d) coordinates of well-formed rows, or None to use the loop."""
+    if not text.strip() or text.translate(_LOADTXT_CHARS):
+        return None
+    rows = io.BytesIO(text.encode("ascii"))  # 1 byte a character; StringIO takes 4
+    try:
+        # numpy < 2 reads an integer beyond int64 as a float, warns, and wraps.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    if table.shape[1] != d + 1 or not np.array_equal(table[:, 0], np.arange(table.shape[0])):
+        return None
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _parse_rows_loop(text: str, d: int) -> np.ndarray:
+    """Line-by-line parse of the data rows (line 2 on); the reference parser."""
     rows = []
     expected_n = 0
-    for lineno, raw in enumerate(fh, start=2):
+    for lineno, raw in enumerate(text.split("\n"), start=2):
         line = raw.strip()
         if not line:
             continue
@@ -83,8 +120,7 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
         rows.append(values[1:])
     if not rows:
         raise CsvFormatError("line 2: no data rows")
-    arr = np.asarray(rows, dtype=np.int64)
-    return arr[:, 0] if d == 1 else arr
+    return np.asarray(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

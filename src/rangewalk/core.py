@@ -183,6 +183,19 @@ def squared_distances(rows: np.ndarray, origin) -> np.ndarray:
     return total
 
 
+def at_origin(block: np.ndarray) -> np.ndarray:
+    """Boolean mask of the positions of an (N,) or (N, d) block equal to 0.
+
+    Compares column by column, for the reason given in `squared_distances`.
+    """
+    if block.ndim == 1:
+        return block == 0
+    hit = block[:, 0] == 0
+    for j in range(1, block.shape[1]):
+        hit &= block[:, j] == 0
+    return hit
+
+
 def validate_increment_bound(path, m: int) -> Optional[int]:
     """Check that every step of `path` has Euclidean norm <= m.
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RangeTracker, _ExtremaTracker
-from .core import WalkStream
+from .core import WalkStream, at_origin
 from .generators import _parse_chain_preset, is_stochastic, make_walk, mix_seed
 
 METRICS = ("range_speed", "walk_speed", "no_return", "max_speed")
@@ -118,10 +118,7 @@ def _trial_counts(stream: WalkStream, horizon: int) -> dict:
     for block in stream.blocks(horizon):
         tracker.update(block)
         extrema.update(block)
-        if stream.d == 1:
-            hits = block == 0
-        else:
-            hits = ~block.any(axis=1)
+        hits = at_origin(block)
         if done == 0:
             hits[0] = False  # n = 0 does not count as a return
         returned = returned or bool(hits.any())

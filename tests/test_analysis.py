@@ -216,6 +216,21 @@ class TestTrackExtrema:
         _, M = track_extrema(walk_from_path(_FAR_3D), 3, checkpoints=[1, 2, 3])
         assert M.tolist() == [1.7e9, 3.4e9, 5.1e9]
 
+    def test_exact_above_2_to_the_53(self):
+        _, M = track_extrema(walk_from_path([0, 2**53 + 1]), 1, [1])
+        assert M.tolist() == [2**53 + 1]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_displacement_beyond_int64_1d(self, sign):
+        # Every x_n fits in int64, but |x_n - x_0| = 2^44 n passes 2^63 at n = 2^19.
+        n = 2**19 + 10
+        path = sign * (-(2**63 - 2**60) + 2**44 * np.arange(n + 1, dtype=np.int64))
+        _, M = track_extrema(walk_from_path(path), n, checkpoints=[2**19 - 1, n])
+        assert M.tolist() == [2**44 * (2**19 - 1), 2**44 * n]
+        last = analyze_stream(walk_from_path(path), n).rows[-1]
+        assert last["M_over_n"] == 2.0**44
+        assert last["violations"] == []
+
 
 class TestReturnTimes:
     def test_zigzag_returns(self):

@@ -2,22 +2,91 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangewalk.analysis import RangeTracker
 from rangewalk.cli import (
     CsvFormatError,
+    _parse_rows_loop,
     read_trajectory_csv,
     run_command,
     write_trajectory_csv,
 )
+from rangewalk.core import walk_from_path
 from rangewalk.generators import gen_spiral2d, gen_zigzag
 
 
 def run(argv):
     return run_command(argv)
+
+
+def _row_by_row_csv(stream, horizon):
+    """Reference writer: one formatted line per position."""
+    lines = ["n," + ",".join(f"x{i + 1}" for i in range(stream.d)) + "\n"]
+    for n, x in enumerate(stream.path_array(horizon).tolist()):
+        lines.append(f"{n}," + (str(x) if stream.d == 1 else ",".join(map(str, x))) + "\n")
+    return "".join(lines)
+
+
+_INT64_EDGES = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**18, -(10**19)]
+_BLANKS = ["", " ", "\t", "\r", "\x0c", "\x1c", "\x85", "\xa0"]
+_ODD_CHARS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0_\u0663"
+_UNICODE_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + i) for i in range(10)))
+
+
+@st.composite
+def _csv_bodies(draw):
+    """Data rows for d = 1..3: well formed and plainly spelled, or with now
+    and then a spelling or a fault the parsers may disagree on, or with one
+    odd character inserted anywhere."""
+    d = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["plain", "messy", "one char"]))
+    rare = lambda: mode == "messy" and draw(st.sampled_from([False] * 7 + [True]))  # noqa: E731
+
+    def field(value):
+        text = str(value)
+        style = draw(st.sampled_from(["plus", "zeros", "underscore", "unicode"])) if rare() else ""
+        if style == "plus" and value >= 0:
+            text = "+" + text
+        elif style == "zeros":
+            text = text.replace("-", "-00") if value < 0 else "00" + text
+        elif style == "underscore" and abs(value) >= 10:
+            text = text[:-1] + "_" + text[-1]
+        elif style == "unicode":
+            text = text.translate(_UNICODE_DIGITS)
+        if rare():
+            text = draw(st.sampled_from(_BLANKS)) + text + draw(st.sampled_from(_BLANKS))
+        return text
+
+    width = d + (draw(st.sampled_from([-1, 1])) if rare() else 0)
+    lines = []
+    for n in range(draw(st.integers(0, 6))):
+        if rare():
+            lines.append("".join(draw(st.lists(st.sampled_from(_BLANKS), max_size=3))))
+        index = draw(st.integers(-1, 7)) if rare() else n
+        coords = [draw(st.sampled_from(_INT64_EDGES) if rare() else st.integers(-50, 50)) for _ in range(width)]
+        sep = draw(st.sampled_from([" ", "\x1c", ", "])) if rare() else ","
+        lines.append(sep.join(field(v) for v in [index] + coords))
+    eol = draw(st.sampled_from(["\r\n", "\r", "\x85"])) if rare() else "\n"
+    body = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    if mode == "one char":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(_ODD_CHARS)) + body[at:]
+    noise = st.text(alphabet="0123456789+-,\n" + _ODD_CHARS, max_size=30)
+    return d, draw(noise) if rare() else body
+
+
+def _outcome(parse):
+    try:
+        arr = parse()
+    except (CsvFormatError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tolist()
 
 
 class TestTrajectoryCsv:
@@ -55,6 +124,41 @@ class TestTrajectoryCsv:
     def test_wrong_field_count_reports_line(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             read_trajectory_csv(io.StringIO("n,x1\n0,0,7\n"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_writer_matches_row_by_row(self, d):
+        # Three blocks of 2^16 positions; coordinates within 2^21 of +-2^63.
+        horizon = 2**17 + 5
+        steps = np.random.default_rng(d).integers(-3, 4, size=(horizon, d))
+        edge = 2**63 - 2**21
+        start = np.array([edge, -edge, 7][:d], dtype=np.int64)
+        path = np.vstack([start, start + np.cumsum(steps, axis=0)])
+        path = path[:, 0] if d == 1 else path
+        buf = io.StringIO()
+        write_trajectory_csv(walk_from_path(path), horizon, buf)
+        assert buf.getvalue() == _row_by_row_csv(walk_from_path(path), horizon)
+
+    def test_integer_read_through_a_float_goes_to_the_loop(self, monkeypatch):
+        # numpy < 2 reads an int64 overflow as a float, warns, and wraps.
+        def wrapping_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([[0, -(2**63)]])
+
+        monkeypatch.setattr(np, "loadtxt", wrapping_loadtxt)
+        with pytest.raises(OverflowError):
+            read_trajectory_csv(io.StringIO("n,x1\n0,9223372036854775808\n"))
+
+    @settings(max_examples=500, deadline=None)
+    @given(_csv_bodies())
+    def test_reader_agrees_with_line_loop(self, case):
+        d, body = case
+        header = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+
+        def reference():
+            arr = _parse_rows_loop(body, d)
+            return arr[:, 0] if d == 1 else arr
+
+        assert _outcome(lambda: read_trajectory_csv(io.StringIO(header + body))) == _outcome(reference)
 
 
 class TestGenerate:

@@ -14,6 +14,7 @@ from rangewalk.core import (
     StreamConsumedError,
     WalkMetadata,
     WalkStream,
+    at_origin,
     step_norm,
     step_norm_sq,
     validate_increment_bound,
@@ -81,6 +82,15 @@ class TestStepNorm:
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_norm_sq_consistent(self, a, b):
         assert step_norm_sq(a, b) == step_norm(a, b) ** 2
+
+
+class TestAtOrigin:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_all_zero_rows(self, d):
+        block = np.random.default_rng(d).integers(-1, 2, size=(2000, d))
+        expected = (block == 0).all(axis=1)
+        assert expected.sum() > 10
+        assert np.array_equal(at_origin(block[:, 0] if d == 1 else block), expected)
 
 
 class TestValidateIncrementBound:
