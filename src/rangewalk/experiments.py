@@ -1,9 +1,15 @@
 """Monte Carlo harness: independent seeded trials, exact aggregation, theory targets.
 
-Each trial i draws its own PCG64 stream from mix_seed(master_seed, i) and is
-reduced in trial-index order, so a report is byte-identical whether trials run
-serially or on a thread pool.  Per-trial metrics are kept as exact integers
-(R_N, X_N, M_N); division by N happens once at aggregation.
+Trial i draws the PCG64 stream of ``make_walk(config, seed=mix_seed(master_seed, i))``.
+`run_trials` runs the trials in chunks of ``max(1, CHUNK_CELLS // (horizon + 1))``:
+a chunk is one (trials, steps) uniform matrix, each row filled by its own trial's
+generator, mapped to increments by the generator's uniform law and reduced with
+one cumsum and per-row lowest, highest and last positions.  Horizons beyond
+CHUNK_CELLS go in column blocks that carry those, so memory stays flat in the
+horizon.  `workers` schedules whole chunks on a thread pool, and results are
+reduced in trial-index order, so a report is byte-identical for any `workers`.
+Per-trial metrics are exact integers (R_N, X_N, M_N); division by N happens
+once at aggregation.
 """
 
 from __future__ import annotations
@@ -16,13 +22,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import RangeTracker, _ExtremaTracker
-from .core import WalkStream, at_origin
-from .generators import _parse_chain_preset, is_stochastic, make_walk, mix_seed
+from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream, at_origin
+from .generators import (
+    BatchSource,
+    _parse_chain_preset,
+    is_stochastic,
+    make_walk,
+    mix_seed,
+    uniform_law,
+)
 
 METRICS = ("range_speed", "walk_speed", "no_return", "max_speed")
 
 #: Exhaustive enumeration refuses beyond 2^20 paths.
 MAX_EXACT_N = 20
+
+#: Cells (trials x positions) of one chunk, and the widest column block.
+CHUNK_CELLS = DEFAULT_BLOCK
 
 
 @dataclass(frozen=True)
@@ -108,21 +124,77 @@ class AggregateReport:
             fh.write(f"{trial},{metric},{value}\n")
 
 
-def _trial_counts(stream: WalkStream, horizon: int) -> dict:
-    """One pass collecting R_N, X_N, M_N, and the no-return indicator."""
-    tracker = RangeTracker("auto", d=stream.d, m=stream.m)
+class _Extremes:
+    """Carried per-row state of walks from x_0 = 0 with d = 1.
+
+    Holds each row's lowest, highest and last position and whether it has
+    revisited 0, which give R_N (interval mode, m = 1), X_N, M_N and the
+    no-return indicator.
+    """
+
+    def __init__(self, rows: int):
+        self.lo = np.zeros(rows, dtype=np.int64)
+        self.hi = np.zeros(rows, dtype=np.int64)
+        self.last = np.zeros(rows, dtype=np.int64)
+        self.returned = np.zeros(rows, dtype=bool)
+
+    def advance(self, inc: np.ndarray, m: int) -> None:
+        """Walk every row on by its row of a (rows, k) increment block."""
+        # The same exact guard as WalkStream.blocks: no position can wrap.
+        extent = max(-int(self.last.min()), int(self.last.max()))
+        if extent + inc.shape[1] * m > INT64_MAX:
+            raise CoordinateOverflowError("walk left the signed 64-bit coordinate range")
+        pos = np.cumsum(inc, axis=1)
+        pos += self.last[:, None]
+        self.reduce(pos)
+
+    def reduce(self, pos: np.ndarray) -> None:
+        """Fold in a (rows, k) block of the positions after x_0."""
+        np.minimum(self.lo, pos.min(axis=1), out=self.lo)
+        np.maximum(self.hi, pos.max(axis=1), out=self.hi)
+        self.returned |= (pos == 0).any(axis=1)
+        self.last = pos[:, -1].copy()
+
+    def counts(self) -> dict:
+        return {
+            "range": (self.hi - self.lo + 1).tolist(),
+            "final_abs": np.abs(self.last).tolist(),
+            "final_signed": self.last.tolist(),
+            "max_disp": np.maximum(self.hi, -self.lo).tolist(),
+            "no_return": (~self.returned).astype(np.int64).tolist(),
+        }
+
+
+def _chunk_counts(law, seeds: Sequence[int], horizon: int, m: int) -> dict:
+    """Counts of one chunk of stochastic trials, one row per seed."""
+    source = BatchSource(law, seeds)
+    state = _Extremes(len(seeds))
+    left = horizon
+    while left:
+        k = min(left, CHUNK_CELLS)
+        left -= k
+        state.advance(source.take(k, last=not left), m)
+    return state.counts()
+
+
+def _walk_counts(stream: WalkStream, horizon: int) -> dict:
+    """Counts of one deterministic walk from the origin.
+
+    With d = 1 and m = 1 its blocks go through the chunk reducer as one row;
+    otherwise (set-mode range) through the range and extrema trackers.
+    """
+    if stream.d == 1 and stream.m == 1:
+        state = _Extremes(1)
+        for j, block in enumerate(stream.blocks(horizon)):
+            state.reduce(block[None, 1:] if j == 0 else block[None, :])
+        return state.counts()
+    tracker = RangeTracker("set", d=stream.d, m=stream.m)
     extrema = _ExtremaTracker(stream.d)
     returned = False
-    done = 0
-    last = None
-    for block in stream.blocks(horizon):
+    for j, block in enumerate(stream.blocks(horizon)):
         tracker.update(block)
         extrema.update(block)
-        hits = at_origin(block)
-        if done == 0:
-            hits[0] = False  # n = 0 does not count as a return
-        returned = returned or bool(hits.any())
-        done += block.shape[0]
+        returned = returned or bool(at_origin(block[1:] if j == 0 else block).any())
         last = block[-1]
     if stream.d == 1:
         final_signed = int(last)
@@ -133,11 +205,11 @@ def _trial_counts(stream: WalkStream, horizon: int) -> dict:
         final_abs = math.sqrt(sum(c * c for c in last.tolist()))
         max_disp = math.sqrt(extrema.peak)
     return {
-        "range": tracker.count,
-        "final_abs": final_abs,
-        "final_signed": final_signed,
-        "max_disp": max_disp,
-        "no_return": 0 if returned else 1,
+        "range": [tracker.count],
+        "final_abs": [final_abs],
+        "final_signed": [final_signed],
+        "max_disp": [max_disp],
+        "no_return": [0 if returned else 1],
     }
 
 
@@ -176,28 +248,39 @@ def theory_value(config: dict) -> Optional[float]:
 def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> AggregateReport:
     """Run the spec's trials and aggregate in trial-index order.
 
-    `workers` only changes how trials are scheduled (thread pool), never the
-    report: reduction is sequential in trial index over exact counts.
+    `workers` (>= 1) only changes how chunks of trials are scheduled on a
+    thread pool, never the report: reduction is in trial index over exact
+    counts.  The pool never has more threads than there are chunks.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cfg = dict(spec.config)
     cfg.pop("seed", None)
-
-    def one(i: int) -> dict:
-        stream = make_walk(cfg, seed=mix_seed(spec.master_seed, i))
-        return _trial_counts(stream, spec.horizon)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one, range(spec.trials)))
-    else:
-        counts = [one(i) for i in range(spec.trials)]
-
     n = spec.horizon
+    walk = make_walk(cfg, seed=mix_seed(spec.master_seed, 0))  # validates the config
+    if not is_stochastic(cfg):  # TrialSpec allows these one trial only
+        counts = _walk_counts(walk, n)
+    else:
+        law = uniform_law(cfg)
+        rows = max(1, CHUNK_CELLS // (n + 1))
+        chunks = [range(spec.trials)[i : i + rows] for i in range(0, spec.trials, rows)]
+
+        def one(chunk):
+            seeds = [mix_seed(spec.master_seed, i) for i in chunk]
+            return _chunk_counts(law, seeds, n, walk.m)
+
+        if workers > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+                parts = list(pool.map(one, chunks))
+        else:
+            parts = [one(chunk) for chunk in chunks]
+        counts = {key: [v for part in parts for v in part[key]] for key in parts[0]}
+
     series = {
-        "range_speed": ([c["range"] for c in counts], n),
-        "walk_speed": ([c["final_abs"] for c in counts], n),
-        "no_return": ([c["no_return"] for c in counts], 1),
-        "max_speed": ([c["max_disp"] for c in counts], n),
+        "range_speed": (counts["range"], n),
+        "walk_speed": (counts["final_abs"], n),
+        "no_return": (counts["no_return"], 1),
+        "max_speed": (counts["max_disp"], n),
     }
     theory = theory_value(cfg)
     theory_metrics = ()
@@ -220,8 +303,8 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
         per_trial = {
             name: [v / series[name][1] for v in series[name][0]] for name in spec.metrics
         }
-        if "walk_speed" in spec.metrics and counts and counts[0]["final_signed"] is not None:
-            per_trial["walk_speed_signed"] = [c["final_signed"] / n for c in counts]
+        if "walk_speed" in spec.metrics and counts["final_signed"][0] is not None:
+            per_trial["walk_speed_signed"] = [v / n for v in counts["final_signed"]]
     return AggregateReport(spec=spec, per_metric=per_metric, per_trial=per_trial)
 
 

@@ -252,78 +252,128 @@ def _gather_states(nxt: np.ndarray, s0: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _SimpleRWSource:
-    def __init__(self, p: float, seed: int):
+class _UniformLaw:
+    """One stochastic generator's map from uniforms to increments.
+
+    The map works on a (rows, k) array of uniforms, one row per walk, and
+    an int64 carry per row.  A row draws `head` uniforms before its first
+    step (a chain's initial state), which `start` turns into the first
+    carry; `steps` maps the next k uniforms of every row to increments and
+    returns the new carry.  A streamed walk is the one-row case of a batch
+    of trials, so both run this one map.
+    """
+
+    head = 0
+
+    def start(self, u: np.ndarray) -> np.ndarray:
+        return np.zeros(u.shape[0], dtype=np.int64)
+
+    def steps(self, u: np.ndarray, carry: np.ndarray):
+        raise NotImplementedError
+
+
+class _SignLaw(_UniformLaw):
+    """+1 below p, else -1: srw(p), and birth-death symmetric at p = 1/2."""
+
+    def __init__(self, p: float):
         self._p = p
-        self._rng = _rng(seed)
 
-    def take(self, k: int) -> np.ndarray:
-        u = self._rng.random(k)
-        return np.where(u < self._p, 1, -1).astype(np.int64)
+    def steps(self, u, carry):
+        return np.where(u < self._p, 1, -1).astype(np.int64), carry
 
 
-class _LazyWalkSource:
-    """Increments 0 with probability alpha, else +-1 equally; one uniform/step."""
+class _LazyLaw(_UniformLaw):
+    """Increments 0 with probability alpha, else +-1 equally."""
 
-    def __init__(self, alpha: float, seed: int):
+    def __init__(self, alpha: float):
         self._alpha = alpha
-        self._rng = _rng(seed)
+        self._up = alpha + (1.0 - alpha) / 2.0
 
-    def take(self, k: int) -> np.ndarray:
-        u = self._rng.random(k)
-        up = self._alpha + (1.0 - self._alpha) / 2.0
-        out = np.where(u < self._alpha, 0, np.where(u < up, 1, -1))
-        return out.astype(np.int64)
+    def steps(self, u, carry):
+        out = np.where(u < self._alpha, 0, np.where(u < self._up, 1, -1))
+        return out.astype(np.int64), carry
 
 
-class _ReflectedSource:
+class _ReflectedLaw(_UniformLaw):
     """Reflected-at-zero chain: from 0 step +1 surely, from x>0 step +-1 equally.
 
     Realized as |S_n| for a simple symmetric walk S_n, which is a Markov chain
-    with exactly these transition probabilities.
+    with exactly these transition probabilities; the carry is S_n.
     """
 
-    def __init__(self, seed: int):
-        self._rng = _rng(seed)
-        self._s = 0
-
-    def take(self, k: int) -> np.ndarray:
-        u = self._rng.random(k)
-        z = np.where(u < 0.5, 1, -1).astype(np.int64)
-        s = np.cumsum(z)
-        s += self._s
-        prev_abs = abs(self._s)
-        self._s = int(s[-1])
+    def steps(self, u, carry):
+        s = np.cumsum(np.where(u < 0.5, 1, -1).astype(np.int64), axis=1)
+        s += carry[:, None]
         a = np.abs(s)
-        out = np.empty(k, dtype=np.int64)
-        out[0] = a[0] - prev_abs
-        np.subtract(a[1:], a[:-1], out=out[1:])
-        return out
+        out = np.empty_like(a)
+        out[:, 0] = a[:, 0] - np.abs(carry)
+        np.subtract(a[:, 1:], a[:, :-1], out=out[:, 1:])
+        return out, s[:, -1].copy()
 
 
-class _ChainSource:
-    def __init__(self, chain: MarkovIncrementChain, seed: int):
-        self._rng = _rng(seed)
+class _ChainLaw(_UniformLaw):
+    """A Markov increment chain; the carry is the current state."""
+
+    head = 1
+
+    def __init__(self, chain: MarkovIncrementChain):
         self._labels = np.asarray(chain.states, dtype=np.int64)
         self._cum = np.cumsum(chain.transition, axis=1)
         self._cum_init = np.cumsum(chain.start_distribution())
-        self._state: Optional[int] = None
 
-    def _pick(self, cum: np.ndarray, u: float) -> int:
-        return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+    def start(self, u):
+        picked = np.searchsorted(self._cum_init, u[:, 0], side="right")
+        return np.minimum(picked, len(self._cum_init) - 1)
+
+    def steps(self, u, carry):
+        n_states = self._cum.shape[0]
+        nxt = np.empty((u.shape[0], n_states, u.shape[1]), dtype=np.int64)
+        for s in range(n_states):
+            nxt[:, s] = np.searchsorted(self._cum[s], u, side="right")
+        np.minimum(nxt, n_states - 1, out=nxt)
+        seq = np.stack([_gather_states(row, int(s0)) for row, s0 in zip(nxt, carry)])
+        return self._labels[seq], seq[:, -1].copy()
+
+
+class BatchSource:
+    """Increments of seeded walks that share one law, a (rows, k) block at a time.
+
+    Row j draws from its own ``Generator(PCG64(seeds[j]))`` in the order a
+    streamed walk draws, so it replays ``make_walk(config, seed=seeds[j])``
+    bit for bit.  A batch drawn in one ``take(k, last=True)`` builds each
+    generator, fills its row and drops it, so it holds one generator at a
+    time; otherwise the first take builds them all for the takes to come.
+    """
+
+    def __init__(self, law: _UniformLaw, seeds: Sequence[int]):
+        self._law = law
+        self._seeds = seeds
+        self._rngs = None
+        self._carry: Optional[np.ndarray] = None
+
+    def take(self, k: int, last: bool = False) -> np.ndarray:
+        first = self._carry is None
+        head = self._law.head if first else 0
+        if first and not last:
+            self._rngs = [_rng(seed) for seed in self._seeds]
+        rngs = (_rng(seed) for seed in self._seeds) if self._rngs is None else self._rngs
+        u = np.empty((len(self._seeds), head + k))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        if first:
+            self._carry = self._law.start(u[:, :head])
+        inc, self._carry = self._law.steps(u[:, head:], self._carry)
+        return inc
+
+
+class _DrawnSource(BatchSource):
+    """The increment source of one seeded walk: a one-row batch."""
+
+    def __init__(self, law: _UniformLaw, seed: int):
+        super().__init__(law, (seed,))
 
     def take(self, k: int) -> np.ndarray:
-        if self._state is None:
-            self._state = self._pick(self._cum_init, float(self._rng.random()))
-        u = self._rng.random(k)
-        n_states = self._cum.shape[0]
-        nxt = np.empty((n_states, k), dtype=np.int64)
-        for s in range(n_states):
-            nxt[s] = np.searchsorted(self._cum[s], u, side="right")
-        np.minimum(nxt, n_states - 1, out=nxt)
-        seq = _gather_states(nxt, self._state)
-        self._state = int(seq[-1])
-        return self._labels[seq]
+        return super().take(k)[0]
 
 
 class _TentSource:
@@ -576,7 +626,8 @@ def gen_simple_rw(p: float, steps: int, seed: int) -> WalkStream:
         d=1,
         theoretical_drift=2.0 * p - 1.0,
     )
-    return WalkStream(meta, lambda: _SimpleRWSource(p, seed))
+    law = _SignLaw(p)
+    return WalkStream(meta, lambda: _DrawnSource(law, seed))
 
 
 def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> WalkStream:
@@ -598,10 +649,32 @@ def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> Walk
         d=1,
         theoretical_drift=chain.drift,
     )
-    return WalkStream(meta, lambda: _ChainSource(chain, seed))
+    law = _ChainLaw(chain)
+    return WalkStream(meta, lambda: _DrawnSource(law, seed))
 
 
 _BD_PRESETS = ("symmetric", "lazy", "reflected")
+
+
+def _birth_death_law(preset: str, alpha: Optional[float] = None):
+    """Parse a birth-death preset into (name, alpha, uniform law)."""
+    name = preset
+    if ":" in preset:
+        name, _, arg = preset.partition(":")
+        if alpha is not None:
+            raise ValueError("alpha given both inline and as a keyword")
+        alpha = float(arg)
+    if name not in _BD_PRESETS:
+        raise ValueError(f"unknown birth-death preset {preset!r}")
+    if name == "lazy":
+        if alpha is None:
+            raise ValueError("lazy preset needs alpha")
+        if not (0.0 <= alpha < 1.0):
+            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        return name, float(alpha), _LazyLaw(alpha)
+    if alpha is not None:
+        raise ValueError(f"{name} preset takes no alpha")
+    return name, None, _SignLaw(0.5) if name == "symmetric" else _ReflectedLaw()
 
 
 def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] = None) -> WalkStream:
@@ -611,30 +684,10 @@ def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] =
     alpha, else +-1 equally; alpha in [0, 1)), ``reflected`` (from 0 step +1
     surely, otherwise +-1 equally).  ``lazy:0.3`` style strings are accepted.
     """
-    name = preset
-    if ":" in preset:
-        name, _, arg = preset.partition(":")
-        if alpha is not None:
-            raise ValueError("alpha given both inline and as a keyword")
-        alpha = float(arg)
-    if name not in _BD_PRESETS:
-        raise ValueError(f"unknown birth-death preset {preset!r}")
+    name, alpha, law = _birth_death_law(preset, alpha)
     params = {"preset": name, "steps": int(steps)}
-    if name == "lazy":
-        if alpha is None:
-            raise ValueError("lazy preset needs alpha")
-        if not (0.0 <= alpha < 1.0):
-            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-        params["alpha"] = float(alpha)
-        factory = lambda: _LazyWalkSource(alpha, seed)
-    elif name == "symmetric":
-        if alpha is not None:
-            raise ValueError("symmetric preset takes no alpha")
-        factory = lambda: _SimpleRWSource(0.5, seed)
-    else:
-        if alpha is not None:
-            raise ValueError("reflected preset takes no alpha")
-        factory = lambda: _ReflectedSource(seed)
+    if alpha is not None:
+        params["alpha"] = alpha
     meta = WalkMetadata(
         generator_name="birth-death",
         params=params,
@@ -643,7 +696,7 @@ def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] =
         d=1,
         theoretical_drift=0.0,
     )
-    return WalkStream(meta, factory)
+    return WalkStream(meta, lambda: _DrawnSource(law, seed))
 
 
 def gen_zigzag(ell: float, steps: int):
@@ -820,6 +873,22 @@ def make_walk(config: dict, seed: Optional[int] = None) -> WalkStream:
             pattern = [int(v) for v in pattern.split(",")]
         return gen_linear_drift(int(cfg.get("m", 1)), pattern, steps)
     raise ValueError(f"unknown generator {gen!r}")
+
+
+def uniform_law(config: dict) -> _UniformLaw:
+    """The uniform-to-increment map of a stochastic flat config, built once.
+
+    Pair it with :class:`BatchSource` to run many seeds of one config: an
+    ergodic preset is parsed and its stationary law solved here only.
+    """
+    gen = config.get("gen")
+    if gen == "srw":
+        return _SignLaw(float(config["p"]))
+    if gen == "ergodic":
+        return _ChainLaw(_parse_chain_preset(str(config["preset"])))
+    if gen == "birth-death":
+        return _birth_death_law(str(config["preset"]))[2]
+    raise ValueError(f"generator {gen!r} draws no uniforms")
 
 
 def is_stochastic(config: dict) -> bool:

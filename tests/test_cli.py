@@ -289,6 +289,15 @@ class TestMc:
         pooled = capsys.readouterr().out
         assert serial == pooled
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(self, workers, capsys):
+        assert run([
+            "mc", "--gen", "srw", "--p", "0.5", "--steps", "10", "--trials", "2",
+            "--seed", "1", "--workers", workers,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
+
     def test_metric_selection(self, capsys):
         assert run([
             "mc", "--gen", "birth-death", "--preset", "symmetric", "--steps", "1000",

@@ -1,10 +1,15 @@
 """Monte Carlo harness: determinism, exact aggregation, oracle agreement."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rangewalk.experiments as E
+from rangewalk.core import INT64_MAX, CoordinateOverflowError
 from rangewalk.experiments import (
     AggregateReport,
     MetricAggregate,
@@ -15,6 +20,7 @@ from rangewalk.experiments import (
     run_trials,
     theory_value,
 )
+from rangewalk.generators import make_walk, mix_seed
 
 # Frozen by independent enumeration over all 2^10 sign sequences with exact
 # rational weights (p = 3/10, 1/2, 7/10): E[R_10/10].
@@ -259,3 +265,150 @@ class TestExactRangeSpeed:
         )
         mc = run_trials(spec).per_metric["range_speed"].mean
         assert abs(mc - exact.mean) <= 3 * exact.std / np.sqrt(20_000)
+
+
+# sha256 of json.dumps(run_trials(spec, keep_trials=True).to_json_doc()) with
+# master seed 7, captured when every trial still ran as its own stream.
+GOLDEN_RUNS = [
+    ({"gen": "srw", "p": 0.7, "steps": 10}, 10, 5000,
+     "0e41010ad00695e6ea1d95bd84e56b632d86393cf90642b65aabdfd2ac336608"),
+    ({"gen": "srw", "p": 0.5, "steps": 70000}, 70000, 3,
+     "3cd0cfc1dc84d2c5361bee3982718aeaa86c837751252c9309bff2e6e3633de2"),
+    ({"gen": "birth-death", "preset": "symmetric", "steps": 300}, 300, 50,
+     "750a73a68f123addb85b0a13d3175de743773d9522a5dfa962bc56c2b84cfbc4"),
+    ({"gen": "birth-death", "preset": "lazy:0.3", "steps": 300}, 300, 50,
+     "5ca09c5a37044638481285be991d3a7119382e0ab1fae26809b8da8b83de68e6"),
+    ({"gen": "birth-death", "preset": "reflected", "steps": 300}, 300, 50,
+     "a4a34928737064d4b42fe39c7b5b7ce1911fd09b063b182cfdd2f96562a6e794"),
+    ({"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 300}, 300, 50,
+     "cfee6a1d28f029f4e6b0ea1a8bf68342aa62c1f13a1bff4492494b7f41e55a1c"),
+    ({"gen": "ergodic", "preset": "iid:0.6", "steps": 300}, 300, 50,
+     "1c669e0456e264de1b6df255aad7cd0cd6c016a4f6e356c2f2c580c4aa68c476"),
+    ({"gen": "zigzag", "ell": 0.5, "steps": 1000}, 1000, 1,
+     "8ede9cdccd98307b42167fc10da1dd1b02d58a675bc12bbc398121d2d2072294"),
+    ({"gen": "spiral2d", "steps": 1000}, 1000, 1,
+     "7db3d721209dad15de5e7c77b0364430820275d82dbac3dc5fd222e764c1dfa4"),
+    ({"gen": "linear-drift", "m": 2, "pattern": [2, -1], "steps": 1000}, 1000, 1,
+     "c4ef46205ad3ab55f0273334c7a28930d106b77c37a724b659a63cee28cdf09c"),
+]
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json_doc()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config,horizon,trials,digest",
+    GOLDEN_RUNS,
+    ids=[f"{c['gen']}-{c.get('preset', horizon)}" for c, horizon, _, _ in GOLDEN_RUNS],
+)
+def test_report_matches_golden_digest(config, horizon, trials, digest):
+    spec = TrialSpec(config=config, horizon=horizon, trials=trials, master_seed=7)
+    assert _digest(run_trials(spec, keep_trials=True)) == digest
+
+
+def _oracle_per_trial(config, horizon, trials, master):
+    """Per-trial values from each trial's own stream, in Python ints and a set."""
+    out = {name: [] for name in ("range_speed", "walk_speed", "no_return", "max_speed")}
+    out["walk_speed_signed"] = []
+    for i in range(trials):
+        path = make_walk(config, seed=mix_seed(master, i)).path_array(horizon).tolist()
+        out["range_speed"].append(len(set(path)) / horizon)
+        out["walk_speed"].append(abs(path[-1]) / horizon)
+        out["walk_speed_signed"].append(path[-1] / horizon)
+        out["max_speed"].append(max(abs(x) for x in path) / horizon)
+        out["no_return"].append((0 if 0 in path[1:] else 1) / 1)
+    return out
+
+
+_unit = st.floats(0.01, 0.99)
+_STOCHASTIC = st.one_of(
+    st.floats(0.0, 1.0).map(lambda p: {"gen": "srw", "p": p}),
+    st.sampled_from(["symmetric", "reflected"]).map(
+        lambda name: {"gen": "birth-death", "preset": name}
+    ),
+    st.floats(0.0, 0.99).map(lambda a: {"gen": "birth-death", "preset": f"lazy:{a}"}),
+    st.tuples(_unit, _unit).map(
+        lambda ab: {"gen": "ergodic", "preset": f"switch:{ab[0]},{ab[1]}"}
+    ),
+    _unit.map(lambda p: {"gen": "ergodic", "preset": f"iid:{p}"}),
+)
+
+
+class TestChunkedTrials:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _STOCHASTIC,
+        st.integers(1, 300),
+        st.integers(1, 50),
+        st.integers(1, 3),
+        st.integers(2, 1024),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_matches_per_trial_oracle(self, config, horizon, trials, workers, cells, master):
+        # A small cell budget puts chunk edges and column blocks in every run.
+        config = dict(config, steps=horizon)
+        spec = TrialSpec(config=config, horizon=horizon, trials=trials, master_seed=master)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(E, "CHUNK_CELLS", cells)
+            report = run_trials(spec, workers=workers, keep_trials=True)
+        assert report.per_trial == _oracle_per_trial(config, horizon, trials, master)
+
+    @pytest.mark.parametrize("m", [1, 2])  # the one-row reducer, then set mode
+    def test_deterministic_start_is_not_a_return(self, m):
+        config = {"gen": "linear-drift", "m": m, "pattern": [m], "steps": 5}
+        report = run_trials(TrialSpec(config=config, horizon=5))
+        assert report.per_metric["no_return"].mean == 1.0
+        assert report.per_metric["range_speed"].mean == 6 / 5
+        assert report.per_metric["max_speed"].mean == m
+
+    def test_linear_drift_overflow_still_raises(self):
+        spec = TrialSpec(
+            config={"gen": "linear-drift", "m": 2**62, "pattern": [2**62], "steps": 2},
+            horizon=2,
+        )
+        with pytest.raises(CoordinateOverflowError):
+            run_trials(spec)
+
+    def test_chunk_guard_is_exact(self):
+        # Each first block ends exactly at |x| = INT64_MAX; one more step is refused.
+        for start, step, k in ((INT64_MAX - 1, 1, 1), (1 - INT64_MAX, -1, 1), (INT64_MAX - 3, 1, 3)):
+            state = E._Extremes(2)
+            state.last[1] = start
+            state.advance(np.full((2, k), step, dtype=np.int64), 1)
+            assert abs(int(state.last[1])) == INT64_MAX
+            with pytest.raises(CoordinateOverflowError):
+                state.advance(np.full((2, 1), step, dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        spec = TrialSpec(config={"gen": "srw", "p": 0.5, "steps": 10}, horizon=10)
+        with pytest.raises(ValueError, match="workers"):
+            run_trials(spec, workers=workers)
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch):
+        widths = []
+
+        class InlinePool:  # records the pool width, starts no thread
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(E, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(E, "CHUNK_CELLS", 44)  # 4 trials of N = 10 a chunk
+        config = {"gen": "srw", "p": 0.6, "steps": 10}
+        spec = TrialSpec(config=config, horizon=10, trials=10, master_seed=2)
+        pooled = run_trials(spec, workers=10**6, keep_trials=True)
+        assert widths == [3]
+        assert _digest(pooled) == _digest(run_trials(spec, keep_trials=True))
+        one_chunk = TrialSpec(config=config, horizon=10, trials=4, master_seed=2)
+        run_trials(one_chunk, workers=10**6)
+        assert widths == [3]  # a single chunk runs without a pool

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rangewalk.core import validate_increment_bound
 from rangewalk.generators import (
+    BatchSource,
     DegeneratePlanError,
     MarkovIncrementChain,
     ReducibleChainError,
@@ -26,6 +27,7 @@ from rangewalk.generators import (
     mix_seed,
     splitmix64,
     stationary_distribution,
+    uniform_law,
 )
 
 
@@ -411,3 +413,33 @@ class TestMakeWalk:
     def test_is_stochastic(self):
         assert is_stochastic({"gen": "srw"})
         assert not is_stochastic({"gen": "zigzag"})
+
+
+_LAW_CONFIGS = [
+    {"gen": "srw", "p": 0.3},
+    {"gen": "birth-death", "preset": "symmetric"},
+    {"gen": "birth-death", "preset": "lazy:0.4"},
+    {"gen": "birth-death", "preset": "reflected"},
+    {"gen": "ergodic", "preset": "switch:0.1,0.3"},
+    {"gen": "ergodic", "preset": "iid:0.6"},
+]
+
+
+class TestBatchSource:
+    @pytest.mark.parametrize("config", _LAW_CONFIGS, ids=lambda c: c.get("preset", "srw"))
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("widths", [(24,), (3, 1, 20)])
+    def test_rows_replay_their_streams(self, config, rows, widths):
+        seeds = [mix_seed(4, i) for i in range(rows)]
+        batch = BatchSource(uniform_law(config), seeds)
+        last = len(widths) - 1
+        inc = np.concatenate(
+            [batch.take(k, last=j == last) for j, k in enumerate(widths)], axis=1
+        )
+        for seed, row in zip(seeds, inc):
+            path = make_walk(dict(config, steps=24), seed=seed).path_array(24)
+            assert np.array_equal(row, np.diff(path))
+
+    def test_deterministic_config_has_no_law(self):
+        with pytest.raises(ValueError):
+            uniform_law({"gen": "zigzag", "ell": 0.5})
