@@ -288,6 +288,10 @@ class WalkStream:
     def m(self) -> int:
         return self.metadata.m
 
+    @property
+    def source_factory(self) -> Callable[[], IncrementSource]:
+        return self._source_factory
+
     def clone(self) -> "WalkStream":
         """Fresh unconsumed stream over the identical sequence."""
         return WalkStream(self.metadata, self._source_factory, self._origin)

@@ -8,6 +8,8 @@ one cumsum and per-row lowest, highest and last positions.  Horizons beyond
 CHUNK_CELLS go in column blocks that carry those, so memory stays flat in the
 horizon.  `workers` schedules whole chunks on a thread pool, and results are
 reduced in trial-index order, so a report is byte-identical for any `workers`.
+A deterministic config, which runs one trial, goes through the range and
+extrema trackers instead.
 Per-trial metrics are exact integers (R_N, X_N, M_N); division by N happens
 once at aggregation.
 """
@@ -125,10 +127,10 @@ class AggregateReport:
 
 
 class _Extremes:
-    """Carried per-row state of walks from x_0 = 0 with d = 1.
+    """Carried per-row state of stochastic walks from x_0 = 0 (d = 1, m = 1).
 
     Holds each row's lowest, highest and last position and whether it has
-    revisited 0, which give R_N (interval mode, m = 1), X_N, M_N and the
+    revisited 0, which give R_N (interval mode), X_N, M_N and the
     no-return indicator.
     """
 
@@ -138,18 +140,14 @@ class _Extremes:
         self.last = np.zeros(rows, dtype=np.int64)
         self.returned = np.zeros(rows, dtype=bool)
 
-    def advance(self, inc: np.ndarray, m: int) -> None:
-        """Walk every row on by its row of a (rows, k) increment block."""
+    def advance(self, inc: np.ndarray) -> None:
+        """Walk every row on by its row of a (rows, k) block of unit increments."""
         # The same exact guard as WalkStream.blocks: no position can wrap.
         extent = max(-int(self.last.min()), int(self.last.max()))
-        if extent + inc.shape[1] * m > INT64_MAX:
+        if extent + inc.shape[1] > INT64_MAX:
             raise CoordinateOverflowError("walk left the signed 64-bit coordinate range")
         pos = np.cumsum(inc, axis=1)
         pos += self.last[:, None]
-        self.reduce(pos)
-
-    def reduce(self, pos: np.ndarray) -> None:
-        """Fold in a (rows, k) block of the positions after x_0."""
         np.minimum(self.lo, pos.min(axis=1), out=self.lo)
         np.maximum(self.hi, pos.max(axis=1), out=self.hi)
         self.returned |= (pos == 0).any(axis=1)
@@ -165,7 +163,7 @@ class _Extremes:
         }
 
 
-def _chunk_counts(law, seeds: Sequence[int], horizon: int, m: int) -> dict:
+def _chunk_counts(law, seeds: Sequence[int], horizon: int) -> dict:
     """Counts of one chunk of stochastic trials, one row per seed."""
     source = BatchSource(law, seeds)
     state = _Extremes(len(seeds))
@@ -173,22 +171,13 @@ def _chunk_counts(law, seeds: Sequence[int], horizon: int, m: int) -> dict:
     while left:
         k = min(left, CHUNK_CELLS)
         left -= k
-        state.advance(source.take(k, last=not left), m)
+        state.advance(source.take(k, last=not left))
     return state.counts()
 
 
 def _walk_counts(stream: WalkStream, horizon: int) -> dict:
-    """Counts of one deterministic walk from the origin.
-
-    With d = 1 and m = 1 its blocks go through the chunk reducer as one row;
-    otherwise (set-mode range) through the range and extrema trackers.
-    """
-    if stream.d == 1 and stream.m == 1:
-        state = _Extremes(1)
-        for j, block in enumerate(stream.blocks(horizon)):
-            state.reduce(block[None, 1:] if j == 0 else block[None, :])
-        return state.counts()
-    tracker = RangeTracker("set", d=stream.d, m=stream.m)
+    """Counts of one deterministic walk from the origin, in one tracker pass."""
+    tracker = RangeTracker("auto", d=stream.d, m=stream.m)
     extrema = _ExtremaTracker(stream.d)
     returned = False
     for j, block in enumerate(stream.blocks(horizon)):
@@ -257,17 +246,18 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
     cfg = dict(spec.config)
     cfg.pop("seed", None)
     n = spec.horizon
-    walk = make_walk(cfg, seed=mix_seed(spec.master_seed, 0))  # validates the config
+    # Trial 0's walk validates the config and carries the law every chunk draws through.
+    walk = make_walk(cfg, seed=mix_seed(spec.master_seed, 0))
     if not is_stochastic(cfg):  # TrialSpec allows these one trial only
         counts = _walk_counts(walk, n)
     else:
-        law = uniform_law(cfg)
+        law = uniform_law(walk)
         rows = max(1, CHUNK_CELLS // (n + 1))
         chunks = [range(spec.trials)[i : i + rows] for i in range(0, spec.trials, rows)]
 
         def one(chunk):
             seeds = [mix_seed(spec.master_seed, i) for i in chunk]
-            return _chunk_counts(law, seeds, n, walk.m)
+            return _chunk_counts(law, seeds, n)
 
         if workers > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

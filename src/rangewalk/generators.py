@@ -343,6 +343,7 @@ class BatchSource:
     bit for bit.  A batch drawn in one ``take(k, last=True)`` builds each
     generator, fills its row and drops it, so it holds one generator at a
     time; otherwise the first take builds them all for the takes to come.
+    A take after a ``last=True`` one raises, as its generators are gone.
     """
 
     def __init__(self, law: _UniformLaw, seeds: Sequence[int]):
@@ -350,8 +351,12 @@ class BatchSource:
         self._seeds = seeds
         self._rngs = None
         self._carry: Optional[np.ndarray] = None
+        self._ended = False
 
     def take(self, k: int, last: bool = False) -> np.ndarray:
+        if self._ended:
+            raise RuntimeError("batch already ended by a take with last=True")
+        self._ended = last
         first = self._carry is None
         head = self._law.head if first else 0
         if first and not last:
@@ -366,14 +371,34 @@ class BatchSource:
         return inc
 
 
-class _DrawnSource(BatchSource):
-    """The increment source of one seeded walk: a one-row batch."""
+class _DrawnSource:
+    """The increment source of one seeded walk: one row of a batch.
+
+    It maps its draws through the same law as :class:`BatchSource`, from
+    one generator that it keeps, without the batch's row bookkeeping.
+    """
 
     def __init__(self, law: _UniformLaw, seed: int):
-        super().__init__(law, (seed,))
+        self._law = law
+        self._rng = _rng(seed)
+        self._carry: Optional[np.ndarray] = None
 
     def take(self, k: int) -> np.ndarray:
-        return super().take(k)[0]
+        if self._carry is None:
+            self._carry = self._law.start(self._rng.random((1, self._law.head)))
+        inc, self._carry = self._law.steps(self._rng.random((1, k)), self._carry)
+        return inc[0]
+
+
+class _Seeded:
+    """Source factory of a seeded stochastic stream; `uniform_law` reads its law."""
+
+    def __init__(self, law: _UniformLaw, seed: int):
+        self.law = law
+        self.seed = seed
+
+    def __call__(self) -> _DrawnSource:
+        return _DrawnSource(self.law, self.seed)
 
 
 class _TentSource:
@@ -626,8 +651,7 @@ def gen_simple_rw(p: float, steps: int, seed: int) -> WalkStream:
         d=1,
         theoretical_drift=2.0 * p - 1.0,
     )
-    law = _SignLaw(p)
-    return WalkStream(meta, lambda: _DrawnSource(law, seed))
+    return WalkStream(meta, _Seeded(_SignLaw(p), seed))
 
 
 def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> WalkStream:
@@ -649,8 +673,7 @@ def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> Walk
         d=1,
         theoretical_drift=chain.drift,
     )
-    law = _ChainLaw(chain)
-    return WalkStream(meta, lambda: _DrawnSource(law, seed))
+    return WalkStream(meta, _Seeded(_ChainLaw(chain), seed))
 
 
 _BD_PRESETS = ("symmetric", "lazy", "reflected")
@@ -696,7 +719,7 @@ def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] =
         d=1,
         theoretical_drift=0.0,
     )
-    return WalkStream(meta, lambda: _DrawnSource(law, seed))
+    return WalkStream(meta, _Seeded(law, seed))
 
 
 def gen_zigzag(ell: float, steps: int):
@@ -875,20 +898,17 @@ def make_walk(config: dict, seed: Optional[int] = None) -> WalkStream:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def uniform_law(config: dict) -> _UniformLaw:
-    """The uniform-to-increment map of a stochastic flat config, built once.
+def uniform_law(walk: WalkStream) -> _UniformLaw:
+    """The uniform-to-increment law of a seeded stochastic stream.
 
-    Pair it with :class:`BatchSource` to run many seeds of one config: an
-    ergodic preset is parsed and its stationary law solved here only.
+    Pair it with :class:`BatchSource` to run many seeds of one config from a
+    single `make_walk`: the config is parsed, and an ergodic chain's
+    stationary law solved, once.
     """
-    gen = config.get("gen")
-    if gen == "srw":
-        return _SignLaw(float(config["p"]))
-    if gen == "ergodic":
-        return _ChainLaw(_parse_chain_preset(str(config["preset"])))
-    if gen == "birth-death":
-        return _birth_death_law(str(config["preset"]))[2]
-    raise ValueError(f"generator {gen!r} draws no uniforms")
+    factory = walk.source_factory
+    if not isinstance(factory, _Seeded):
+        raise ValueError(f"generator {walk.metadata.generator_name!r} draws no uniforms")
+    return factory.law
 
 
 def is_stochastic(config: dict) -> bool:

@@ -354,7 +354,7 @@ class TestChunkedTrials:
             report = run_trials(spec, workers=workers, keep_trials=True)
         assert report.per_trial == _oracle_per_trial(config, horizon, trials, master)
 
-    @pytest.mark.parametrize("m", [1, 2])  # the one-row reducer, then set mode
+    @pytest.mark.parametrize("m", [1, 2])  # interval mode, then set mode
     def test_deterministic_start_is_not_a_return(self, m):
         config = {"gen": "linear-drift", "m": m, "pattern": [m], "steps": 5}
         report = run_trials(TrialSpec(config=config, horizon=5))
@@ -375,10 +375,10 @@ class TestChunkedTrials:
         for start, step, k in ((INT64_MAX - 1, 1, 1), (1 - INT64_MAX, -1, 1), (INT64_MAX - 3, 1, 3)):
             state = E._Extremes(2)
             state.last[1] = start
-            state.advance(np.full((2, k), step, dtype=np.int64), 1)
+            state.advance(np.full((2, k), step, dtype=np.int64))
             assert abs(int(state.last[1])) == INT64_MAX
             with pytest.raises(CoordinateOverflowError):
-                state.advance(np.full((2, 1), step, dtype=np.int64), 1)
+                state.advance(np.full((2, 1), step, dtype=np.int64))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

@@ -430,16 +430,40 @@ class TestBatchSource:
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("widths", [(24,), (3, 1, 20)])
     def test_rows_replay_their_streams(self, config, rows, widths):
+        config = dict(config, steps=24)
         seeds = [mix_seed(4, i) for i in range(rows)]
-        batch = BatchSource(uniform_law(config), seeds)
+        batch = BatchSource(uniform_law(make_walk(config, seed=0)), seeds)
         last = len(widths) - 1
         inc = np.concatenate(
             [batch.take(k, last=j == last) for j, k in enumerate(widths)], axis=1
         )
         for seed, row in zip(seeds, inc):
-            path = make_walk(dict(config, steps=24), seed=seed).path_array(24)
+            path = make_walk(config, seed=seed).path_array(24)
             assert np.array_equal(row, np.diff(path))
 
-    def test_deterministic_config_has_no_law(self):
+    @pytest.mark.parametrize(
+        "config",
+        _LAW_CONFIGS + [{"gen": "ergodic", "preset": "switch:0.1,0.1"}],  # sticky both ways
+        ids=lambda c: c.get("preset", "srw"),
+    )
+    def test_stream_blocking_keeps_the_walk(self, config):
+        # Blocks of 2 positions take two steps at a time: the carry must persist.
+        walk = make_walk(dict(config, steps=60), seed=3)
+        whole = walk.clone().path_array(60)
+        assert np.array_equal(np.concatenate(list(walk.blocks(60, block_size=2))), whole)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_no_take_after_the_last(self, rows):
+        law = uniform_law(make_walk({"gen": "srw", "p": 0.5, "steps": 4}, seed=0))
+        batch = BatchSource(law, [mix_seed(4, i) for i in range(rows)])
+        batch.take(4, last=True)
+        with pytest.raises(RuntimeError):
+            batch.take(4)
+
+    def test_law_is_built_once_per_walk(self):
+        walk = make_walk({"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 4}, seed=0)
+        assert uniform_law(walk) is uniform_law(walk.clone())
+
+    def test_deterministic_walk_has_no_law(self):
         with pytest.raises(ValueError):
-            uniform_law({"gen": "zigzag", "ell": 0.5})
+            uniform_law(make_walk({"gen": "zigzag", "ell": 0.5, "steps": 4}))
