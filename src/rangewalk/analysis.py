@@ -72,7 +72,7 @@ def _pack_keys(block: np.ndarray) -> np.ndarray:
     if block.ndim == 1:
         return block
     if block.shape[1] == 2:
-        if np.any(np.abs(block) >= 2**31):
+        if int(block.min()) <= -(2**31) or int(block.max()) >= 2**31:  # np.abs wraps -2^63
             raise ValueError("coordinates beyond +-2^31 not supported in set mode")
         off = block.astype(np.int64) + 2**31
         return (off[:, 0].astype(np.uint64) << np.uint64(32)) | off[:, 1].astype(np.uint64)
@@ -155,15 +155,9 @@ class RangeTracker:
 class _ExtremaTracker:
     """Running M_n = max_{k<=n} ||x_k - x_0||; exact ints (squared for d >= 2)."""
 
-    def __init__(self, d: int):
-        self.d = d
+    def __init__(self):
         self._x0 = None  # an int for d = 1, an int64 row otherwise
         self._best = 0  # |x-x0| for d=1, squared norm otherwise
-
-    @property
-    def peak(self) -> int:
-        """Current raw maximum: |x - x0| for d = 1, its square otherwise."""
-        return self._best
 
     def update(self, block: np.ndarray) -> np.ndarray:
         """Return per-position running max (|disp| for d=1, disp^2 otherwise).
@@ -190,11 +184,6 @@ class _ExtremaTracker:
             np.maximum(run, self._best, out=run)
         self._best = int(run[-1])
         return run
-
-    def norms(self, raw: np.ndarray) -> np.ndarray:
-        """Convert tracked values to Euclidean norms as floats."""
-        raw = raw.astype(np.float64)
-        return raw if self.d == 1 else np.sqrt(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +255,74 @@ def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
     return cps
 
 
-def _series_at_checkpoints(stream, horizon, checkpoints, per_block):
-    """Run `per_block(block) -> values` over the stream, sampling checkpoints.
+def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
+    """The one pass over x_0..x_horizon that every report and checker reads.
 
-    The samples are exact: int64, or Python ints (object dtype) when one
-    does not fit.
+    Updates the trackers it is given (either may be None) and samples x_n,
+    r_n and the raw |x_n - x_0| (squared for d >= 2) at the sorted
+    checkpoints `cps`.  With both trackers it also counts zero hits and
+    finds the first n violating the maximal-range inequality and, when
+    d = 1, m = 1 and x_0 = 0, the 1-D sandwich; it stops once every
+    checkpoint is sampled and every check it runs has failed.
+
+    Returns (samples, x_0, first): exact ints per checkpoint under "x",
+    "r", "disp", "tau_count" and "last_tau", x_0 as an int (d = 1) or a
+    list, and the first violating n of each failed check by name.
     """
-    cps = _as_checkpoints(horizon, checkpoints)
-    out = []
-    ptr = 0
-    done = 0
+    d, m = stream.d, stream.m
+    cps = np.asarray(cps, dtype=np.int64)
+    both = tracker is not None and extrema is not None
+    samples = {key: [] for key in ("x", "r", "disp", "tau_count", "last_tau")}
+    first: dict = {}
+    checks: tuple = ()
+    zeros, last_zero = 0, None
+    ptr = done = 0
     for block in stream.blocks(horizon):
-        values = per_block(block)
+        if done == 0:
+            x0 = block[0].tolist()
+            if both:
+                sandwich = d == 1 and m == 1 and x0 == 0
+                checks = ("maximal_range",) + (("range_sandwich_1d",) if sandwich else ())
         hi = done + block.shape[0]
-        while ptr < cps.size and cps[ptr] < hi:
-            out.append(int(values[cps[ptr] - done]))
-            ptr += 1
-        done = hi
-        if ptr == cps.size:
+        end = int(np.searchsorted(cps, hi))
+        at = cps[ptr:end] - done
+        samples["x"] += block[at].tolist()
+        if tracker is not None:
+            r = tracker.update(block)
+            samples["r"] += r[at].tolist()
+        if extrema is not None:
+            disp = extrema.update(block)
+            samples["disp"] += disp[at].tolist()
+        for name in checks:
+            if name not in first:
+                if name == "maximal_range":
+                    bad = _maximal_range_violated(disp, r, m, d)
+                else:
+                    bad = (r < disp + 1) | (r > 2 * disp + 1)
+                if bad.any():
+                    first[name] = done + int(np.argmax(bad))
+        if both and ptr < cps.size:  # zero hits matter only up to a checkpoint
+            hits = np.flatnonzero(at_origin(block))
+            upto = np.searchsorted(hits, at, side="right")
+            samples["tau_count"] += (zeros + upto).tolist()
+            samples["last_tau"] += [
+                done + int(hits[u - 1]) if u else last_zero for u in upto.tolist()
+            ]
+            zeros += hits.size
+            if hits.size:
+                last_zero = done + int(hits[-1])
+        ptr, done = end, hi
+        if ptr == cps.size and len(first) == len(checks):
             break
+    return samples, x0, first
+
+
+def _exact_array(values: list) -> np.ndarray:
+    """int64 when every value fits, else Python ints (object dtype)."""
     try:
-        return cps, np.array(out, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return cps, np.array(out, dtype=object)
+        return np.array(values, dtype=object)
 
 
 def track_range(stream: WalkStream, horizon: int, checkpoints=None):
@@ -296,19 +330,22 @@ def track_range(stream: WalkStream, horizon: int, checkpoints=None):
 
     Interval mode is selected automatically iff d = 1 and m = 1.
     """
+    cps = _as_checkpoints(horizon, checkpoints)
     tracker = RangeTracker("auto", d=stream.d, m=stream.m)
-    return _series_at_checkpoints(stream, horizon, checkpoints, tracker.update)
+    samples, _, _ = _scan(stream, horizon, cps, tracker, None)
+    return cps, _exact_array(samples["r"])
 
 
 def track_extrema(stream: WalkStream, horizon: int, checkpoints=None):
     """Running max displacement M_n at each checkpoint; returns (checkpoints, M).
 
-    M is exact for d = 1 (see `_series_at_checkpoints`) and a float norm for
-    d >= 2.
+    M is exact for d = 1 (int64, or Python ints when one does not fit) and
+    a float norm for d >= 2.
     """
-    tracker = _ExtremaTracker(stream.d)
-    cps, raw = _series_at_checkpoints(stream, horizon, checkpoints, tracker.update)
-    return cps, raw if stream.d == 1 else tracker.norms(raw)
+    cps = _as_checkpoints(horizon, checkpoints)
+    samples, _, _ = _scan(stream, horizon, cps, None, _ExtremaTracker())
+    raw = _exact_array(samples["disp"])
+    return cps, raw if stream.d == 1 else np.sqrt(raw.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +374,8 @@ def check_maximal_range(stream: WalkStream, m: int, horizon: int) -> Optional[in
     if m != stream.m:
         raise ValueError(f"declared m={m} does not match the stream's m={stream.m}")
     tracker = RangeTracker("auto", d=stream.d, m=m)
-    extrema = _ExtremaTracker(stream.d)
-    done = 0
-    for block in stream.blocks(horizon):
-        r = tracker.update(block)
-        bad = _maximal_range_violated(extrema.update(block), r, m, stream.d)
-        if bad.any():
-            return done + int(np.argmax(bad))
-        done += block.shape[0]
-    return None
+    _, _, first = _scan(stream, horizon, (), tracker, _ExtremaTracker())
+    return first.get("maximal_range")
 
 
 def check_range_sandwich_1d(stream: WalkStream, horizon: int) -> Optional[int]:
@@ -355,19 +385,10 @@ def check_range_sandwich_1d(stream: WalkStream, horizon: int) -> Optional[int]:
     """
     if stream.d != 1 or stream.m != 1:
         raise ValueError("sandwich check requires d = 1 and m = 1")
-    tracker = RangeTracker("interval")
-    extrema = _ExtremaTracker(1)
-    done = 0
-    for block in stream.blocks(horizon):
-        if done == 0 and block[0] != 0:
-            raise ValueError("sandwich check requires x_0 = 0")
-        r = tracker.update(block)
-        disp = extrema.update(block)
-        bad = (r < disp + 1) | (r > 2 * disp + 1)
-        if bad.any():
-            return done + int(np.argmax(bad))
-        done += block.shape[0]
-    return None
+    _, x0, first = _scan(stream, horizon, (), RangeTracker("interval"), _ExtremaTracker())
+    if x0 != 0:
+        raise ValueError("sandwich check requires x_0 = 0")
+    return first.get("range_sandwich_1d")
 
 
 @dataclass(frozen=True)
@@ -472,29 +493,6 @@ def tail_limit_estimate(ns: Sequence[int], values: Sequence[float]) -> TailEstim
 
 
 @dataclass(frozen=True)
-class SpeedSeries:
-    """The three normalized series at checkpoints plus tail estimates.
-
-    x_over_n is signed for d = 1 and the Euclidean norm over n for d >= 2.
-    Theory deltas (vs the final checkpoint) are present when the stream's
-    drift is known in closed form; delta_r only when m = 1, where the range
-    speed has a point target.
-    """
-
-    checkpoints: np.ndarray
-    x_over_n: np.ndarray
-    M_over_n: np.ndarray
-    r_over_n: np.ndarray
-    tail_x: TailEstimate
-    tail_M: TailEstimate
-    tail_r: TailEstimate
-    theory_drift: Optional[float] = None
-    delta_x: Optional[float] = None
-    delta_M: Optional[float] = None
-    delta_r: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     """Full single-pass analysis: per-checkpoint rows plus summary.
 
@@ -509,23 +507,6 @@ class AnalysisReport:
     tails: dict
     theory: Optional[dict]
     provenance: dict
-
-    def speed_series(self) -> SpeedSeries:
-        cps = np.asarray([row["n"] for row in self.rows], dtype=np.int64)
-        theory = self.theory or {}
-        return SpeedSeries(
-            checkpoints=cps,
-            x_over_n=np.asarray([row["x_over_n"] for row in self.rows]),
-            M_over_n=np.asarray([row["M_over_n"] for row in self.rows]),
-            r_over_n=np.asarray([row["r_over_n"] for row in self.rows]),
-            tail_x=self.tails["x_over_n"],
-            tail_M=self.tails["M_over_n"],
-            tail_r=self.tails["r_over_n"],
-            theory_drift=theory.get("drift"),
-            delta_x=theory.get("delta_x_over_n"),
-            delta_M=theory.get("delta_M_over_n"),
-            delta_r=theory.get("delta_r_over_n"),
-        )
 
     def jsonl_lines(self) -> Iterator[str]:
         for row in self.rows:
@@ -553,74 +534,38 @@ def analyze_stream(
     """One pass producing the checkpoint report, inline checks, and tails.
 
     The maximal-range inequality is checked at every position; the 1-D
-    sandwich additionally when d = 1, m = 1, and x_0 = 0.  Violations are
-    attached to the first checkpoint row at or after the offending index.
+    sandwich additionally when d = 1, m = 1, and x_0 = 0.  Each violation
+    is attached to the first checkpoint row with n at or after the offending
+    index, or to the last row when it lies past the last checkpoint.
     """
     cps = _as_checkpoints(horizon, checkpoints)
     d, m = stream.d, stream.m
     tracker = RangeTracker("auto", d=d, m=m)
-    extrema = _ExtremaTracker(d)
+    samples, _, first = _scan(stream, horizon, cps, tracker, _ExtremaTracker())
+    violations: list = [[] for _ in range(cps.size)]
+    for at, name in sorted((n, name) for name, n in first.items()):
+        row = min(int(np.searchsorted(cps, at)), cps.size - 1)
+        violations[row].append({"check": name, "n": at})
     rows = []
-    zero_count = 0
-    last_zero: Optional[int] = None
-    pending_violations: list = []
-    sandwich_applies = d == 1 and m == 1
-    maximal_seen = False
-    sandwich_seen = False
-    ptr = 0
-    done = 0
-    for block in stream.blocks(horizon):
-        if done == 0 and sandwich_applies:
-            origin = int(block[0])
-            sandwich_applies = origin == 0
-        r = tracker.update(block)
-        disp = extrema.update(block)
-        if not maximal_seen:
-            bad = _maximal_range_violated(disp, r, m, d)
-            if bad.any():
-                maximal_seen = True
-                pending_violations.append(
-                    {"check": "maximal_range", "n": done + int(np.argmax(bad))}
-                )
-        if sandwich_applies and not sandwich_seen:
-            bad = (r < disp + 1) | (r > 2 * disp + 1)
-            if bad.any():
-                sandwich_seen = True
-                pending_violations.append(
-                    {"check": "range_sandwich_1d", "n": done + int(np.argmax(bad))}
-                )
-        hits = np.flatnonzero(at_origin(block))
-        hi = done + block.shape[0]
-        while ptr < cps.size and cps[ptr] < hi:
-            k = int(cps[ptr]) - done
-            n = int(cps[ptr])
-            upto = int(np.searchsorted(hits, k, side="right"))
-            tau_count = zero_count + upto
-            lz = last_zero
-            if upto:
-                lz = done + int(hits[upto - 1])
-            if d == 1:
-                x_over = float(block[k]) / n if n else float(block[k])
-            else:
-                x_over = math.sqrt(sum(c * c for c in block[k].tolist())) / n if n else 0.0
-            m_over = float(extrema.norms(disp[k : k + 1])[0]) / n if n else 0.0
-            rows.append(
-                {
-                    "n": n,
-                    "x_over_n": x_over,
-                    "M_over_n": m_over,
-                    "r_over_n": float(r[k]) / n if n else float(r[k]),
-                    "tau_count": tau_count,
-                    "last_tau": lz,
-                    "violations": pending_violations,
-                }
-            )
-            pending_violations = []
-            ptr += 1
-        zero_count += int(hits.size)
-        if hits.size:
-            last_zero = done + int(hits[-1])
-        done = hi
+    for i, n in enumerate(cps.tolist()):
+        x, disp, r = samples["x"][i], samples["disp"][i], samples["r"][i]
+        if d == 1:
+            x_over = float(x) / n if n else float(x)
+            m_over = float(disp) / n if n else 0.0
+        else:
+            x_over = math.sqrt(sum(c * c for c in x)) / n if n else 0.0
+            m_over = math.sqrt(float(disp)) / n if n else 0.0
+        rows.append(
+            {
+                "n": n,
+                "x_over_n": x_over,
+                "M_over_n": m_over,
+                "r_over_n": float(r) / n if n else float(r),
+                "tau_count": samples["tau_count"][i],
+                "last_tau": samples["last_tau"][i],
+                "violations": violations[i],
+            }
+        )
     tails = {
         name: tail_limit_estimate(
             [row["n"] for row in rows], [row[name] for row in rows]
@@ -660,10 +605,3 @@ def analyze_stream(
         theory=theory,
         provenance=prov,
     )
-
-
-def speed_report(stream: WalkStream, m: int, horizon: int, checkpoints=None) -> SpeedSeries:
-    """The three normalized series with tail estimates and theory deltas."""
-    if m != stream.m:
-        raise ValueError(f"declared m={m} does not match the stream's m={stream.m}")
-    return analyze_stream(stream, horizon, checkpoints).speed_series()

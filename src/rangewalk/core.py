@@ -263,8 +263,8 @@ class WalkStream:
     The stream is defined by its metadata plus a factory for the increment
     source; `clone()` returns a fresh unconsumed stream that replays the
     identical sequence.  Consumption happens through `blocks` (numpy arrays
-    whose concatenation is x_0..x_horizon), `positions` (scalars/tuples), or
-    `path_array` (one array for the whole prefix).
+    whose concatenation is x_0..x_horizon) or `path_array` (one array for the
+    whole prefix).
     """
 
     def __init__(
@@ -358,14 +358,6 @@ class WalkStream:
                 carry = pos[-1].copy() if self.d > 1 else np.int64(pos[-1])
             remaining -= n_inc
             yield pos
-
-    def positions(self, horizon: int) -> Iterator:
-        """Iterate positions as ints (d=1) or coordinate tuples (d>=2)."""
-        for block in self.blocks(horizon):
-            if self.d == 1:
-                yield from (int(v) for v in block)
-            else:
-                yield from (tuple(int(c) for c in row) for row in block)
 
     def path_array(self, horizon: int) -> np.ndarray:
         """Materialize x_0..x_horizon as one int64 array."""

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import RangeTracker, _ExtremaTracker
-from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream, at_origin
+from .analysis import RangeTracker, _ExtremaTracker, _scan
+from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
     BatchSource,
     _parse_chain_preset,
@@ -176,29 +176,22 @@ def _chunk_counts(law, seeds: Sequence[int], horizon: int) -> dict:
 
 
 def _walk_counts(stream: WalkStream, horizon: int) -> dict:
-    """Counts of one deterministic walk from the origin, in one tracker pass."""
+    """Counts of one deterministic walk from the origin, read at the horizon."""
     tracker = RangeTracker("auto", d=stream.d, m=stream.m)
-    extrema = _ExtremaTracker(stream.d)
-    returned = False
-    for j, block in enumerate(stream.blocks(horizon)):
-        tracker.update(block)
-        extrema.update(block)
-        returned = returned or bool(at_origin(block[1:] if j == 0 else block).any())
-        last = block[-1]
+    samples, _, _ = _scan(stream, horizon, [horizon], tracker, _ExtremaTracker())
+    (x,), (disp,) = samples["x"], samples["disp"]
     if stream.d == 1:
-        final_signed = int(last)
-        final_abs = abs(final_signed)
-        max_disp = extrema.peak
+        final_signed, final_abs, max_disp = x, abs(x), disp
     else:
         final_signed = None
-        final_abs = math.sqrt(sum(c * c for c in last.tolist()))
-        max_disp = math.sqrt(extrema.peak)
+        final_abs = math.sqrt(sum(c * c for c in x))
+        max_disp = math.sqrt(disp)
     return {
-        "range": [tracker.count],
+        "range": samples["r"],
         "final_abs": [final_abs],
         "final_signed": [final_signed],
         "max_disp": [max_disp],
-        "no_return": [0 if returned else 1],
+        "no_return": [0 if samples["last_tau"][0] else 1],  # no zero after x_0
     }
 
 

@@ -488,13 +488,8 @@ class _CycleSource:
 
 
 def _eq1_holds(ell: Fraction, n: int) -> bool:
-    """Exact test of ((1+l)/(1-l))^n * (2l/(1-l)) > 1."""
+    """Exact test of ((1+l)/(1-l))^n * (2l/(1-l)) > 1, for n <= _EXACT_EXP_CAP."""
     a, b = ell.numerator, ell.denominator
-    if n > _EXACT_EXP_CAP:
-        # Beyond the exact cap the float-log form is decisive to far more
-        # than one integer of slack.
-        q = math.log1p(2 * a / (b - a))
-        return n * q + math.log(2 * a) - math.log(b - a) > 0
     return (b + a) ** n * 2 * a > (b - a) ** (n + 1)
 
 
@@ -578,6 +573,8 @@ class ZigzagPlan:
             prev = v
         if tau[0] < 2:
             raise DegeneratePlanError("tau_0 must be a positive even time")
+        if self.n0 > _EXACT_EXP_CAP:
+            raise DegeneratePlanError(f"n0 = {self.n0} exceeds the exact cap {_EXACT_EXP_CAP}")
         if not _eq1_holds(Fraction(self.ell), self.n0):
             raise DegeneratePlanError("(ell, n0) violates the validity inequality")
         object.__setattr__(self, "tau", tau)

@@ -1,5 +1,6 @@
 """Trackers, checkers, tail estimates, and the JSONL analysis report."""
 
+import hashlib
 import json
 import math
 
@@ -22,18 +23,19 @@ from rangewalk.analysis import (
     dyadic_checkpoints,
     ratio_series,
     return_times,
-    speed_report,
     tail_limit_estimate,
     track_extrema,
     track_range,
 )
 from rangewalk.core import WalkMetadata, WalkStream, walk_from_path
 from rangewalk.generators import (
+    gen_birth_death,
     gen_linear_drift,
     gen_simple_rw,
     gen_spiral2d,
     gen_tau_tent,
     gen_zigzag,
+    make_walk,
 )
 
 
@@ -49,6 +51,23 @@ def _brute_force_range(path):
 
 # Each step has norm 1.7e9 (the inferred m); ||x_n||^2 outgrows int64 from n = 2.
 _FAR_3D = [(0, 0, 0), (1_700_000_000, 0, 0), (3_400_000_000, 0, 0), (5_100_000_000, 0, 0)]
+
+
+def _jump_walk(m, at, size):
+    """A walk declaring m that stays at 0 but for one jump of `size` at step `at`."""
+
+    class Jump:
+        def __init__(self):
+            self._done = 0
+
+        def take(self, k):
+            out = np.zeros(k, dtype=np.int64)
+            if self._done < at <= self._done + k:
+                out[at - self._done - 1] = size
+            self._done += k
+            return out
+
+    return WalkStream(WalkMetadata("liar", {}, None, m=m, d=1), Jump)
 
 
 @st.composite
@@ -171,6 +190,15 @@ class TestRangeTrackerModes:
         with pytest.raises(MemoryGuardError):
             tracker.update(np.arange(100, dtype=np.int64))
 
+    @pytest.mark.parametrize("row", [[-(2**63), 0], [0, -(2**63)], [-(2**31), 5], [0, 2**31]])
+    def test_2d_packing_limit(self, row):
+        # np.abs(-2^63) wraps to -2^63, which once let this row past the guard.
+        block = np.array([[0, 0], row], dtype=np.int64)
+        with pytest.raises(ValueError, match="2\\^31"):
+            RangeTracker("set", d=2).update(block)
+        ok = np.array([[0, 0], [-(2**31) + 1, 2**31 - 1]], dtype=np.int64)
+        assert RangeTracker("set", d=2).update(ok).tolist() == [1, 2]
+
     @settings(max_examples=300, deadline=None)
     @given(_blocked_paths(), st.sampled_from([DEFAULT_SET_CAP, 1, 2, 3, 5, 8]))
     def test_set_mode_matches_python_set(self, case, cap):
@@ -215,6 +243,13 @@ class TestTrackExtrema:
     def test_squared_norm_beyond_int64(self):
         _, M = track_extrema(walk_from_path(_FAR_3D), 3, checkpoints=[1, 2, 3])
         assert M.tolist() == [1.7e9, 3.4e9, 5.1e9]
+
+    def test_2d_beyond_the_set_mode_packing_limit(self):
+        path = [(0, 0), (3 * 2**32, 0), (3 * 2**32, 4 * 2**32)]
+        _, M = track_extrema(walk_from_path(path), 2, checkpoints=[1, 2])
+        assert M.tolist() == [3.0 * 2**32, 5.0 * 2**32]
+        with pytest.raises(ValueError, match="2\\^31"):
+            track_range(walk_from_path(path), 2)
 
     def test_exact_above_2_to_the_53(self):
         _, M = track_extrema(walk_from_path([0, 2**53 + 1]), 1, [1])
@@ -300,21 +335,31 @@ class TestMaximalRange:
                 assert (disp / m + 1 <= r + 1e-12).all()
 
     def test_detects_a_lying_bound(self):
-        # stream whose declared m is smaller than its true increments
-        class Jump:
-            def __init__(self):
-                self._given = False
+        # the stream declares m = 2 but jumps by 5 at step 1
+        assert check_maximal_range(_jump_walk(2, 1, 5), 2, 3) == 1
 
-            def take(self, k):
-                out = np.zeros(k, dtype=np.int64)
-                if not self._given:
-                    out[0] = 5
-                    self._given = True
-                return out
 
-        meta = WalkMetadata("liar", {}, None, m=2, d=1)
-        s = WalkStream(meta, Jump)
-        assert check_maximal_range(s, 2, 3) == 1
+class TestViolationPlacement:
+    def test_first_row_at_or_after_the_violation(self):
+        rows = analyze_stream(_jump_walk(2, 50, 5), 100).rows
+        placed = [(row["n"], row["violations"]) for row in rows if row["violations"]]
+        assert placed == [(64, [{"check": "maximal_range", "n": 50}])]
+
+    def test_past_the_last_checkpoint_goes_on_the_last_row(self):
+        rows = analyze_stream(_jump_walk(2, 50, 5), 100, checkpoints=[10, 20]).rows
+        assert [row["violations"] for row in rows] == [
+            [],
+            [{"check": "maximal_range", "n": 50}],
+        ]
+
+    def test_across_blocks(self):
+        cps = [65_536, 70_000, 100_000]  # the second block starts at n = 65536
+        rows = analyze_stream(_jump_walk(2, 70_000, 5), 100_000, checkpoints=cps).rows
+        assert [row["violations"] for row in rows] == [
+            [],
+            [{"check": "maximal_range", "n": 70_000}],
+            [],
+        ]
 
 
 class TestSandwich:
@@ -409,28 +454,26 @@ class TestTailEstimate:
 
 class TestSpeedReport:
     def test_unit_drift(self):
-        sr = speed_report(gen_linear_drift(1, [1], 1000), 1, 1000)
-        assert sr.x_over_n[-1] == 1.0
-        assert sr.M_over_n[-1] == 1.0
-        assert sr.r_over_n[-1] == pytest.approx(1001 / 1000)
-        assert sr.delta_r == pytest.approx(1 / 1000)
+        report = analyze_stream(gen_linear_drift(1, [1], 1000), 1000)
+        last = report.rows[-1]
+        assert last["x_over_n"] == 1.0
+        assert last["M_over_n"] == 1.0
+        assert last["r_over_n"] == pytest.approx(1001 / 1000)
+        assert report.theory["delta_r_over_n"] == pytest.approx(1 / 1000)
 
     def test_bound_m2_reaches_min_one(self):
         # drift 2, m = 2: r_n/n -> 1 = min(1, |drift|) and |drift|/m = 1 <= 1
-        sr = speed_report(gen_linear_drift(2, [2], 2000), 2, 2000)
-        assert sr.r_over_n[-1] == pytest.approx(1.0, abs=1e-3)
+        report = analyze_stream(gen_linear_drift(2, [2], 2000), 2000)
+        r_over_n = report.rows[-1]["r_over_n"]
+        assert r_over_n == pytest.approx(1.0, abs=1e-3)
         drift = 2.0
-        assert drift / 2 <= sr.r_over_n[-1] + 1e-9
-        assert sr.delta_r is None  # no point target when m > 1
+        assert drift / 2 <= r_over_n + 1e-9
+        assert report.theory["delta_r_over_n"] is None  # no point target when m > 1
 
     def test_spiral_fills_while_crawling(self):
-        sr = speed_report(gen_spiral2d(20_000), 1, 20_000)
-        assert sr.r_over_n[-1] == pytest.approx(20_001 / 20_000)
-        assert sr.x_over_n[-1] < 0.01
-
-    def test_mismatched_m(self):
-        with pytest.raises(ValueError):
-            speed_report(gen_linear_drift(2, [2], 100), 1, 100)
+        last = analyze_stream(gen_spiral2d(20_000), 20_000).rows[-1]
+        assert last["r_over_n"] == pytest.approx(20_001 / 20_000)
+        assert last["x_over_n"] < 0.01
 
     def test_linear_drift_range_lower_bound(self):
         # finite form: r_n >= floor(n |drift|) / m at every checkpoint
@@ -481,16 +524,152 @@ class TestAnalyzeStream:
         assert report.theory["drift"] == 1.0
         assert report.theory["delta_x_over_n"] == 0.0
 
-    def test_speed_series_view(self):
+    def test_rows_and_tails_view(self):
         report = analyze_stream(gen_simple_rw(0.5, 200, 3), 200)
-        series = report.speed_series()
-        assert series.checkpoints[-1] == 200
-        assert series.tail_r.limsup_hat <= 1.0 + 1e-9
+        assert report.rows[-1]["n"] == 200
+        assert report.tails["r_over_n"].limsup_hat <= 1.0 + 1e-9
 
     def test_series_bounds_and_monotone_extrema(self):
         for seed in (1, 2, 3):
-            series = analyze_stream(gen_simple_rw(0.45, 5000, seed), 5000).speed_series()
-            ns = series.checkpoints.astype(float)
-            assert (series.r_over_n >= 0).all()
-            assert (series.r_over_n <= (ns + 1) / ns).all()
-            assert (np.diff(series.M_over_n * ns) >= 0).all()
+            rows = analyze_stream(gen_simple_rw(0.45, 5000, seed), 5000).rows
+            ns = np.asarray([row["n"] for row in rows], dtype=float)
+            r_over_n = np.asarray([row["r_over_n"] for row in rows])
+            M_over_n = np.asarray([row["M_over_n"] for row in rows])
+            assert (r_over_n >= 0).all()
+            assert (r_over_n <= (ns + 1) / ns).all()
+            assert (np.diff(M_over_n * ns) >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: the report and the checkers, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _golden_paths():
+    rng = np.random.Generator(np.random.PCG64(11))
+    dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.int64)
+    rw2d = np.vstack([[0, 0], np.cumsum(dirs[rng.integers(0, 4, 100_000)], axis=0)])
+    # Steps up to 2^30 a coordinate: ||x_n||^2 outgrows int64 early.
+    far3d = np.vstack(
+        [[0, 0, 0], np.cumsum(rng.integers(-(2**30), 2**30, (3000, 3)), axis=0)]
+    )
+    return rw2d, far3d
+
+
+_RW2D, _FAR3D_WALK = _golden_paths()
+
+# name -> (fresh walk, horizon); block edges fall inside every horizon >= 2^16.
+GOLDEN_WALKS = {
+    "srw": (lambda: gen_simple_rw(0.5, 150_000, 7), 150_000),
+    "ergodic": (
+        lambda: make_walk({"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 150_000}, 7),
+        150_000,
+    ),
+    "bd-symmetric": (lambda: gen_birth_death("symmetric", 150_000, 7), 150_000),
+    "bd-lazy": (lambda: gen_birth_death("lazy:0.3", 150_000, 7), 150_000),
+    "bd-reflected": (lambda: gen_birth_death("reflected", 150_000, 7), 150_000),
+    "zigzag": (lambda: gen_zigzag(0.5, 150_000)[0], 150_000),
+    "tau-tent": (lambda: gen_tau_tent("squares", 150_000), 150_000),
+    "linear-drift-m2": (lambda: gen_linear_drift(2, [2, -1], 150_000), 150_000),
+    "spiral2d": (lambda: gen_spiral2d(100_000), 100_000),
+    "rw2d": (lambda: walk_from_path(_RW2D), 100_000),
+    "far3d": (lambda: walk_from_path(_FAR3D_WALK), 3000),
+}
+
+
+def _golden_schedules(horizon):
+    return {
+        "dyadic": None,
+        "arith": arith_checkpoints(horizon, max(1, horizon // 29)),
+        "edges": [c for c in (0, 1, 65535, 65536, 65537, horizon) if c <= horizon],
+    }
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_digest(name, schedule):
+    factory, horizon = GOLDEN_WALKS[name]
+    cps = _golden_schedules(horizon)[schedule]
+    return _sha("\n".join(analyze_stream(factory(), horizon, cps).jsonl_lines()))
+
+
+def _checker_digest(name):
+    factory, horizon = GOLDEN_WALKS[name]
+    doc = {}
+    for schedule, cps in _golden_schedules(horizon).items():
+        for label, fn in (("range", track_range), ("extrema", track_extrema)):
+            ns, values = fn(factory(), horizon, cps)
+            doc[f"{label}/{schedule}"] = [ns.tolist(), values.tolist(), str(values.dtype)]
+    stream = factory()
+    doc["maximal"] = check_maximal_range(stream, stream.m, horizon)
+    try:
+        doc["sandwich"] = check_range_sandwich_1d(factory(), horizon)
+    except ValueError as exc:
+        doc["sandwich"] = f"ValueError: {exc}"
+    return _sha(json.dumps(doc))
+
+
+# sha256 of the analyze_stream JSONL per walk and schedule, and of the
+# track_range / track_extrema / check_* outputs per walk, captured before the
+# five block loops became one.  srw p = 0.5 and birth-death symmetric draw
+# the same walk from one seed, so only their reports differ.
+GOLDEN_REPORTS = {
+    ("srw", "dyadic"): "3c5ce3002c9f4470ec425ede0c5f41fd90e81f83b43f6619f491669201ec091f",
+    ("srw", "arith"): "a427247bab20f5157d59a53c663a9bc6da126fbbb36b05117d7c73c62b8a20f1",
+    ("srw", "edges"): "3f3edc9fa638c12d681493a6299ef8e09a1db268fde96911c46b40c023e469ec",
+    ("ergodic", "dyadic"): "eda27da75036ac3c0f10cdad2d0834c3af508778c3afbba94032ac80cb024528",
+    ("ergodic", "arith"): "921739c355ae4152582e93f7ad961496ea1326b0d75bac121ff94acb20c2fa63",
+    ("ergodic", "edges"): "55c7a30ce75f33a7e11cc7eca5988cd52109b30a9977fdac7179524bfc324e20",
+    ("bd-symmetric", "dyadic"): "ee38761f2902f2a44e0561d34b27690648ee3eab2c9ce15cd09994383259f5cb",
+    ("bd-symmetric", "arith"): "c7da6e39c93a18a7845537e36137f92247ae8d66a15259e90e1d20759ba69177",
+    ("bd-symmetric", "edges"): "dd2a048c708dc6adfff018f1e331e4b163c6569207149ea3ab82981a605bdbf1",
+    ("bd-lazy", "dyadic"): "ef2d806889b3bed7dbf5a9bd7ff918923f7806b5b831366a4db6acc0d233c18a",
+    ("bd-lazy", "arith"): "0a045c93d84f7f3825bf8e27beeb65a74cbdf515fbbba689348cc3535b8cdbd2",
+    ("bd-lazy", "edges"): "0aac02c093e266381d11808e7025d26333ebc9ae4cab6075a4bd6b5db001dba3",
+    ("bd-reflected", "dyadic"): "d75d08e6c847ce8b5c6b7627cf57ba88297f04a92cba17c8f7a4169b915ebb33",
+    ("bd-reflected", "arith"): "1ec58ea928c6763418991efd7b04e6ae06960bdd61803dc1e887ce14d8a970c6",
+    ("bd-reflected", "edges"): "8a28a280d4a99efea9f347948307e7e7cb07d965ce171aa3b76b06acaddb3c19",
+    ("zigzag", "dyadic"): "e0dceaaa01baf00b432c0f3396b5ccd6b360f5a953a26b93b311e2b65d1a35b2",
+    ("zigzag", "arith"): "d09352bf9cb912e17f5542611bdfc2d5c7a301beacacdc10a6ebe0362579c103",
+    ("zigzag", "edges"): "f0ea3e780ca66afb2cf77f452a1c4c527d2cb9f9189cdd64e3a31b4e4d93cd98",
+    ("tau-tent", "dyadic"): "93d488accf7a936b41b754b142931b3f4c82d3fca5d96c775adaa52c0b944b54",
+    ("tau-tent", "arith"): "7aa29f0a8cb20b4139ba62005d7d91836a0febcafa9a08ce019dc4ff6d91fbd7",
+    ("tau-tent", "edges"): "bb6728788bc16ee83d687e644a6a5aa7ac48479aabeb056154af0e66222d2404",
+    ("linear-drift-m2", "dyadic"): "d5858e680f9f8350f2e74347fbcee7ba60f14f4da516f66f0c84522747de60f1",
+    ("linear-drift-m2", "arith"): "d3c9c09bbdaf2455b376bf0586b54dcfcb4dd0d35dca4b0a43f67b5e67a0b911",
+    ("linear-drift-m2", "edges"): "75891783b889f409f08f0ddf7e47d8159e6ad2b6df834b83fbcbc81519602bb8",
+    ("spiral2d", "dyadic"): "9ad5aaac697be24fcbe849e8c20784817839e5554898284ae3b9359cd4035fa5",
+    ("spiral2d", "arith"): "218d254e51a1bdefebe456f33b323066e17f8c8dff97be9991651e22b9ae8264",
+    ("spiral2d", "edges"): "7eeeaba84ea4e33fc7bcf93e0895167c78624bc2d83f0517739728b9ed82a096",
+    ("rw2d", "dyadic"): "5be1f7b13a80c2bab8b24424585dcfc5d3eba609da0332cc1307b6bb4a31489c",
+    ("rw2d", "arith"): "0df3be694f9176bbd1bec34fde16bfcdf2a66af73a504b996bff121e2bee19b9",
+    ("rw2d", "edges"): "df3b46879074c58320fb5619590fac4b64269261773a9ac38af5e4b8a421655f",
+    ("far3d", "dyadic"): "2d61cb4dfe4c9d14e9f132cc1419873f4dfb6c147be3177d2fff5ec8646dcd4e",
+    ("far3d", "arith"): "b2ffa3b426919b74b91269f8a762d48e16f3278017be74842a217b88eeb4ce3f",
+    ("far3d", "edges"): "faa3c0c963cbe1a3ffb1132f7d3bff139bcdb2c5b1d9429993c78e474770f404",
+}
+GOLDEN_CHECKERS = {
+    "srw": "b7e892ff0b21188cd3ef49301622c5ec9f5d1e253a41acd2e25857978e7d697a",
+    "ergodic": "a9bc547993ab88e88dc54ef0a474193a8e0231fbe7906bb34cad53dcbd0a6c4d",
+    "bd-symmetric": "b7e892ff0b21188cd3ef49301622c5ec9f5d1e253a41acd2e25857978e7d697a",
+    "bd-lazy": "a7643cb84d71584c46e5b64c22615a8a428add23d3a57eefdc5b6164d24673c2",
+    "bd-reflected": "98166a902b44d44be12e6b35c6a775a8a3cb505927c8acb732fae127e9981d9e",
+    "zigzag": "78d74cd53c7b233593392fb4555203ce86c4425abc2daa5232af398f8b4f5bf0",
+    "tau-tent": "cb8b9fd818e75dda549fc5c5ac0d8c423482e408bd4b974553cfc9f1e0497834",
+    "linear-drift-m2": "1d34292c75f9485ee356fb268e1afccca155da7e8dbdc0c0a3a54760f6518722",
+    "spiral2d": "c08b5a223fadb06dfd5cd8a9958521927cdc96068c0869574955e6f21093414e",
+    "rw2d": "fb9aea363570c190f883fb46bb53dc29f4a583b5f0a36fc40dd8ca304da8dfca",
+    "far3d": "92a094766812d2e3819231ee0116e192c7b71f43bb7ede36dd0f15010f2f313f",
+}
+
+
+@pytest.mark.parametrize("name,schedule", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden_digest(name, schedule):
+    assert _report_digest(name, schedule) == GOLDEN_REPORTS[name, schedule]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECKERS))
+def test_checkers_match_golden_digest(name):
+    assert _checker_digest(name) == GOLDEN_CHECKERS[name]

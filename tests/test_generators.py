@@ -46,10 +46,10 @@ class TestSeeding:
 
 class TestSimpleRW:
     def test_p_one_is_deterministic_drift(self):
-        assert list(gen_simple_rw(1.0, 5, 123).positions(5)) == [0, 1, 2, 3, 4, 5]
+        assert gen_simple_rw(1.0, 5, 123).path_array(5).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_p_zero(self):
-        assert list(gen_simple_rw(0.0, 3, 5).positions(3)) == [0, -1, -2, -3]
+        assert gen_simple_rw(0.0, 3, 5).path_array(3).tolist() == [0, -1, -2, -3]
 
     def test_replay_contract(self):
         a = gen_simple_rw(0.5, 100, 42).path_array(100)
@@ -124,7 +124,7 @@ class TestMarkovIncrementChain:
 class TestErgodicWalk:
     def test_degenerate_single_state(self):
         chain = MarkovIncrementChain(states=(1,), transition=[[1.0]])
-        assert list(gen_ergodic_walk(chain, 4, 0).positions(4)) == [0, 1, 2, 3, 4]
+        assert gen_ergodic_walk(chain, 4, 0).path_array(4).tolist() == [0, 1, 2, 3, 4]
 
     def test_replay(self):
         chain = MarkovIncrementChain.two_state(0.2, 0.4)
@@ -226,7 +226,7 @@ class TestComputeN0:
 class TestZigzag:
     def test_first_seven_values(self):
         stream, _ = gen_zigzag(0.5, 20)
-        assert list(stream.positions(6)) == [0, 1, 0, 1, 2, 1, 0]
+        assert stream.path_array(6).tolist() == [0, 1, 0, 1, 2, 1, 0]
 
     def test_peak_ratio_is_half_from_n1(self):
         _, plan = gen_zigzag(0.5, 1000)
@@ -272,6 +272,8 @@ class TestZigzag:
             ZigzagPlan(ell=0.5, n0=0, tau=(2, 6), t=(1, 5))  # t inconsistent
         with pytest.raises(DegeneratePlanError):
             ZigzagPlan(ell=0.1, n0=0, tau=(2,), t=(1,))  # Eq-(1) fails at n0=0
+        with pytest.raises(DegeneratePlanError):
+            ZigzagPlan(ell=0.5, n0=(1 << 16) + 1, tau=(2,), t=(1,))  # n0 past the exact cap
 
     def test_position_at_matches_iteration(self):
         stream, plan = gen_zigzag(0.3, 200)
@@ -312,7 +314,7 @@ class TestTauTent:
 
 class TestSpiral:
     def test_first_points(self):
-        assert list(gen_spiral2d(3).positions(3)) == [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert gen_spiral2d(3).path_array(3).tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
 
     def test_distinct_points(self):
         path = gen_spiral2d(10_000).path_array(10_000)
@@ -327,12 +329,12 @@ class TestSpiral:
 class TestLinearDrift:
     def test_constant_two(self):
         w = gen_linear_drift(2, [2], 10)
-        assert list(w.positions(4)) == [0, 2, 4, 6, 8]
+        assert w.path_array(4).tolist() == [0, 2, 4, 6, 8]
         assert w.metadata.theoretical_drift == 2.0
 
     def test_alternating(self):
         w = gen_linear_drift(1, [1, -1], 10)
-        assert list(w.positions(4)) == [0, 1, 0, 1, 0]
+        assert w.path_array(4).tolist() == [0, 1, 0, 1, 0]
         assert w.metadata.theoretical_drift == 0.0
 
     def test_mean_of_pattern(self):
