@@ -25,7 +25,7 @@ from .analysis import MemoryGuardError, analyze_stream, arith_checkpoints, dyadi
 from .core import WalkStream, walk_from_path
 from .experiments import METRICS, TrialSpec, compare, run_trials
 from .generators import make_walk
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 
 class CsvFormatError(ValueError):
@@ -364,18 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_mc)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument(
-        "--suite",
-        required=True,
-        choices=[
-            "maximal-range",
-            "sandwich",
-            "excursion",
-            "zigzag-exact",
-            "spiral-distinct",
-            "oracle-range",
-        ],
-    )
+    v.add_argument("--suite", required=True, choices=list(SUITES))
     v.add_argument("--paths", type=int, help="number of random paths")
     v.add_argument("--len", type=int, help="length of each random path")
     v.add_argument("--m", type=int, help="increment bound for random paths")

@@ -104,27 +104,6 @@ def as_point(value: PointLike) -> LatticePoint:
     return LatticePoint(tuple(int(c) for c in value))
 
 
-def step_norm(a: PointLike, b: PointLike):
-    """Euclidean norm of b - a.
-
-    For d = 1 the result is the exact integer |b - a|; for d >= 2 it is a
-    float (sqrt of the exact integer squared norm).  Raises
-    :class:`DimensionMismatchError` when the points disagree on d.
-    """
-    pa, pb = as_point(a), as_point(b)
-    pa._require_same_d(pb)
-    if pa.d == 1:
-        return abs(pb.coords[0] - pa.coords[0])
-    return math.sqrt((pb - pa).norm_sq())
-
-
-def step_norm_sq(a: PointLike, b: PointLike) -> int:
-    """Exact squared Euclidean norm of b - a (used by the inequality checkers)."""
-    pa, pb = as_point(a), as_point(b)
-    pa._require_same_d(pb)
-    return (pb - pa).norm_sq()
-
-
 # ---------------------------------------------------------------------------
 # Increment-bound validation
 # ---------------------------------------------------------------------------
@@ -295,10 +274,6 @@ class WalkStream:
     def clone(self) -> "WalkStream":
         """Fresh unconsumed stream over the identical sequence."""
         return WalkStream(self.metadata, self._source_factory, self._origin)
-
-    def default_horizon(self) -> Optional[int]:
-        steps = self.metadata.params.get("steps")
-        return int(steps) if steps is not None else None
 
     # -- consumption ------------------------------------------------------
 

@@ -2,12 +2,16 @@
 
 Trial i draws the PCG64 stream of ``make_walk(config, seed=mix_seed(master_seed, i))``.
 `run_trials` runs the trials in chunks of ``max(1, CHUNK_CELLS // (horizon + 1))``:
-a chunk is one (trials, steps) uniform matrix, each row filled by its own trial's
-generator, mapped to increments by the generator's uniform law and reduced with
-one cumsum and per-row lowest, highest and last positions.  Horizons beyond
-CHUNK_CELLS go in column blocks that carry those, so memory stays flat in the
-horizon.  `workers` schedules whole chunks on a thread pool, and results are
-reduced in trial-index order, so a report is byte-identical for any `workers`.
+a chunk is one (trials, steps) uniform matrix, mapped to increments by the
+generator's uniform law and reduced with one cumsum and per-row lowest, highest
+and last positions.  Rows are seeded in bulk: the seeds of up to CHUNK_CELLS
+trials at a time (whole chunks) go through `mix_seeds` and `pcg64_states` at
+once, which give each trial's PCG64 state as numpy's own ``PCG64(seed)`` would,
+and each chunk fills its rows from one reused bit generator, assigning a row's
+state before drawing it.  Horizons beyond CHUNK_CELLS go in column blocks that
+carry those positions, so memory stays flat in the horizon.  `workers`
+schedules whole chunks on a thread pool, and results are reduced in
+trial-index order, so a report is byte-identical for any `workers`.
 A deterministic config, which runs one trial, goes through the range and
 extrema trackers instead.
 Per-trial metrics are exact integers (R_N, X_N, M_N); division by N happens
@@ -31,6 +35,8 @@ from .generators import (
     is_stochastic,
     make_walk,
     mix_seed,
+    mix_seeds,
+    pcg64_states,
     uniform_law,
 )
 
@@ -163,10 +169,10 @@ class _Extremes:
         }
 
 
-def _chunk_counts(law, seeds: Sequence[int], horizon: int) -> dict:
-    """Counts of one chunk of stochastic trials, one row per seed."""
-    source = BatchSource(law, seeds)
-    state = _Extremes(len(seeds))
+def _chunk_counts(law, states: np.ndarray, horizon: int) -> dict:
+    """Counts of one chunk of stochastic trials, one row per PCG64 state."""
+    source = BatchSource(law, states)
+    state = _Extremes(len(states))
     left = horizon
     while left:
         k = min(left, CHUNK_CELLS)
@@ -246,17 +252,24 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
     else:
         law = uniform_law(walk)
         rows = max(1, CHUNK_CELLS // (n + 1))
-        chunks = [range(spec.trials)[i : i + rows] for i in range(0, spec.trials, rows)]
+        # Seeding has a fixed cost, so whole runs of chunks are seeded at once.
+        span = rows * max(1, CHUNK_CELLS // rows)
 
-        def one(chunk):
-            seeds = [mix_seed(spec.master_seed, i) for i in chunk]
-            return _chunk_counts(law, seeds, n)
+        def slices():
+            for start in range(0, spec.trials, span):
+                seeds = mix_seeds(spec.master_seed, start, min(start + span, spec.trials))
+                states = pcg64_states(seeds)
+                yield [states[i : i + rows] for i in range(0, len(states), rows)]
 
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-                parts = list(pool.map(one, chunks))
+        def one(states):
+            return _chunk_counts(law, states, n)
+
+        n_chunks = -(-spec.trials // rows)
+        if workers > 1 and n_chunks > 1:
+            with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+                parts = [part for chunks in slices() for part in pool.map(one, chunks)]
         else:
-            parts = [one(chunk) for chunk in chunks]
+            parts = [one(chunk) for chunks in slices() for chunk in chunks]
         counts = {key: [v for part in parts for v in part[key]] for key in parts[0]}
 
     series = {
@@ -366,14 +379,18 @@ def estimate_no_return(
 ) -> NoReturnEstimate:
     """Fraction of trials with no zero visit in [1, horizon].
 
-    When `horizons` is given (each <= horizon) the same trials also yield the
-    frequency at every nested horizon.
+    When `horizons` is given (each in [1, horizon]) the same trials also
+    yield the frequency at every nested horizon.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     nested = tuple(sorted(int(h) for h in horizons)) if horizons else None
-    if nested and nested[-1] > horizon:
-        raise ValueError("nested horizons must not exceed the main horizon")
+    if nested and not (1 <= nested[0] and nested[-1] <= horizon):
+        raise ValueError(f"nested horizons must lie in [1, {horizon}], got {list(nested)}")
     first_returns = []
     for i in range(trials):
         stream = make_walk({"gen": "srw", "p": p, "steps": horizon}, seed=mix_seed(master_seed, i))

@@ -7,7 +7,9 @@ same seed is bit-exact no matter how it is blocked.  Deterministic generators
 exact integer/rational arithmetic throughout.
 
 Per-trial seeds are derived from a master seed with the SplitMix64 finalizer,
-a 64-bit bijection; changing it would break report reproducibility.
+a 64-bit bijection; changing it would break report reproducibility.  A batch
+of trials is seeded in numpy: `pcg64_states` computes, for many seeds at once,
+the state that numpy's own ``PCG64(seed)`` starts from.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .core import WalkMetadata, WalkStream
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 #: Largest warm-up exponent for which Eq.-style rational checks stay exact.
@@ -41,8 +44,11 @@ class ReducibleChainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def splitmix64(x: int) -> int:
-    """SplitMix64 finalizer; a bijection on 64-bit integers."""
+def splitmix64(x):
+    """SplitMix64 finalizer, a bijection on 64-bit integers.
+
+    `x` is a Python int or a uint64 array, whose arithmetic wraps mod 2^64.
+    """
     z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -58,8 +64,108 @@ def mix_seed(master_seed: int, index: int) -> int:
     return splitmix64((splitmix64(master_seed & _MASK64) + index) & _MASK64)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def mix_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``mix_seed(master_seed, i)`` for every i in range(start, stop), as uint64."""
+    return splitmix64(np.arange(start, stop, dtype=np.uint64) + splitmix64(master_seed & _MASK64))
+
+
+# numpy's SeedSequence (NEP 19) hashes a seed's uint32 words into a pool of
+# four with a multiply-xorshift "hashmix" whose multiplier is itself stepped
+# by a constant on every call, then hashes the pool into output words the
+# same way from a second constant.  PCG64 (O'Neill 2014) takes four uint64
+# output words as its initial state and stream and runs two LCG steps.
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)
+_HASH_OUT = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(init_mult: tuple, count: int) -> list:
+    """The (xor, multiplier) constants of `count` successive hashmix calls.
+
+    A call xors its word with the running constant, steps the constant and
+    multiplies by the new one.  The chain does not depend on the words.
+    """
+    h, mult = init_mult
+    out = []
+    for _ in range(count):
+        nxt = h * mult & _MASK32
+        out.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return out
+
+
+_POOL_CHAIN = _hash_chain(_HASH_POOL, 16)  # 4 pool fills, then 12 cross mixes
+_OUT_CHAIN = _hash_chain(_HASH_OUT, 8)  # 8 uint32 output words = 4 uint64
+
+
+def _hashmix(words: np.ndarray, constants: tuple) -> np.ndarray:
+    xor, mult = constants
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64 seed s.
+
+    A seed is its little-endian uint32 words, one below 2^32 and two above.
+    The pool pads them with zeros to four words, so a seed below 2^32 hashes
+    as if its high word were 0.  Returns a (len(seeds), 4) uint64 array.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    chain = iter(_POOL_CHAIN)
+    pool = [_hashmix(word, next(chain)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L - _hashmix(pool[src], next(chain)) * _MIX_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_OUT_CHAIN)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each 128-bit product a * b (uint64 array, 64-bit int)."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low, mid = a0 * b0, a1 * b0
+    cross = (low >> 32) + (mid & _MASK32) + a0 * b1  # at most 2^64 - 1
+    return a1 * b1 + (mid >> 32) + (cross >> 32)
+
+
+def pcg64_states(seeds) -> np.ndarray:
+    """The state and increment of ``PCG64(s)`` for every uint64 seed s.
+
+    With ``seed_words(s) = (a, b, c, d)``, PCG64 takes initstate = a·2^64 + b
+    and initseq = c·2^64 + d, sets inc = 2·initseq + 1 and steps its LCG
+    twice from 0, adding initstate in between: state =
+    (inc + initstate)·MULT + inc mod 2^128.  Returns a (len(seeds), 4)
+    uint64 array of state high, state low, inc high and inc low words;
+    `_pcg64_state` turns a row into the dict ``PCG64.state`` accepts.
+    """
+    a, b, c, d = seed_words(seeds).T
+    inc_hi, inc_lo = c << 1 | d >> 63, d << 1 | 1
+    lo = inc_lo + b
+    hi = inc_hi + a + (lo < inc_lo)
+    mult_hi, mult_lo = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
+    hi = _mulhi64(lo, mult_lo) + lo * np.uint64(mult_hi) + hi * np.uint64(mult_lo)
+    lo = lo * np.uint64(mult_lo)
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+
+def _pcg64_state(row: np.ndarray) -> dict:
+    """The ``PCG64.state`` dict of one row of `pcg64_states`."""
+    state_hi, state_lo, inc_hi, inc_lo = row.tolist()
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +444,22 @@ class _ChainLaw(_UniformLaw):
 class BatchSource:
     """Increments of seeded walks that share one law, a (rows, k) block at a time.
 
-    Row j draws from its own ``Generator(PCG64(seeds[j]))`` in the order a
-    streamed walk draws, so it replays ``make_walk(config, seed=seeds[j])``
-    bit for bit.  A batch drawn in one ``take(k, last=True)`` builds each
-    generator, fills its row and drops it, so it holds one generator at a
-    time; otherwise the first take builds them all for the takes to come.
-    A take after a ``last=True`` one raises, as its generators are gone.
+    Row j replays ``make_walk(config, seed=seeds[j])`` bit for bit from
+    ``states = pcg64_states(seeds)``.  Every row draws from one reused PCG64:
+    a row's state is assigned to it just before the row's draw, so each
+    uniform is numpy's own ``Generator.random``.  A batch drawn in one
+    ``take(k, last=True)`` builds each row's state dict just before the
+    draw and drops it after.  Otherwise every take keeps each row's state
+    after its draw for the next take.  A take after a ``last=True`` one
+    raises, as the states are gone.
     """
 
-    def __init__(self, law: _UniformLaw, seeds: Sequence[int]):
+    def __init__(self, law: _UniformLaw, states: np.ndarray):
         self._law = law
-        self._seeds = seeds
-        self._rngs = None
+        self._states = states
+        self._held: Optional[list] = None
+        self._bitgen = np.random.PCG64(0)  # each row assigns its own state
+        self._gen = np.random.Generator(self._bitgen)
         self._carry: Optional[np.ndarray] = None
         self._ended = False
 
@@ -359,12 +469,15 @@ class BatchSource:
         self._ended = last
         first = self._carry is None
         head = self._law.head if first else 0
-        if first and not last:
-            self._rngs = [_rng(seed) for seed in self._seeds]
-        rngs = (_rng(seed) for seed in self._seeds) if self._rngs is None else self._rngs
-        u = np.empty((len(self._seeds), head + k))
-        for row, rng in zip(u, rngs):
-            rng.random(out=row)
+        states = map(_pcg64_state, self._states) if first else self._held
+        u = np.empty((len(self._states), head + k))
+        held = []
+        for row, state in zip(u, states):
+            self._bitgen.state = state
+            self._gen.random(out=row)
+            if not last:
+                held.append(self._bitgen.state)
+        self._held = held
         if first:
             self._carry = self._law.start(u[:, :head])
         inc, self._carry = self._law.steps(u[:, head:], self._carry)
@@ -375,12 +488,13 @@ class _DrawnSource:
     """The increment source of one seeded walk: one row of a batch.
 
     It maps its draws through the same law as :class:`BatchSource`, from
-    one generator that it keeps, without the batch's row bookkeeping.
+    numpy's own ``Generator(PCG64(seed))``, which it keeps: for a single
+    seed that is cheaper than `pcg64_states`, and it is the batch's oracle.
     """
 
     def __init__(self, law: _UniformLaw, seed: int):
         self._law = law
-        self._rng = _rng(seed)
+        self._rng = np.random.Generator(np.random.PCG64(seed))
         self._carry: Optional[np.ndarray] = None
 
     def take(self, k: int) -> np.ndarray:
@@ -587,9 +701,6 @@ class ZigzagPlan:
         if n < 0:
             return 0
         return _zigzag_tau_fn(self.ell, self.n0)(n)
-
-    def t_at(self, n: int) -> int:
-        return (self.tau_at(n) + self.tau_at(n - 1)) // 2
 
     def position_at(self, k: int) -> int:
         """x_k evaluated from the piecewise formula, exact for any k >= 0."""

@@ -7,7 +7,6 @@ Monte Carlo oracle, a statistically flagged mismatch.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -293,22 +292,21 @@ def oracle_range_suite(
     return results
 
 
+#: Each suite and the `verify` options it takes.
 SUITES: dict = {
-    "maximal-range": maximal_range_suite,
-    "sandwich": sandwich_suite,
-    "excursion": excursion_suite,
-    "zigzag-exact": zigzag_exact_suite,
-    "spiral-distinct": spiral_distinct_suite,
-    "oracle-range": oracle_range_suite,
+    "maximal-range": (maximal_range_suite, ("paths", "length", "m_values", "seed")),
+    "sandwich": (sandwich_suite, ("paths", "length", "seed")),
+    "excursion": (excursion_suite, ("paths", "steps", "seed")),
+    "zigzag-exact": (zigzag_exact_suite, ("steps",)),
+    "spiral-distinct": (spiral_distinct_suite, ("steps",)),
+    "oracle-range": (oracle_range_suite, ("trials", "steps", "seed")),
 }
 
 
-def run_suite(name: str, **kwargs) -> list:
-    """Run a named suite, ignoring parameters it does not take."""
+def run_suite(name: str, **options) -> list:
+    """Run a named suite with the options it takes that are not None."""
     try:
-        fn = SUITES[name]
+        fn, takes = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    accepted = inspect.signature(fn).parameters
-    passed = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-    return fn(**passed)
+    return fn(**{k: options[k] for k in takes if options.get(k) is not None})

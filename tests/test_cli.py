@@ -1,5 +1,6 @@
 """CLI surface: flags, exit codes, file formats, report round trips."""
 
+import inspect
 import io
 import json
 import warnings
@@ -18,6 +19,7 @@ from rangewalk.cli import (
     write_trajectory_csv,
 )
 from rangewalk.core import walk_from_path
+from rangewalk.suites import SUITES
 from rangewalk.generators import gen_spiral2d, gen_zigzag
 
 
@@ -338,6 +340,28 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_each_suite_gets_only_its_options(self, name, monkeypatch, capsys):
+        fn, takes = SUITES[name]
+        assert set(takes) <= set(inspect.signature(fn).parameters)
+        received = []
+
+        def record(**options):
+            received.append(options)
+            return []
+
+        monkeypatch.setitem(SUITES, name, (record, takes))
+        flags = {"--paths": "3", "--len": "4", "--m": "5", "--seed": "6",
+                 "--trials": "7", "--steps": "8"}
+        argv = ["verify", "--suite", name] + [v for kv in flags.items() for v in kv]
+        assert run(argv) == 0
+        values = {"paths": 3, "length": 4, "m_values": 5, "seed": 6, "trials": 7, "steps": 8}
+        assert received == [{k: values[k] for k in takes}]
+        # Options left unset are not passed at all.
+        received.clear()
+        assert run(["verify", "--suite", name]) == 0
+        assert received == [{}]
 
 
 class TestTopLevel:

@@ -1,5 +1,7 @@
 """Core types: points, norms, increment bounds, stream replay contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,9 +16,8 @@ from rangewalk.core import (
     StreamConsumedError,
     WalkMetadata,
     WalkStream,
+    as_point,
     at_origin,
-    step_norm,
-    step_norm_sq,
     validate_increment_bound,
     walk_from_path,
 )
@@ -52,24 +53,29 @@ class TestLatticePoint:
             LatticePoint((INT64_MAX + 1,))
 
 
+def _step_sq(a, b) -> int:
+    """Exact squared Euclidean norm of the step from a to b."""
+    return (as_point(b) - as_point(a)).norm_sq()
+
+
 class TestStepNorm:
     def test_d1_exact_integer(self):
-        assert step_norm(0, -3) == 3
-        assert isinstance(step_norm(0, -3), int)
+        assert _step_sq(0, -3) == 9
+        assert isinstance(_step_sq(0, -3), int)
 
     def test_345_triangle(self):
-        assert step_norm((0, 0), (3, 4)) == 5.0
+        assert _step_sq((0, 0), (3, 4)) == 25
 
     def test_identity(self):
-        assert step_norm((1, 1), (1, 1)) == 0
+        assert _step_sq((1, 1), (1, 1)) == 0
 
     def test_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            step_norm(0, (1, 2))
+            _step_sq(0, (1, 2))
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_symmetric_1d(self, a, b):
-        assert step_norm(a, b) == step_norm(b, a)
+        assert _step_sq(a, b) == _step_sq(b, a)
 
     @given(
         st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
@@ -77,11 +83,12 @@ class TestStepNorm:
         st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
     )
     def test_triangle_inequality_2d(self, a, b, c):
-        assert step_norm(a, c) <= step_norm(a, b) + step_norm(b, c) + 1e-9
+        norms = [math.sqrt(_step_sq(*pair)) for pair in ((a, c), (a, b), (b, c))]
+        assert norms[0] <= norms[1] + norms[2] + 1e-9
 
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_norm_sq_consistent(self, a, b):
-        assert step_norm_sq(a, b) == step_norm(a, b) ** 2
+        assert _step_sq(a, b) == (b - a) ** 2
 
 
 class TestAtOrigin:

@@ -20,7 +20,7 @@ from rangewalk.experiments import (
     run_trials,
     theory_value,
 )
-from rangewalk.generators import make_walk, mix_seed
+from rangewalk.generators import BatchSource, make_walk, mix_seed, pcg64_states
 
 # Frozen by independent enumeration over all 2^10 sign sequences with exact
 # rational weights (p = 3/10, 1/2, 7/10): E[R_10/10].
@@ -231,6 +231,25 @@ class TestNoReturn:
         with pytest.raises(ValueError):
             estimate_no_return(1.5, 10, 10, 0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            estimate_no_return(0.5, 10, trials, 0)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_bad_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            estimate_no_return(0.5, horizon, 10, 0)
+
+    @pytest.mark.parametrize("horizons", [(0, 5), (-2,), (5, 11)])
+    def test_nested_horizons_outside_the_horizon(self, horizons):
+        with pytest.raises(ValueError, match=r"nested horizons must lie in \[1, 10\]"):
+            estimate_no_return(0.5, 10, 10, 0, horizons=horizons)
+
+    def test_nested_horizons_at_the_ends(self):
+        est = estimate_no_return(0.5, 10, 10, 0, horizons=(10, 1))
+        assert est.horizons == (1, 10) and est.frequencies[1] == est.frequency
+
 
 class TestExactRangeSpeed:
     def test_frozen_values(self):
@@ -353,6 +372,40 @@ class TestChunkedTrials:
             mp.setattr(E, "CHUNK_CELLS", cells)
             report = run_trials(spec, workers=workers, keep_trials=True)
         assert report.per_trial == _oracle_per_trial(config, horizon, trials, master)
+
+    def test_runs_of_chunks_share_one_seeding(self, monkeypatch):
+        # 4 trials of N = 10 a chunk, 11 chunks (44 trials) seeded at once.
+        seeded = []
+
+        def spy(seeds):
+            seeded.append(len(seeds))
+            return pcg64_states(seeds)
+
+        monkeypatch.setattr(E, "pcg64_states", spy)
+        monkeypatch.setattr(E, "CHUNK_CELLS", 44)
+        config = {"gen": "srw", "p": 0.4, "steps": 10}
+        spec = TrialSpec(config=config, horizon=10, trials=100, master_seed=5)
+        report = run_trials(spec, keep_trials=True)
+        assert seeded == [44, 44, 12]
+        assert report.per_trial == _oracle_per_trial(config, 10, 100, 5)
+
+    def test_each_chunk_draws_from_its_own_bit_generator(self, monkeypatch):
+        # Two threads run chunks at once; a shared generator would mix rows.
+        made = []
+
+        class Recorded(BatchSource):
+            def __init__(self, law, states):
+                super().__init__(law, states)
+                made.append(self)
+
+        monkeypatch.setattr(E, "BatchSource", Recorded)
+        monkeypatch.setattr(E, "CHUNK_CELLS", 44)
+        config = {"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 10}
+        spec = TrialSpec(config=config, horizon=10, trials=200, master_seed=9)
+        report = run_trials(spec, workers=2, keep_trials=True)
+        assert report.per_trial == _oracle_per_trial(config, 10, 200, 9)
+        assert len(made) == 50
+        assert len({id(batch._bitgen) for batch in made}) == 50
 
     @pytest.mark.parametrize("m", [1, 2])  # interval mode, then set mode
     def test_deterministic_start_is_not_a_return(self, m):

@@ -14,6 +14,7 @@ from rangewalk.generators import (
     MarkovIncrementChain,
     ReducibleChainError,
     ZigzagPlan,
+    _pcg64_state,
     compute_n0,
     gen_birth_death,
     gen_ergodic_walk,
@@ -25,6 +26,9 @@ from rangewalk.generators import (
     is_stochastic,
     make_walk,
     mix_seed,
+    mix_seeds,
+    pcg64_states,
+    seed_words,
     splitmix64,
     stationary_distribution,
     uniform_law,
@@ -42,6 +46,75 @@ class TestSeeding:
 
     def test_mix_seed_depends_on_master(self):
         assert mix_seed(1, 0) != mix_seed(2, 0)
+
+
+# Seeds where SeedSequence's word split or the 2^63 / 2^64 wrap could go wrong;
+# seeds below 2^32 hash as one uint32 word, the rest as two.
+_EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+_seeds = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+
+
+class _RawUniforms:
+    """A law that passes a batch's uniforms through unchanged."""
+
+    head = 0
+
+    def start(self, u):
+        return np.zeros(u.shape[0], dtype=np.int64)
+
+    def steps(self, u, carry):
+        return u.copy(), carry
+
+
+class TestBulkSeeding:
+    """Each stage of bulk seeding against numpy's own seeding, seed by seed."""
+
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 2**40), st.integers(0, 40))
+    def test_mix_seeds_equal_mix_seed(self, master, start, count):
+        got = mix_seeds(master, start, start + count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(master, i) for i in range(start, start + count)]
+
+    @pytest.mark.parametrize("master", [-1, -(2**63), 2**64, 2**64 + 5, 3 * 2**64 - 1])
+    def test_mix_seeds_wrap_master_seeds(self, master):
+        assert mix_seeds(master, 0, 3).tolist() == [mix_seed(master, i) for i in range(3)]
+
+    @staticmethod
+    def _check_words(seeds):
+        got = seed_words(seeds)
+        assert got.shape == (len(seeds), 4) and got.dtype == np.uint64
+        for seed, row in zip(seeds, got):
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    def test_seed_words_at_edges(self):
+        self._check_words(_EDGE_SEEDS)
+
+    @given(_seeds)
+    def test_seed_words_equal_seed_sequence(self, seeds):
+        self._check_words(seeds)
+
+    @staticmethod
+    def _check_states(seeds):
+        for seed, row in zip(seeds, pcg64_states(seeds)):
+            assert _pcg64_state(row) == np.random.PCG64(seed).state
+
+    def test_pcg64_states_at_edges(self):
+        self._check_states(_EDGE_SEEDS)
+
+    @given(_seeds)
+    def test_pcg64_states_equal_pcg64(self, seeds):
+        self._check_states(seeds)
+
+    @given(_seeds, st.integers(1, 40), st.sampled_from([1, 2]))
+    @settings(max_examples=30)
+    def test_rows_equal_generator_random(self, seeds, k, takes):
+        batch = BatchSource(_RawUniforms(), pcg64_states(seeds))
+        u = np.concatenate([batch.take(k, last=t == takes - 1) for t in range(takes)], axis=1)
+        for seed, row in zip(seeds, u):
+            assert np.array_equal(row, np.random.Generator(np.random.PCG64(seed)).random(k * takes))
+
+    def test_empty_batch(self):
+        assert pcg64_states(mix_seeds(0, 5, 5)).shape == (0, 4)
 
 
 class TestSimpleRW:
@@ -434,7 +507,7 @@ class TestBatchSource:
     def test_rows_replay_their_streams(self, config, rows, widths):
         config = dict(config, steps=24)
         seeds = [mix_seed(4, i) for i in range(rows)]
-        batch = BatchSource(uniform_law(make_walk(config, seed=0)), seeds)
+        batch = BatchSource(uniform_law(make_walk(config, seed=0)), pcg64_states(seeds))
         last = len(widths) - 1
         inc = np.concatenate(
             [batch.take(k, last=j == last) for j, k in enumerate(widths)], axis=1
@@ -457,7 +530,7 @@ class TestBatchSource:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_no_take_after_the_last(self, rows):
         law = uniform_law(make_walk({"gen": "srw", "p": 0.5, "steps": 4}, seed=0))
-        batch = BatchSource(law, [mix_seed(4, i) for i in range(rows)])
+        batch = BatchSource(law, pcg64_states([mix_seed(4, i) for i in range(rows)]))
         batch.take(4, last=True)
         with pytest.raises(RuntimeError):
             batch.take(4)
