@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, WalkStream, at_origin, squared_distances
+from .core import INT64_MAX, WalkStream, at_origin, squared_distances, validate_increment_bound
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -86,6 +86,8 @@ class RangeTracker:
     Interval mode (legal only for d = 1, m = 1, where no integer can be
     skipped) tracks min/max and uses r_n = max - min + 1.  Set mode stores
     the visited points; a memory guard aborts beyond `cap` stored points.
+    `to_set` switches an interval tracker to set mode, for a stream that
+    breaks its unit-step contract.
     """
 
     def __init__(self, mode: str = "auto", d: int = 1, m: int = 1, cap: int = DEFAULT_SET_CAP):
@@ -117,6 +119,11 @@ class RangeTracker:
         return self._update_set(block)
 
     def _update_interval(self, block: np.ndarray) -> np.ndarray:
+        mins, maxs = self.running_extent(block)
+        return maxs - mins + 1
+
+    def running_extent(self, block: np.ndarray):
+        """Interval mode: consume a non-empty block; return the running min and max."""
         mins = np.minimum.accumulate(block)
         maxs = np.maximum.accumulate(block)
         if self._min is not None:
@@ -124,9 +131,18 @@ class RangeTracker:
             np.maximum(maxs, self._max, out=maxs)
         self._min = int(mins[-1])
         self._max = int(maxs[-1])
-        r = maxs - mins + 1
-        self._count = int(r[-1])
-        return r
+        self._count = self._max - self._min + 1
+        return mins, maxs
+
+    def to_set(self) -> None:
+        """Continue an interval tracker in set mode.
+
+        Valid while every step so far was a unit step: the visited set is
+        then exactly [min, max].
+        """
+        if self._min is not None:
+            self._known = np.arange(self._min, self._max + 1, dtype=np.int64)
+        self.mode = "set"
 
     def _update_set(self, block: np.ndarray) -> np.ndarray:
         keys = _pack_keys(block)
@@ -182,6 +198,24 @@ class _ExtremaTracker:
         run = np.maximum.accumulate(disp)
         if self._best:
             np.maximum(run, self._best, out=run)
+        self._best = int(run[-1])
+        return run
+
+    def from_extent(self, block: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+        """The `update` of a 1-D block, read off the running min and max.
+
+        M_n = max(max_n - x_0, x_0 - min_n), where min_n and max_n run over
+        the whole stream from x_0; Python ints where either side leaves int64.
+        Overwrites `mins` and `maxs`.
+        """
+        if self._x0 is None:
+            self._x0 = int(block[0])
+        x0 = self._x0
+        if max(int(maxs[-1]) - x0, x0 - int(mins[-1])) > INT64_MAX:
+            mins, maxs = mins.astype(object), maxs.astype(object)
+        np.subtract(x0, mins, out=mins)
+        np.subtract(maxs, x0, out=maxs)
+        run = np.maximum(maxs, mins, out=maxs)
         self._best = int(run[-1])
         return run
 
@@ -255,15 +289,32 @@ def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
     return cps
 
 
+def _first_long_step(block: np.ndarray, edge: Optional[np.ndarray], m: int) -> Optional[int]:
+    """Index in `block` of the first position reached by a step longer than m.
+
+    `edge` holds the position before the block, or is None for the first
+    block; the step from it into the block is tested too.
+    """
+    if edge is not None:
+        if validate_increment_bound(np.concatenate((edge, block[:1])), m) is not None:
+            return 0
+    k = validate_increment_bound(block, m)
+    return None if k is None else k + 1
+
+
 def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
     """The one pass over x_0..x_horizon that every report and checker reads.
 
     Updates the trackers it is given (either may be None) and samples x_n,
     r_n and the raw |x_n - x_0| (squared for d >= 2) at the sorted
-    checkpoints `cps`.  With both trackers it also counts zero hits and
-    finds the first n violating the maximal-range inequality and, when
-    d = 1, m = 1 and x_0 = 0, the 1-D sandwich; it stops once every
-    checkpoint is sampled and every check it runs has failed.
+    checkpoints `cps`.  With a range tracker it tests every step, the one
+    into each block included, against the declared m; the first breach is
+    the violation "increment_bound" at the n it reaches, and an interval
+    tracker continues in set mode from there, so r_n stays the true count.
+    With both trackers it also counts zero hits and finds the first n
+    violating the maximal-range inequality and, when d = 1, m = 1 and
+    x_0 = 0, the 1-D sandwich; it stops once every checkpoint is sampled
+    and every check it runs has failed.
 
     Returns (samples, x_0, first): exact ints per checkpoint under "x",
     "r", "disp", "tau_count" and "last_tau", x_0 as an int (d = 1) or a
@@ -277,30 +328,47 @@ def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
     checks: tuple = ()
     zeros, last_zero = 0, None
     ptr = done = 0
+    edge = None  # the last position before the block
     for block in stream.blocks(horizon):
         if done == 0:
             x0 = block[0].tolist()
             if both:
                 sandwich = d == 1 and m == 1 and x0 == 0
-                checks = ("maximal_range",) + (("range_sandwich_1d",) if sandwich else ())
+                checks = ("increment_bound", "maximal_range")
+                checks += ("range_sandwich_1d",) if sandwich else ()
         hi = done + block.shape[0]
         end = int(np.searchsorted(cps, hi))
         at = cps[ptr:end] - done
         samples["x"] += block[at].tolist()
+        extent = None
         if tracker is not None:
-            r = tracker.update(block)
+            jump = None if "increment_bound" in first else _first_long_step(block, edge, m)
+            if jump is not None:
+                first["increment_bound"] = done + jump
+            if jump is not None and tracker.mode == "interval":
+                head = tracker.update(block[:jump])
+                tracker.to_set()
+                r = np.concatenate((head, tracker.update(block[jump:])))
+            elif tracker.mode == "interval" and extrema is not None:
+                extent = tracker.running_extent(block)
+                r = extent[1] - extent[0]
+                r += 1
+            else:
+                r = tracker.update(block)
             samples["r"] += r[at].tolist()
+            edge = block[-1:].copy()  # not a view: it would keep the block alive
         if extrema is not None:
-            disp = extrema.update(block)
+            disp = extrema.update(block) if extent is None else extrema.from_extent(block, *extent)
             samples["disp"] += disp[at].tolist()
-        for name in checks:
-            if name not in first:
-                if name == "maximal_range":
-                    bad = _maximal_range_violated(disp, r, m, d)
-                else:
-                    bad = (r < disp + 1) | (r > 2 * disp + 1)
-                if bad.any():
-                    first[name] = done + int(np.argmax(bad))
+        if both and tracker.mode == "set":  # in interval mode both hold by construction
+            for name in checks[1:]:  # checks[0], the step test, ran above
+                if name not in first:
+                    if name == "maximal_range":
+                        bad = _maximal_range_violated(disp, r, m, d)
+                    else:
+                        bad = (r < disp + 1) | (r > 2 * disp + 1)
+                    if bad.any():
+                        first[name] = done + int(np.argmax(bad))
         if both and ptr < cps.size:  # zero hits matter only up to a checkpoint
             hits = np.flatnonzero(at_origin(block))
             upto = np.searchsorted(hits, at, side="right")
@@ -312,7 +380,7 @@ def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
             if hits.size:
                 last_zero = done + int(hits[-1])
         ptr, done = end, hi
-        if ptr == cps.size and len(first) == len(checks):
+        if ptr == cps.size and all(name in first for name in checks):
             break
     return samples, x0, first
 
@@ -533,7 +601,8 @@ def analyze_stream(
 ) -> AnalysisReport:
     """One pass producing the checkpoint report, inline checks, and tails.
 
-    The maximal-range inequality is checked at every position; the 1-D
+    Every step is tested against the stream's declared m, and the
+    maximal-range inequality is checked at every position; the 1-D
     sandwich additionally when d = 1, m = 1, and x_0 = 0.  Each violation
     is attached to the first checkpoint row with n at or after the offending
     index, or to the last row when it lies past the last checkpoint.

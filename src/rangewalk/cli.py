@@ -253,7 +253,7 @@ def cmd_analyze(args) -> int:
     finally:
         if close:
             fh.close()
-    return 0
+    return 1 if any(row["violations"] for row in report.rows) else 0
 
 
 def cmd_mc(args) -> int:

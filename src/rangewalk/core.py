@@ -139,8 +139,9 @@ def _increments(arr: np.ndarray) -> np.ndarray:
     """Consecutive steps x_{k+1} - x_k; raises if one does not fit in int64."""
     a, b = arr[:-1], arr[1:]
     diffs = b - a
+    # A step can wrap only where the path spans more than INT64_MAX; then
     # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
-    if ((b < a) != (diffs < 0)).any():
+    if int(arr.max()) - int(arr.min()) > INT64_MAX and ((b < a) != (diffs < 0)).any():
         raise CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
     return diffs
 
@@ -155,10 +156,12 @@ def squared_distances(rows: np.ndarray, origin) -> np.ndarray:
     cols = [(rows[:, j], int(c)) for j, c in enumerate(origin)]
     peak = max(max(int(col.max()) - c, c - int(col.min())) for col, c in cols)
     exact = len(cols) * peak * peak > INT64_MAX
-    total = 0
+    total = None
     for col, c in cols:
-        delta = (col.astype(object) if exact else col) - c
-        total = total + delta * delta
+        delta = col.astype(object) if exact else col
+        if c:
+            delta = delta - c
+        total = delta * delta if total is None else np.add(total, delta * delta, out=total)
     return total
 
 
@@ -193,6 +196,8 @@ def validate_increment_bound(path, m: int) -> Optional[int]:
         return None
     diffs = _increments(arr)
     if arr.ndim == 1:
+        if -m <= int(diffs.min()) and int(diffs.max()) <= m:
+            return None
         bad = (diffs > m) | (diffs < -m)
     else:
         bad = squared_distances(diffs, (0,) * arr.shape[1]) > m * m

@@ -10,6 +10,12 @@ Per-trial seeds are derived from a master seed with the SplitMix64 finalizer,
 a 64-bit bijection; changing it would break report reproducibility.  A batch
 of trials is seeded in numpy: `pcg64_states` computes, for many seeds at once,
 the state that numpy's own ``PCG64(seed)`` starts from.
+
+A Markov increment chain turns each uniform into a map of its states, and
+`_gather_states` follows the maps in numpy, for every row of a batch in one
+call: identity maps are skipped, constant maps fix the state, and a
+two-level scan composes whatever is left, with a Python loop over one map
+per block of positions only.  The states equal the plain loop's.
 """
 
 from __future__ import annotations
@@ -312,45 +318,61 @@ class MarkovIncrementChain:
         return cls(states=(1, -1), transition=t)
 
 
-# State-sequence gather: s_{k+1} = nxt[s_k, k].  Inherently sequential; jitted
-# through numba when available, with a pure-Python fallback that computes the
-# identical integers.
-_GATHER = None
+#: Positions per block of the sampler's two-level scan.
+_SCAN_BLOCK = 16
 
 
-def _build_gather():
-    def gather(nxt, s0):  # pragma: no cover - replaced by jit when numba present
-        n = nxt.shape[1]
-        out = np.empty(n, dtype=np.int64)
-        s = s0
-        for k in range(n):
-            s = nxt[s, k]
-            out[k] = s
-        return out
+def _gather_states(nxt: np.ndarray, s0) -> np.ndarray:
+    """The states s_k = nxt[s_{k-1}, k] of a chain started at s_{-1} = s0.
 
-    try:
-        from numba import njit
+    `nxt` is (S, n) with an int `s0`, or (S, R, n) with one start per row for
+    R independent rows; the result is (n,) or (R, n) int64.  Column k of
+    `nxt` is the map the k-th uniform applies to the state, and the result
+    equals the plain loop over k integer for integer.
 
-        return njit(cache=False, nogil=True)(gather)
-    except ImportError:
-        def gather_py(nxt, s0):
-            rows = nxt.tolist()
-            n = nxt.shape[1]
-            out = [0] * n
-            s = int(s0)
-            for k in range(n):
-                s = rows[s][k]
-                out[k] = s
-            return np.asarray(out, dtype=np.int64)
-
-        return gather_py
-
-
-def _gather_states(nxt: np.ndarray, s0: int) -> np.ndarray:
-    global _GATHER
-    if _GATHER is None:
-        _GATHER = _build_gather()
-    return _GATHER(nxt, s0)
+    Positions whose map is the identity repeat the state before them, so
+    they are dropped and filled forward at the end.  A constant map fixes
+    the state whatever came before (coalescence, as in Propp & Wilson
+    1996); the first kept map of a row is made constant by applying it to
+    the row's start.  When every kept map is constant the states are read
+    off directly.  Otherwise the kept maps are composed in blocks of
+    `_SCAN_BLOCK`, prefix by prefix for all blocks at once, a Python loop
+    carries the state across the block maps only, and one gather reads
+    every state from its block's prefix maps.
+    """
+    single = nxt.ndim == 2
+    if single:
+        nxt = nxt[:, None, :]
+    n_states, rows, n = nxt.shape
+    start = np.asarray(s0, dtype=np.int64).reshape(rows)
+    maps = nxt.reshape(n_states, rows * n)
+    moves = (maps != np.arange(n_states)[:, None]).any(axis=0)
+    pos = np.flatnonzero(moves)
+    m = pos.size
+    kept = np.take(maps, pos, axis=1)
+    first = np.searchsorted(pos, np.arange(rows) * n)  # each row's first kept map
+    has = np.diff(first, append=m) > 0
+    heads = first[has]
+    kept[:, heads] = np.take(kept.ravel(), start[has] * m + heads)
+    x = kept[0]
+    if not (kept[1:] == x).all():
+        w = _SCAN_BLOCK
+        nb = -(-m // w)
+        identity = np.repeat(np.arange(n_states)[:, None], nb * w - m, axis=1)
+        blocks = np.concatenate((kept, identity), axis=1).reshape(n_states, nb, w)
+        prefix = blocks.transpose(2, 0, 1).copy()
+        col = np.arange(nb)
+        for i in range(1, w):
+            prefix[i] = np.take(prefix[i].ravel(), prefix[i - 1] * nb + col)
+        block_map = prefix[-1].tolist()
+        s = 0  # block 0 starts with a head, whose map is constant
+        entry = [0] + [s := block_map[s][b] for b in range(nb - 1)]
+        x = np.take(prefix.reshape(w, -1), np.asarray(entry) * nb + col, axis=1).T.ravel()[:m]
+    if m < rows * n:  # each row's start, then its kept states, each repeated up to the next
+        at = np.insert(pos, first, np.arange(rows) * n)
+        x = np.repeat(np.insert(x, first, start), np.diff(at, append=rows * n))
+    states = x.reshape(rows, n)
+    return states[0] if single else states
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +440,13 @@ class _ReflectedLaw(_UniformLaw):
 
 
 class _ChainLaw(_UniformLaw):
-    """A Markov increment chain; the carry is the current state."""
+    """A Markov increment chain; the carry is the current state.
+
+    Uniform u moves state s to the first state whose cumulative transition
+    weight from s exceeds u.  `steps` builds that map for every position of
+    every row and follows all rows in one `_gather_states` call, each from
+    its own carry.
+    """
 
     head = 1
 
@@ -433,11 +461,11 @@ class _ChainLaw(_UniformLaw):
 
     def steps(self, u, carry):
         n_states = self._cum.shape[0]
-        nxt = np.empty((u.shape[0], n_states, u.shape[1]), dtype=np.int64)
+        nxt = np.empty((n_states,) + u.shape, dtype=np.int64)
         for s in range(n_states):
-            nxt[:, s] = np.searchsorted(self._cum[s], u, side="right")
+            nxt[s] = np.searchsorted(self._cum[s], u, side="right")
         np.minimum(nxt, n_states - 1, out=nxt)
-        seq = np.stack([_gather_states(row, int(s0)) for row, s0 in zip(nxt, carry)])
+        seq = _gather_states(nxt, carry)
         return self._labels[seq], seq[:, -1].copy()
 
 

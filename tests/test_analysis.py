@@ -199,7 +199,7 @@ class TestRangeTrackerModes:
         ok = np.array([[0, 0], [-(2**31) + 1, 2**31 - 1]], dtype=np.int64)
         assert RangeTracker("set", d=2).update(ok).tolist() == [1, 2]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_blocked_paths(), st.sampled_from([DEFAULT_SET_CAP, 1, 2, 3, 5, 8]))
     def test_set_mode_matches_python_set(self, case, cap):
         d, blocks = case
@@ -340,26 +340,133 @@ class TestMaximalRange:
 
 
 class TestViolationPlacement:
+    # A jump of 5 under m = 2 breaks the step bound and, with it, the
+    # maximal-range inequality at the same n.
+    JUMP_50 = [{"check": "increment_bound", "n": 50}, {"check": "maximal_range", "n": 50}]
+
     def test_first_row_at_or_after_the_violation(self):
         rows = analyze_stream(_jump_walk(2, 50, 5), 100).rows
         placed = [(row["n"], row["violations"]) for row in rows if row["violations"]]
-        assert placed == [(64, [{"check": "maximal_range", "n": 50}])]
+        assert placed == [(64, self.JUMP_50)]
 
     def test_past_the_last_checkpoint_goes_on_the_last_row(self):
         rows = analyze_stream(_jump_walk(2, 50, 5), 100, checkpoints=[10, 20]).rows
-        assert [row["violations"] for row in rows] == [
-            [],
-            [{"check": "maximal_range", "n": 50}],
-        ]
+        assert [row["violations"] for row in rows] == [[], self.JUMP_50]
 
     def test_across_blocks(self):
         cps = [65_536, 70_000, 100_000]  # the second block starts at n = 65536
         rows = analyze_stream(_jump_walk(2, 70_000, 5), 100_000, checkpoints=cps).rows
         assert [row["violations"] for row in rows] == [
             [],
-            [{"check": "maximal_range", "n": 70_000}],
+            [{"check": "increment_bound", "n": 70_000}, {"check": "maximal_range", "n": 70_000}],
             [],
         ]
+
+
+class _SmallBlocks(WalkStream):
+    """A stream cut into blocks of `block_size` positions, to reach block edges."""
+
+    block_size = 65_536
+
+    def blocks(self, horizon, block_size=None):
+        return super().blocks(horizon, block_size or self.block_size)
+
+
+def _liar(steps, m, block_size):
+    """A stream declaring m over the given (possibly oversized) steps."""
+    steps = np.asarray(steps, dtype=np.int64)
+
+    class Steps:
+        def __init__(self):
+            self._at = 0
+
+        def take(self, k):
+            self._at += k
+            return steps[self._at - k : self._at]
+
+    d = 1 if steps.ndim == 1 else steps.shape[1]
+    stream = _SmallBlocks(WalkMetadata("liar", {}, None, m=m, d=d), Steps)
+    stream.block_size = block_size
+    return stream
+
+
+def _contract_oracle(steps, m):
+    """First n of each failed check, from Python ints and a Python set."""
+    d = 1 if steps.ndim == 1 else steps.shape[1]
+    x = (0,) * d
+    seen, far, first = {x}, 0, {}
+    for n, step in enumerate(steps.tolist(), start=1):
+        step = (step,) if d == 1 else tuple(step)
+        x = tuple(a + b for a, b in zip(x, step))
+        seen.add(x)
+        far = max(far, sum(c * c for c in x))
+        r = len(seen)
+        bad = {
+            "increment_bound": sum(c * c for c in step) > m * m,
+            "maximal_range": far > m * m * (r - 1) ** 2,
+        }
+        if d == 1 and m == 1:
+            big = math.isqrt(far)
+            bad["range_sandwich_1d"] = not big + 1 <= r <= 2 * big + 1
+        for name, failed in bad.items():
+            if failed:
+                first.setdefault(name, n)
+    return first
+
+
+class TestStepContract:
+    """The inline checks test the step bound that a stream declares."""
+
+    def test_jump_over_integers_is_reported(self):
+        # True r_50 = 2 ({0, 3}) < M_50 + 1 = 4; interval counts would say 4.
+        want = ["increment_bound", "maximal_range", "range_sandwich_1d"]
+        rows = analyze_stream(_jump_walk(1, 50, 3), 100).rows
+        assert [(row["n"], row["violations"]) for row in rows if row["violations"]] == [
+            (64, [{"check": name, "n": 50} for name in want])
+        ]
+        assert check_maximal_range(_jump_walk(1, 50, 3), 1, 100) == 50
+        assert check_range_sandwich_1d(_jump_walk(1, 50, 3), 100) == 50
+
+    def test_interval_tracker_continues_in_set_mode(self):
+        cps, r = track_range(_jump_walk(1, 50, 3), 100, checkpoints=[49, 50, 100])
+        assert r.tolist() == [1, 2, 2]
+
+    def test_the_step_into_a_block_is_tested(self):
+        # x_65536 is the first position of the second block.
+        assert check_maximal_range(_jump_walk(1, 65_536, 3), 1, 70_000) == 65_536
+        _, r = track_range(_jump_walk(1, 65_536, 3), 70_000, checkpoints=[65_535, 65_536])
+        assert r.tolist() == [1, 2]
+
+    def test_honest_streams_report_nothing(self):
+        rows = analyze_stream(walk_from_path([0, 1, 2, 1, 0, -1], m=1), 5).rows
+        assert all(row["violations"] == [] for row in rows)
+
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.integers(2, 9),
+        st.data(),
+    )
+    def test_matches_a_python_set_oracle(self, dm, block_size, data):
+        d, m = dm
+        n = data.draw(st.integers(1, 40))
+        ks = range(-3 * m, 3 * m + 1)
+        if d == 1:
+            honest, big = st.integers(-m, m), st.sampled_from(ks)
+        else:
+            honest = st.sampled_from([(a, b) for a in ks for b in ks if a * a + b * b <= m * m])
+            big = st.tuples(st.sampled_from(ks), st.sampled_from(ks))
+        pick = st.one_of(honest, honest, honest, big)  # mostly honest, a few oversized
+        steps = np.array(data.draw(st.lists(pick, min_size=n, max_size=n)), dtype=np.int64)
+        want = _contract_oracle(steps, m)
+        report = analyze_stream(_liar(steps, m, block_size), n, checkpoints=list(range(n + 1)))
+        got = {v["check"]: v["n"] for row in report.rows for v in row["violations"]}
+        assert got == want
+        assert check_maximal_range(_liar(steps, m, block_size), m, n) == want.get("maximal_range")
+        _, r = track_range(_liar(steps, m, block_size), n, checkpoints=list(range(n + 1)))
+        origin = np.zeros((1,) + steps.shape[1:], np.int64)
+        path = np.concatenate([origin, np.cumsum(steps, axis=0)])
+        assert r.tolist() == _brute_force_range(path).tolist()
 
 
 class TestSandwich:

@@ -18,7 +18,8 @@ from rangewalk.cli import (
     run_command,
     write_trajectory_csv,
 )
-from rangewalk.core import walk_from_path
+from rangewalk import cli
+from rangewalk.core import WalkMetadata, WalkStream, walk_from_path
 from rangewalk.suites import SUITES
 from rangewalk.generators import gen_spiral2d, gen_zigzag
 
@@ -208,6 +209,28 @@ class TestAnalyze:
             "--out", str(b),
         ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_violation_exits_1(self, tmp_path, monkeypatch):
+        # A source that claims m = 1 and jumps by 3 at step 50.
+        class Jump:
+            def __init__(self):
+                self._done = 0
+
+            def take(self, k):
+                out = np.zeros(k, dtype=np.int64)
+                if self._done < 50 <= self._done + k:
+                    out[49 - self._done] = 3
+                self._done += k
+                return out
+
+        liar = WalkStream(WalkMetadata("liar", {}, None, m=1, d=1), Jump)
+        monkeypatch.setattr(cli, "make_walk", lambda cfg: liar)
+        out = tmp_path / "r.jsonl"
+        argv = ["analyze", "--gen", "srw", "--p", "0.5", "--steps", "100", "--seed", "1"]
+        assert run(argv + ["--out", str(out)]) == 1
+        checks = [v["check"] for line in out.read_text().splitlines()[:-2]
+                  for v in json.loads(line)["violations"]]
+        assert checks == ["increment_bound", "maximal_range", "range_sandwich_1d"]
 
     def test_report_embeds_config_and_seed(self, tmp_path):
         out = tmp_path / "r.jsonl"

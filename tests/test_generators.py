@@ -14,6 +14,8 @@ from rangewalk.generators import (
     MarkovIncrementChain,
     ReducibleChainError,
     ZigzagPlan,
+    _ChainLaw,
+    _gather_states,
     _pcg64_state,
     compute_n0,
     gen_birth_death,
@@ -223,24 +225,110 @@ class TestErgodicWalk:
         import rangewalk.generators as G
 
         chain = MarkovIncrementChain.two_state(0.1, 0.3)
-        default = gen_ergodic_walk(chain, 0, 5).path_array(5000)
+        sampled = gen_ergodic_walk(chain, 0, 5).path_array(5000)
+        monkeypatch.setattr(G, "_gather_states", _loop_states)
+        looped = gen_ergodic_walk(chain, 0, 5).path_array(5000)
+        assert np.array_equal(sampled, looped)
 
-        def no_numba():
-            def gather_py(nxt, s0):
-                rows = nxt.tolist()
-                out = [0] * nxt.shape[1]
-                s = int(s0)
-                for k in range(nxt.shape[1]):
-                    s = rows[s][k]
-                    out[k] = s
-                return np.asarray(out, dtype=np.int64)
 
-            return gather_py
+def _loop_states(nxt, s0):
+    """Plain-loop oracle of `_gather_states`: s_k = nxt[s_{k-1}, k], row by row."""
+    if nxt.ndim == 2:
+        return _loop_states(nxt[:, None], [s0])[0]
+    out = []
+    for r, s in enumerate(np.asarray(s0).tolist()):
+        maps, row = nxt[:, r].tolist(), []
+        for k in range(nxt.shape[2]):
+            s = maps[s][k]
+            row.append(s)
+        out.append(row)
+    return np.array(out, dtype=np.int64).reshape(nxt.shape[1:])
 
-        monkeypatch.setattr(G, "_build_gather", no_numba)
-        monkeypatch.setattr(G, "_GATHER", None)
-        fallback = gen_ergodic_walk(chain, 0, 5).path_array(5000)
-        assert np.array_equal(default, fallback)
+
+def _maps(transition, u):
+    """nxt[s, ..., k]: the state the k-th uniform moves state s to, as _ChainLaw draws it."""
+    cum = np.cumsum(transition, axis=1)
+    n_states = cum.shape[0]
+    nxt = np.stack([np.searchsorted(cum[s], u, side="right") for s in range(n_states)])
+    return np.minimum(nxt, n_states - 1)
+
+
+_KINDS = ("sticky", "switching", "iid", "permutation", "cycle", "near-deterministic", "zeros")
+
+
+@st.composite
+def _transitions(draw):
+    """A 1-5 state transition matrix of one of the kinds in _KINDS."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(_KINDS))
+    weights = st.floats(0.0, 1.0, allow_nan=False)
+    noise = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    noise += 1e-3  # no zero row
+    noise /= noise.sum(axis=1, keepdims=True)
+    eps = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+    perm = np.eye(n)[draw(st.permutations(range(n)))]
+    if kind == "sticky":
+        p = (1 - eps) * np.eye(n) + eps * noise
+    elif kind == "switching":
+        p = noise
+    elif kind == "iid":
+        p = np.repeat(noise[:1], n, axis=0)
+    elif kind == "permutation":
+        p = (1 - eps) * perm + eps * noise
+    elif kind == "cycle":
+        p = np.roll(np.eye(n), 1, axis=1)
+    elif kind == "near-deterministic":
+        p = (1 - eps) * np.eye(n)[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+        p += eps * noise
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        p = noise * np.array(keep).reshape(n, n)
+        p[np.arange(n), draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))] += 0.5
+        p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+class TestMarkovSampler:
+    """`_gather_states` against the plain loop it replaces."""
+
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    @given(
+        _transitions(),
+        st.one_of(st.sampled_from([1, 2, 2**16 - 1, 2**16, 2**16 + 1]), st.integers(1, 200)),
+        st.integers(0, 2**32),
+    )
+    def test_matches_the_loop_from_every_state(self, transition, length, seed):
+        n_states = transition.shape[0]
+        rng = np.random.default_rng(seed)
+        nxt = _maps(transition, rng.random(length))
+        for s0 in range(n_states):
+            assert np.array_equal(_gather_states(nxt, s0), _loop_states(nxt, s0))
+        # one row per start state, each over its own uniforms
+        rows = _maps(transition, rng.random((n_states, length)))
+        starts = np.arange(n_states)
+        assert np.array_equal(_gather_states(rows, starts), _loop_states(rows, starts))
+
+    def test_many_states(self):
+        rng = np.random.default_rng(3)
+        nxt = rng.integers(0, 300, size=(300, 5000))
+        nxt[:, ::3] = np.arange(300)[:, None]  # identity maps among them
+        assert np.array_equal(_gather_states(nxt, 299), _loop_states(nxt, 299))
+
+    def test_chain_law_rows_match_row_by_row(self):
+        chain = MarkovIncrementChain(
+            states=(1, 0, -1),
+            transition=[[0.9, 0.1, 0.0], [0.0, 0.2, 0.8], [0.5, 0.0, 0.5]],
+        )
+        law = _ChainLaw(chain)
+        u = np.random.default_rng(8).random((6, 1000))
+        carry = np.array([0, 1, 2, 2, 0, 1])
+        inc, last = law.steps(u, carry)
+        for r in range(6):
+            row_inc, row_last = law.steps(u[r : r + 1], carry[r : r + 1])
+            assert np.array_equal(inc[r], row_inc[0])
+            assert last[r] == row_last[0]
+        looped = _loop_states(_maps(chain.transition, u), carry)
+        assert np.array_equal(inc, np.asarray(chain.states)[looped])
 
 
 class TestBirthDeath:
