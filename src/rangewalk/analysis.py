@@ -1,10 +1,11 @@
 """Online trackers (range, extrema, return times) and inequality checkers.
 
 Everything here consumes a :class:`~rangewalk.core.WalkStream` in numpy
-blocks of B positions: interval mode costs O(B) per block, set mode
-O(B log R) plus one copy of its R stored keys.  All inequality checks are
-carried out in exact integer arithmetic (squared norms for d >= 2); no float
-rounding can flip a verdict.
+blocks of B positions: interval mode costs O(B) per block, and so does set
+mode in its dense first-visit box; after its fallback to sorted keys, set
+mode costs O(B log R) plus one copy of its R stored keys.  All inequality
+checks are carried out in exact integer arithmetic (squared norms for
+d >= 2); no float rounding can flip a verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, WalkStream, at_origin, squared_distances, validate_increment_bound
+from .core import (INT64_MAX, INT64_MIN, WalkStream, at_origin, squared_distances,
+                   validate_increment_bound)
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -63,20 +65,28 @@ def arith_checkpoints(horizon: int, step: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pack_keys(block: np.ndarray) -> np.ndarray:
-    """Pack (N, d) integer coordinates into sortable scalar keys.
+#: Set mode's dense box may hold this many cells per point (stored points
+#: plus the block's positions); past that it falls back to sorted keys.
+BOX_CELLS_PER_POINT = 4
 
-    d = 2 packs into one uint64 (fast path); higher d falls back to a
-    structured row view, which numpy sorts and searches lexicographically.
+
+def _pack_keys(cols: list, origin: list) -> np.ndarray:
+    """Pack coordinate columns into sortable scalar keys.
+
+    d = 2 packs x - `origin` into one uint64 (fast path), which needs
+    |x - origin| < 2^31 on each axis; higher d falls back to a structured
+    row view, which numpy sorts and searches lexicographically.
     """
-    if block.ndim == 1:
-        return block
-    if block.shape[1] == 2:
-        if int(block.min()) <= -(2**31) or int(block.max()) >= 2**31:  # np.abs wraps -2^63
-            raise ValueError("coordinates beyond +-2^31 not supported in set mode")
-        off = block.astype(np.int64) + 2**31
-        return (off[:, 0].astype(np.uint64) << np.uint64(32)) | off[:, 1].astype(np.uint64)
-    rows = np.ascontiguousarray(block)
+    if len(cols) == 1:
+        return cols[0]
+    if len(cols) == 2:
+        packed = []
+        for col, c in zip(cols, origin):
+            if int(col.min()) - c <= -(2**31) or int(col.max()) - c >= 2**31:  # exact ints
+                raise ValueError("set mode packs d = 2 points within +-2^31 of their key origin")
+            packed.append((col - c + 2**31).astype(np.uint64))
+        return (packed[0] << np.uint64(32)) | packed[1]
+    rows = np.stack(cols, axis=1)
     return rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
 
 
@@ -84,10 +94,11 @@ class RangeTracker:
     """Online count of distinct visited points r_n = card{x_0, ..., x_n}.
 
     Interval mode (legal only for d = 1, m = 1, where no integer can be
-    skipped) tracks min/max and uses r_n = max - min + 1.  Set mode stores
-    the visited points; a memory guard aborts beyond `cap` stored points.
-    `to_set` switches an interval tracker to set mode, for a stream that
-    breaks its unit-step contract.
+    skipped) tracks min/max and uses r_n = max - min + 1.  Set mode marks
+    first visits in an int32 box over the walk's bounding box while it is
+    dense (BOX_CELLS_PER_POINT), then switches once to sorted keys; a memory
+    guard aborts beyond `cap` stored points.  `to_set` switches an interval
+    tracker to set mode, for a stream that breaks its unit-step contract.
     """
 
     def __init__(self, mode: str = "auto", d: int = 1, m: int = 1, cap: int = DEFAULT_SET_CAP):
@@ -103,7 +114,10 @@ class RangeTracker:
         self._count = 0
         self._min: Optional[int] = None
         self._max: Optional[int] = None
-        self._known: Optional[np.ndarray] = None  # sorted keys, set mode only
+        self._box: Optional[np.ndarray] = None  # set mode while dense
+        self._spans: list = []  # the box's lowest and highest coordinate on each axis
+        self._known: Optional[np.ndarray] = None  # sorted keys, after the fallback
+        self._origin: Optional[list] = None  # the d = 2 keys' origin
 
     @property
     def count(self) -> int:
@@ -138,33 +152,94 @@ class RangeTracker:
         """Continue an interval tracker in set mode.
 
         Valid while every step so far was a unit step: the visited set is
-        then exactly [min, max].
+        then exactly [min, max], which seeds the box.
         """
         if self._min is not None:
-            self._known = np.arange(self._min, self._max + 1, dtype=np.int64)
+            self._box = np.full(self._count, -1, dtype=np.int32)
+            self._spans = [(self._min, self._max)]
         self.mode = "set"
 
     def _update_set(self, block: np.ndarray) -> np.ndarray:
-        keys = _pack_keys(block)
+        cols = [block] if block.ndim == 1 else [block[:, j] for j in range(block.shape[1])]
+        if self._origin is None:  # 0, or x_0 on an axis where |x_0| >= 2^31
+            self._origin = [c if abs(c) >= 2**31 else 0 for c in (int(col[0]) for col in cols)]
+        if self._known is None and self._cover(cols):
+            return self._update_box(cols)
+        keys = _pack_keys(cols, self._origin)
+        if self._known is None:  # the one switch; row-major cells are in key order
+            self._known = keys[:0] if self._box is None else self._box_keys()
+            self._box = None
+        return self._update_keys(keys)
+
+    def _cover(self, cols: list) -> bool:
+        """Grow the box over the block; False if it cannot stay dense.
+
+        A side that grows gains at least half its axis (copies cost amortised
+        O(1) a cell), unless that padding alone would break the bound.
+        """
+        need = [(int(col.min()), int(col.max())) for col in cols]
+        old = self._spans or need
+        if self._spans and all(a <= l and h <= b for (a, b), (l, h) in zip(old, need)):
+            return True
+        tight = [(min(a, l), max(b, h)) for (a, b), (l, h) in zip(old, need)]
+        padded = [
+            (max(min(l, a - (b - a + 1) // 2), INT64_MIN) if l < a else a,
+             min(max(h, b + (b - a + 1) // 2), INT64_MAX) if h > b else b)
+            for (a, b), (l, h) in zip(old, need)
+        ]
+        limit = BOX_CELLS_PER_POINT * (self._count + cols[0].shape[0])
+        fits = [s for s in (padded, tight) if math.prod(b - a + 1 for a, b in s) <= limit]
+        if not fits:
+            return False
+        # Unseen cells hold INT32_MAX, visited ones -1.
+        box = np.full(tuple(b - a + 1 for a, b in fits[0]), 2**31 - 1, dtype=np.int32)
+        if self._box is not None:
+            box[tuple(slice(a - c, b - c + 1) for (a, b), (c, _) in zip(old, fits[0]))] = self._box
+        self._box, self._spans = box, fits[0]
+        return True
+
+    def _box_keys(self) -> np.ndarray:
+        """The sorted keys of the box's visited cells."""
+        at = np.unravel_index(np.flatnonzero(self._box.ravel() < 0), self._box.shape)
+        return _pack_keys([a + c for a, (c, _) in zip(at, self._spans)], self._origin)
+
+    def _update_box(self, cols: list) -> np.ndarray:
+        flat = self._box.ravel()  # a view: the box is C-contiguous
+        idx = cols[0] - self._spans[0][0]
+        for col, (c, _), n in zip(cols[1:], self._spans[1:], self._box.shape[1:]):
+            idx *= n
+            idx += col - c
+        order = np.arange(idx.shape[0], dtype=np.int32)
+        np.minimum.at(flat, idx, order)  # each cell keeps its first visit in the block
+        new = flat[idx] == order
+        flat[idx] = -1
+        return self._advance(new)
+
+    def _update_keys(self, keys: np.ndarray) -> np.ndarray:
         order = np.argsort(keys, kind="stable")  # each key's first visit leads its run
         sk = keys[order]
         uniq = np.empty(len(keys), dtype=bool)
         uniq[0] = True
         uniq[1:] = sk[1:] != sk[:-1]
         fresh = sk[uniq]
-        known = fresh[:0] if self._known is None else self._known
+        known = self._known
         at = np.searchsorted(known, fresh)  # O(B log R); np.insert is the one O(R) copy
         seen = at < known.size
         seen[seen] = known[at[seen]] == fresh[seen]
         new = np.zeros(len(keys), dtype=bool)
         new[order[uniq][~seen]] = True
+        r = self._advance(new)
+        self._known = np.insert(known, at[~seen], fresh[~seen])
+        return r
+
+    def _advance(self, new: np.ndarray) -> np.ndarray:
+        """r at each position of the block from its first-visit mask; enforces the cap."""
         r = self._count + np.cumsum(new, dtype=np.int64)
         self._count = int(r[-1])
         if self._count > self._cap:
             raise MemoryGuardError(
                 f"range tracker exceeded its cap of {self._cap} stored points"
             )
-        self._known = np.insert(known, at[~seen], fresh[~seen])
         return r
 
 

@@ -311,19 +311,24 @@ class WalkStream:
         remaining = horizon
         while first or remaining > 0:
             n_inc = min(remaining, block_size - 1 if first else block_size)
-            # Conservative overflow guard: increments are bounded by m, so the
-            # block cannot move farther than n_inc * m from the carry.  Exact
-            # Python ints here; numpy abs would wrap on INT64_MIN itself.
-            if self.d == 1:
-                extent = abs(int(carry))
-            else:
-                extent = max(abs(int(c)) for c in carry)
-            if extent + n_inc * m > INT64_MAX:
-                raise CoordinateOverflowError(
-                    "walk left the signed 64-bit coordinate range"
-                )
             if n_inc > 0:
                 inc = source.take(n_inc)
+                # Overflow guard: no coordinate of the block can move farther
+                # than n_inc * step from the carry, where step is m or, for a
+                # source that breaks its bound, the block's largest coordinate
+                # step.  Exact Python ints: numpy abs would wrap on INT64_MIN
+                # itself.  Only when this cheap bound trips are the positions
+                # summed exactly, so no walk that stays in range is refused
+                # (the int64 sums below wrap mod 2^64, so they are exact then).
+                cols = [inc] if self.d == 1 else [inc[:, j] for j in range(self.d)]
+                step = max(m, *(max(int(c.max()), -int(c.min())) for c in cols))
+                extent = max(abs(int(c)) for c in np.atleast_1d(carry))
+                if extent + n_inc * step > INT64_MAX:
+                    exact = np.cumsum(inc.astype(object), axis=0) + carry.astype(object)
+                    if exact.min() < INT64_MIN or exact.max() > INT64_MAX:
+                        raise CoordinateOverflowError(
+                            "walk left the signed 64-bit coordinate range"
+                        )
                 pos = np.cumsum(inc, axis=0)
                 pos += carry
             else:

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangewalk import analysis
 from rangewalk.analysis import (
     DEFAULT_SET_CAP,
     ClassRAssumptionError,
@@ -27,7 +29,14 @@ from rangewalk.analysis import (
     track_extrema,
     track_range,
 )
-from rangewalk.core import WalkMetadata, WalkStream, walk_from_path
+from rangewalk.core import (
+    INT64_MAX,
+    INT64_MIN,
+    CoordinateOverflowError,
+    WalkMetadata,
+    WalkStream,
+    walk_from_path,
+)
 from rangewalk.generators import (
     gen_birth_death,
     gen_linear_drift,
@@ -70,6 +79,16 @@ def _jump_walk(m, at, size):
     return WalkStream(WalkMetadata("liar", {}, None, m=m, d=1), Jump)
 
 
+def _steady(size):
+    """A 1-D walk declaring m = 1 whose every step is `size`."""
+
+    class Steady:
+        def take(self, k):
+            return np.full(k, size, dtype=np.int64)
+
+    return WalkStream(WalkMetadata("liar", {}, None, m=1, d=1), Steady)
+
+
 @st.composite
 def _blocked_paths(draw):
     """A path of points from a small pool, cut into blocks, for set mode.
@@ -90,6 +109,40 @@ def _blocked_paths(draw):
     repeat = draw(st.lists(st.integers(0, len(picks) - 1), min_size=1, max_size=10))
     blocks.append(path[repeat])
     return d, [b for b in blocks if b.shape[0]]
+
+
+@st.composite
+def _compact_walks(draw):
+    """A walk with steps of at most 3 a coordinate around a drawn centre, in blocks.
+
+    Compact walks keep the dense box in play; centres at the int64 limits
+    make its padding clip, and the d = 2 centres leave the key origin 0 or
+    put it at x_0.  Blocks are 1-40 positions.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    far = [0, 2**40, -(2**40)] if d == 2 else [0, 2**40, INT64_MIN, INT64_MAX]
+    centre = [draw(st.sampled_from(far) | st.integers(-(2**20), 2**20)) for _ in range(d)]
+    n = draw(st.integers(1, 300))
+    step = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    steps = np.array(draw(st.lists(step, min_size=n, max_size=n)), dtype=np.int64)
+    offsets = np.cumsum(steps, axis=0)
+    lo, hi = offsets.min(0).tolist(), offsets.max(0).tolist()
+    start = [min(max(c, INT64_MIN - a), INT64_MAX - b) for c, a, b in zip(centre, lo, hi)]
+    path = offsets + np.array(start, dtype=np.int64)
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=n // 3)) if n > 1 else set()
+    blocks = np.split(path if d > 1 else path[:, 0], sorted(cuts | set(range(40, n, 40))))
+    return d, blocks
+
+
+def _oracle_counts(blocks, d):
+    """r at each position of each block, from a Python set."""
+    seen, out = set(), []
+    for block in blocks:
+        out.append([])
+        for p in block.tolist():
+            seen.add(p if d == 1 else tuple(p))
+            out[-1].append(len(seen))
+    return out
 
 
 class TestCheckpoints:
@@ -217,6 +270,131 @@ class TestRangeTrackerModes:
                 return
             assert tracker.update(block).tolist() == expected
             assert tracker.count == len(seen)
+
+
+class TestDenseBox:
+    """Set mode's dense first-visit box, its growth and its one switch to sorted keys."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grows_both_ways_on_every_axis(self, d):
+        # Drift down on every axis, then up past the start, in blocks of 7.
+        rng = np.random.Generator(np.random.PCG64(d))
+        steps = np.concatenate([rng.integers(-2, 1, (150, d)), rng.integers(0, 3, (300, d))])
+        path = np.cumsum(steps, axis=0)
+        path = path if d > 1 else path[:, 0]
+        blocks = np.split(path, range(7, path.shape[0], 7))
+        tracker = RangeTracker("set", d=d)
+        corners, tops = [], []
+        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", 10**9):
+            for block, want in zip(blocks, _oracle_counts(blocks, d)):
+                assert tracker.update(block).tolist() == want
+                assert tracker._box.shape == tuple(b - a + 1 for a, b in tracker._spans)
+                corners.append([a for a, _ in tracker._spans])
+                tops.append([b for _, b in tracker._spans])
+        lows, highs = np.array(corners), np.array(tops)
+        assert (np.diff(lows, axis=0) <= 0).all() and (lows[-1] < lows[0]).all()
+        assert (np.diff(highs, axis=0) >= 0).all() and (highs[-1] > highs[0]).all()
+        grows = int((np.diff(lows, axis=0) < 0).any(1).sum() + (np.diff(highs, axis=0) > 0).any(1).sum())
+        assert grows < len(blocks) // 2  # geometric growth: most blocks fit the box
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_padding_stops_at_the_int64_limits(self, d, side):
+        # 19 cells along axis 0, then one more: half an axis of padding
+        # would pass the limit.
+        edge = INT64_MIN if side < 0 else INT64_MAX
+        offsets = [np.arange(20, 1, -1), np.array([1])]
+        tracker = RangeTracker("set", d=d)
+        for off in offsets:
+            block = edge - side * off
+            rows = np.column_stack([block] + [np.full_like(block, edge)] * (d - 1))
+            assert tracker.update(rows if d > 1 else block)[-1] <= 20
+        assert tracker.count == 20
+        assert all(edge in span for span in tracker._spans)
+
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
+    @given(_compact_walks(), st.sampled_from([0, 0.25, 0.5, 1, 2, 4, 10**9]))
+    def test_matches_python_set_across_the_switch(self, case, cells_per_point):
+        # A small bound moves the switch to sorted keys to a drawn block.
+        d, blocks = case
+        tracker = RangeTracker("set", d=d)
+        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
+            for block, want in zip(blocks, _oracle_counts(blocks, d)):
+                assert tracker.update(block).tolist() == want
+                assert tracker.count == want[-1]
+        if cells_per_point == 10**9:
+            assert tracker._known is None  # never left the box
+
+    @settings(deadline=None)
+    @given(st.integers(1, 2), st.data())
+    def test_1d_walks_with_m_up_to_2_never_leave_the_box(self, m, data):
+        # span <= 2 M_n <= 2m (r_n - 1): at most 4 cells a point for m <= 2.
+        steps = data.draw(st.lists(st.integers(-m, m), min_size=1, max_size=300))
+        path = np.cumsum(np.array(steps, dtype=np.int64))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(steps)), max_size=30)))
+        blocks = [b for b in np.split(path, cuts) if b.shape[0]]
+        tracker = RangeTracker("set")
+        for block, want in zip(blocks, _oracle_counts(blocks, 1)):
+            assert tracker.update(block).tolist() == want
+        assert tracker._known is None
+
+    @settings(deadline=None)
+    @given(_compact_walks(), st.integers(1, 60))
+    def test_memory_guard_fires_at_the_same_update_in_both_containers(self, case, cap):
+        d, blocks = case
+        total = _oracle_counts(blocks, d)
+        want = next((i for i, r in enumerate(total) if r[-1] > cap), None)
+        for cells_per_point in (10**9, 0):  # always the box, always sorted keys
+            tracker = RangeTracker("set", d=d, cap=cap)
+            fired = None
+            with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
+                for i, block in enumerate(blocks):
+                    try:
+                        tracker.update(block)
+                    except MemoryGuardError:
+                        fired = i
+                        break
+            assert fired == want
+            assert (tracker._known is None) == (cells_per_point > 0)
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from([0, 0.5, 1, 4]))
+    def test_a_lying_1d_stream_continues_after_to_set(self, data, cells_per_point):
+        # Unit steps in interval mode, then steps of up to 5 in set mode.
+        unit = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=60))
+        lying = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=120))
+        start = data.draw(st.sampled_from([0, INT64_MAX - 200, INT64_MIN + 200]))
+        path = start + np.cumsum(np.array(unit + lying, dtype=np.int64))
+        head, tail = path[: len(unit)], path[len(unit) :]
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(lying)), max_size=10)))
+        blocks = [head] + [b for b in np.split(tail, cuts) if b.shape[0]]
+        tracker = RangeTracker("interval")
+        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
+            for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks, 1))):
+                if i == 1:
+                    tracker.to_set()
+                assert tracker.update(block).tolist() == want
+
+    @pytest.mark.parametrize("switch_at", [None, 1, 3])
+    def test_compact_2d_walk_far_from_the_origin(self, switch_at):
+        # Around (2^40, -2^40): the box is keyed to its corner and the sorted
+        # keys to x_0, so neither meets the +-2^31 packing limit.
+        rng = np.random.Generator(np.random.PCG64(40))
+        dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.int64)
+        path = np.cumsum(dirs[rng.integers(0, 4, 5000)], axis=0) + [2**40, -(2**40)]
+        blocks = np.split(path, range(1000, 5000, 1000))
+        tracker = RangeTracker("set", d=2)
+        for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks, 2))):
+            bound = 0 if switch_at is not None and i >= switch_at else analysis.BOX_CELLS_PER_POINT
+            with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", bound):
+                assert tracker.update(block).tolist() == want
+            assert (tracker._box is not None) == (switch_at is None or i < switch_at)
+
+    def test_keys_past_2_to_the_31_from_a_far_x0_are_refused(self):
+        block = np.array([[2**40, 0], [2**40 + 2**31, 0]], dtype=np.int64)
+        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", 0):
+            with pytest.raises(ValueError, match="2\\^31"):
+                RangeTracker("set", d=2).update(block)
 
 
 class TestTrackExtrema:
@@ -436,6 +614,13 @@ class TestStepContract:
         assert check_maximal_range(_jump_walk(1, 65_536, 3), 1, 70_000) == 65_536
         _, r = track_range(_jump_walk(1, 65_536, 3), 70_000, checkpoints=[65_535, 65_536])
         assert r.tolist() == [1, 2]
+
+    def test_steps_past_the_declared_m_cannot_wrap(self):
+        # m = 1 but steps of 2^62: M_3 would read 2^62 and x_2 = -2^63.
+        with pytest.raises(CoordinateOverflowError):
+            track_extrema(_steady(2**62), 3, [3])
+        with pytest.raises(CoordinateOverflowError):
+            return_times(_steady(2**62), 3)
 
     def test_honest_streams_report_nothing(self):
         rows = analyze_stream(walk_from_path([0, 1, 2, 1, 0, -1], m=1), 5).rows

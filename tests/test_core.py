@@ -166,6 +166,34 @@ class TestWalkStream:
         with pytest.raises(CoordinateOverflowError):
             s.path_array(10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflow_guard_reads_steps_past_the_declared_m(self, d):
+        # Steps of 2^62 under m = 1: x_2 = 2^63 once wrapped to -2^63.
+        class Liar:
+            def take(self, k):
+                return np.full((k,) if d == 1 else (k, d), 2**62, dtype=np.int64)
+
+        s = WalkStream(WalkMetadata("liar", {}, None, m=1, d=d), Liar)
+        with pytest.raises(CoordinateOverflowError):
+            s.path_array(3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflow_guard_passes_a_long_step_that_stays_in_range(self, d):
+        # One step of 2^50 under m = 1, then 69 999 zero steps: n * step
+        # passes 2^63 in the first block, but no position does.
+        class OneJump:
+            def __init__(self):
+                self._done = 0
+
+            def take(self, k):
+                out = np.zeros((k,) if d == 1 else (k, d), dtype=np.int64)
+                out[: 1 if self._done == 0 else 0] = 2**50
+                self._done += k
+                return out
+
+        path = WalkStream(WalkMetadata("liar", {}, None, m=1, d=d), OneJump).path_array(70_000)
+        assert path[1:].tolist() == [2**50 if d == 1 else [2**50] * d] * 70_000
+
 
 class TestWalkFromPath:
     def test_infers_bound(self):
