@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -70,7 +69,7 @@ def main() -> None:
         texts = []
         for name in ("rw2d", "spiral2d"):
             argv = [sys.executable, __file__, "--seed", str(args.seed), "--cell", name, str(steps)]
-            out = subprocess.run(argv, check=True, capture_output=True, text=True, env=os.environ)
+            out = subprocess.run(argv, check=True, capture_output=True, text=True)
             res = json.loads(out.stdout)
             ns = res["wall_s"] / steps * 1e9
             texts.append(f"{res['wall_s']:.2f} s ({ns:.0f} ns/step), {res['rss_mb']:.0f} MB")

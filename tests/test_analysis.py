@@ -134,15 +134,11 @@ def _compact_walks(draw):
     return d, blocks
 
 
-def _oracle_counts(blocks, d):
-    """r at each position of each block, from a Python set."""
-    seen, out = set(), []
-    for block in blocks:
-        out.append([])
-        for p in block.tolist():
-            seen.add(p if d == 1 else tuple(p))
-            out[-1].append(len(seen))
-    return out
+def _oracle_counts(blocks):
+    """r at each position of each block, from the Python-set oracle."""
+    r = _brute_force_range(np.concatenate(blocks)).tolist()
+    ends = np.cumsum([b.shape[0] for b in blocks]).tolist()
+    return [r[a:b] for a, b in zip([0] + ends, ends)]
 
 
 class TestCheckpoints:
@@ -286,7 +282,7 @@ class TestDenseBox:
         tracker = RangeTracker("set", d=d)
         corners, tops = [], []
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", 10**9):
-            for block, want in zip(blocks, _oracle_counts(blocks, d)):
+            for block, want in zip(blocks, _oracle_counts(blocks)):
                 assert tracker.update(block).tolist() == want
                 assert tracker._box.shape == tuple(b - a + 1 for a, b in tracker._spans)
                 corners.append([a for a, _ in tracker._spans])
@@ -319,7 +315,7 @@ class TestDenseBox:
         d, blocks = case
         tracker = RangeTracker("set", d=d)
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
-            for block, want in zip(blocks, _oracle_counts(blocks, d)):
+            for block, want in zip(blocks, _oracle_counts(blocks)):
                 assert tracker.update(block).tolist() == want
                 assert tracker.count == want[-1]
         if cells_per_point == 10**9:
@@ -334,7 +330,7 @@ class TestDenseBox:
         cuts = sorted(data.draw(st.sets(st.integers(1, len(steps)), max_size=30)))
         blocks = [b for b in np.split(path, cuts) if b.shape[0]]
         tracker = RangeTracker("set")
-        for block, want in zip(blocks, _oracle_counts(blocks, 1)):
+        for block, want in zip(blocks, _oracle_counts(blocks)):
             assert tracker.update(block).tolist() == want
         assert tracker._known is None
 
@@ -342,7 +338,7 @@ class TestDenseBox:
     @given(_compact_walks(), st.integers(1, 60))
     def test_memory_guard_fires_at_the_same_update_in_both_containers(self, case, cap):
         d, blocks = case
-        total = _oracle_counts(blocks, d)
+        total = _oracle_counts(blocks)
         want = next((i for i, r in enumerate(total) if r[-1] > cap), None)
         for cells_per_point in (10**9, 0):  # always the box, always sorted keys
             tracker = RangeTracker("set", d=d, cap=cap)
@@ -370,7 +366,7 @@ class TestDenseBox:
         blocks = [head] + [b for b in np.split(tail, cuts) if b.shape[0]]
         tracker = RangeTracker("interval")
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
-            for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks, 1))):
+            for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks))):
                 if i == 1:
                     tracker.to_set()
                 assert tracker.update(block).tolist() == want
@@ -384,7 +380,7 @@ class TestDenseBox:
         path = np.cumsum(dirs[rng.integers(0, 4, 5000)], axis=0) + [2**40, -(2**40)]
         blocks = np.split(path, range(1000, 5000, 1000))
         tracker = RangeTracker("set", d=2)
-        for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks, 2))):
+        for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks))):
             bound = 0 if switch_at is not None and i >= switch_at else analysis.BOX_CELLS_PER_POINT
             with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", bound):
                 assert tracker.update(block).tolist() == want
