@@ -1,0 +1,69 @@
+"""Time per row of `BatchSource`'s two draw paths, by draws per row and rows.
+
+    PYTHONPATH=src python scripts/draw_path_table.py [--widths 16 32 64] [--repeats 7]
+
+For each width w (uniforms drawn per row) the batch has, in turn, the rows
+of a full chunk of `run_trials` at horizon w (2^16 // (w + 1)), then
+``LOCKSTEP_ROWS_PER_DRAW * w`` rows and a quarter of that, where these fit
+in a chunk.  Each path draws the batch from the same seeded states: the
+lockstep path steps every row's PCG64 at once in numpy, the per-row path
+assigns each row's state to one PCG64 and draws it with
+``Generator.random``.  Prints a Markdown table of the best of `repeats`
+alternating timings of each, in µs per row, their ratio, and the path that
+`BatchSource.take` picks for that shape.
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+from rangewalk.experiments import CHUNK_CELLS
+from rangewalk.generators import (
+    LOCKSTEP_ROWS_PER_DRAW,
+    _lockstep_random,
+    _per_row_random,
+    mix_seeds,
+    pcg64_states,
+)
+
+
+def us_per_row(draw, states: np.ndarray, width: int) -> float:
+    """One timing of `draw` on a copy of `states` (the lockstep advances them)."""
+    fresh = states.copy()
+    t = time.perf_counter()
+    draw(fresh, width)
+    return (time.perf_counter() - t) / len(states) * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--widths", type=int, nargs="+",
+                        default=[4, 16, 32, 48, 63, 64, 96, 128, 256, 1024])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    gen = np.random.Generator(np.random.PCG64(0))
+    paths = {
+        "lockstep": _lockstep_random,
+        "per-row": lambda states, width: _per_row_random(gen, states, width),
+    }
+    print("| draws per row | rows | lockstep µs/row | per-row µs/row | lockstep / per-row | taken |")
+    print("|---|---|---|---|---|---|")
+    for width in args.widths:
+        full = CHUNK_CELLS // (width + 1)
+        bound = LOCKSTEP_ROWS_PER_DRAW * width
+        for rows in dict.fromkeys(r for r in (full, bound, bound // 4) if 0 < r <= full):
+            states = pcg64_states(mix_seeds(0, 0, rows))
+            best = {name: float("inf") for name in paths}
+            for _ in range(args.repeats):  # alternate the paths, one timing each
+                for name, draw in paths.items():
+                    best[name] = min(best[name], us_per_row(draw, states, width))
+            lock, row = best["lockstep"], best["per-row"]
+            taken = "lockstep" if rows >= bound else "per-row"
+            print(f"| {width} | {rows} | {lock:.2f} | {row:.2f} | {lock / row:.2f} | {taken} |")
+
+
+if __name__ == "__main__":
+    main()

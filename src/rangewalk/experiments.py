@@ -7,15 +7,15 @@ generator's uniform law and reduced with one cumsum and per-row lowest, highest
 and last positions.  Rows are seeded in bulk: the seeds of up to CHUNK_CELLS
 trials at a time (whole chunks) go through `mix_seeds` and `pcg64_states` at
 once, which give each trial's PCG64 state as numpy's own ``PCG64(seed)`` would,
-and each chunk fills its rows from one reused bit generator, assigning a row's
-state before drawing it.  Horizons beyond CHUNK_CELLS go in column blocks that
-carry those positions, so memory stays flat in the horizon.  `workers`
+and each chunk draws its rows through `BatchSource`, numpy's own uniforms.
+Horizons beyond CHUNK_CELLS go in column blocks that carry those positions,
+so memory stays flat in the horizon.  `workers`
 schedules whole chunks on a thread pool, and results are reduced in
 trial-index order, so a report is byte-identical for any `workers`.
 A deterministic config, which runs one trial, goes through the range and
 extrema trackers instead.
-Per-trial metrics are exact integers (R_N, X_N, M_N); division by N happens
-once at aggregation.
+Per-trial metrics are exact integers (R_N, X_N, M_N), int64 arrays for chunked
+trials; division by N happens once at aggregation.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ class _Extremes:
 
     def counts(self) -> dict:
         return {
-            "range": (self.hi - self.lo + 1).tolist(),
-            "final_abs": np.abs(self.last).tolist(),
-            "final_signed": self.last.tolist(),
-            "max_disp": np.maximum(self.hi, -self.lo).tolist(),
-            "no_return": (~self.returned).astype(np.int64).tolist(),
+            "range": self.hi - self.lo + 1,
+            "final_abs": np.abs(self.last),
+            "final_signed": self.last,
+            "max_disp": np.maximum(self.hi, -self.lo),
+            "no_return": (~self.returned).astype(np.int64),
         }
 
 
@@ -173,11 +173,8 @@ def _chunk_counts(law, states: np.ndarray, horizon: int) -> dict:
     """Counts of one chunk of stochastic trials, one row per PCG64 state."""
     source = BatchSource(law, states)
     state = _Extremes(len(states))
-    left = horizon
-    while left:
-        k = min(left, CHUNK_CELLS)
-        left -= k
-        state.advance(source.take(k, last=not left))
+    for done in range(0, horizon, CHUNK_CELLS):
+        state.advance(source.take(min(CHUNK_CELLS, horizon - done)))
     return state.counts()
 
 
@@ -201,12 +198,32 @@ def _walk_counts(stream: WalkStream, horizon: int) -> dict:
     }
 
 
-def _aggregate(values: Sequence, denom: int) -> MetricAggregate:
-    """Mean/stddev/ci95 of values / denom; exact integer sums when possible."""
-    t = len(values)
+def _int_sums(values) -> Optional[tuple]:
+    """Exact (sum v, sum v^2) as Python ints, or None if some v is not an int.
+
+    An int64 array is summed in numpy when t·max|v|^2 fits in int64, so no
+    partial sum can wrap; otherwise it is summed as Python ints.
+    """
+    if isinstance(values, np.ndarray):
+        peak = max(int(values.max()), -int(values.min()))
+        if len(values) * peak * peak <= INT64_MAX:
+            return int(values.sum()), int((values * values).sum())
+        values = values.tolist()
     if all(isinstance(v, int) for v in values):
-        s1 = sum(values)
-        s2 = sum(v * v for v in values)
+        return sum(values), sum(v * v for v in values)
+    return None
+
+
+def _aggregate(values: Sequence, denom: int) -> MetricAggregate:
+    """Mean/stddev/ci95 of values / denom; exact integer sums when possible.
+
+    `values` is an int64 array of chunked trials' counts, or the list of
+    one deterministic walk (ints, or floats for d >= 2).
+    """
+    t = len(values)
+    sums = _int_sums(values)
+    if sums is not None:
+        s1, s2 = sums
         mean = s1 / (t * denom)
         if t > 1:
             var_num = s2 * t - s1 * s1  # t*(t-1)*denom^2 * sample variance
@@ -270,7 +287,7 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
                 parts = [part for chunks in slices() for part in pool.map(one, chunks)]
         else:
             parts = [one(chunk) for chunks in slices() for chunk in chunks]
-        counts = {key: [v for part in parts for v in part[key]] for key in parts[0]}
+        counts = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
     series = {
         "range_speed": (counts["range"], n),
@@ -296,11 +313,14 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
 
     per_trial = None
     if keep_trials:
-        per_trial = {
-            name: [v / series[name][1] for v in series[name][0]] for name in spec.metrics
-        }
+        # Python ints, so that v / denom is the correctly rounded quotient.
+        def ratios(values, denom):
+            values = values.tolist() if isinstance(values, np.ndarray) else values
+            return [v / denom for v in values]
+
+        per_trial = {name: ratios(*series[name]) for name in spec.metrics}
         if "walk_speed" in spec.metrics and counts["final_signed"][0] is not None:
-            per_trial["walk_speed_signed"] = [v / n for v in counts["final_signed"]]
+            per_trial["walk_speed_signed"] = ratios(counts["final_signed"], n)
     return AggregateReport(spec=spec, per_metric=per_metric, per_trial=per_trial)
 
 

@@ -141,6 +141,21 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (mid >> 32) + (cross >> 32)
 
 
+def _muladd128(hi, lo, mult: int, add_hi, add_lo):
+    """(hi·2^64 + lo)·mult + (add_hi·2^64 + add_lo) mod 2^128, in uint64 limbs.
+
+    `mult` is a Python int below 2^128; every other operand is a uint64 array
+    or ``np.uint64``, since numpy < 2 promotes uint64 mixed with int64, or
+    with a Python int when both are scalars, to float64.  Returns the high
+    and low words.
+    """
+    mult_hi, mult_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    prod_hi = _mulhi64(lo, mult & _MASK64) + lo * mult_hi + hi * mult_lo
+    prod_lo = lo * mult_lo
+    out_lo = prod_lo + add_lo
+    return prod_hi + add_hi + (out_lo < prod_lo), out_lo
+
+
 def pcg64_states(seeds) -> np.ndarray:
     """The state and increment of ``PCG64(s)`` for every uint64 seed s.
 
@@ -148,18 +163,14 @@ def pcg64_states(seeds) -> np.ndarray:
     and initseq = c·2^64 + d, sets inc = 2·initseq + 1 and steps its LCG
     twice from 0, adding initstate in between: state =
     (inc + initstate)·MULT + inc mod 2^128.  Returns a (len(seeds), 4)
-    uint64 array of state high, state low, inc high and inc low words;
-    `_pcg64_state` turns a row into the dict ``PCG64.state`` accepts.
+    uint64 array of state high, state low, inc high and inc low words, the
+    form `BatchSource` keeps its rows in.
     """
     a, b, c, d = seed_words(seeds).T
     inc_hi, inc_lo = c << 1 | d >> 63, d << 1 | 1
     lo = inc_lo + b
     hi = inc_hi + a + (lo < inc_lo)
-    mult_hi, mult_lo = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
-    hi = _mulhi64(lo, mult_lo) + lo * np.uint64(mult_hi) + hi * np.uint64(mult_lo)
-    lo = lo * np.uint64(mult_lo)
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
+    state_hi, state_lo = _muladd128(hi, lo, _PCG64_MULT, inc_hi, inc_lo)
     return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
@@ -172,6 +183,71 @@ def _pcg64_state(row: np.ndarray) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+_MASK128 = (1 << 128) - 1
+_U11, _U58, _U63, _U64 = (np.uint64(v) for v in (11, 58, 63, 64))
+_U0 = np.uint64(0)
+
+
+def _lcg_jump(k: int) -> tuple:
+    """(A_k, C_k) = (MULT^k, sum of MULT^i for i < k) mod 2^128.
+
+    k steps of the LCG s <- s·MULT + inc take s to s·A_k + inc·C_k; both
+    are built by squaring, in O(log k) Python-int steps (Brown, 1994).
+    """
+    acc_mult, acc_plus = 1, 0
+    cur_mult, cur_plus = _PCG64_MULT, 1
+    while k:
+        if k & 1:
+            acc_mult = acc_mult * cur_mult & _MASK128
+            acc_plus = (acc_plus * cur_mult + cur_plus) & _MASK128
+        cur_plus = (cur_mult + 1) * cur_plus & _MASK128
+        cur_mult = cur_mult * cur_mult & _MASK128
+        k >>= 1
+    return acc_mult, acc_plus
+
+
+def _advance_states(states: np.ndarray, k: int) -> None:
+    """Step every row of a `pcg64_states` array k times, in place."""
+    mult, plus = _lcg_jump(k)
+    hi, lo, inc_hi, inc_lo = states.T
+    add_hi, add_lo = _muladd128(inc_hi, inc_lo, plus, _U0, _U0)
+    states[:, 0], states[:, 1] = _muladd128(hi, lo, mult, add_hi, add_lo)
+
+
+def _lockstep_random(states: np.ndarray, width: int) -> np.ndarray:
+    """`width` uniforms of every row of `states`, all rows stepped at once.
+
+    Each step runs every row's LCG in uint64 limbs, then PCG64's XSL-RR
+    output (the xor of the new state's words, rotated right by its top six
+    bits) and ``Generator.random``'s (x >> 11)·2^-53.  Advances `states` in
+    place and returns a (rows, width) array.
+    """
+    hi, lo, inc_hi, inc_lo = states.T.copy()
+    u = np.empty((width, len(states)))
+    for draws in u:
+        hi, lo = _muladd128(hi, lo, _PCG64_MULT, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        x = (x >> rot) | (x << ((_U64 - rot) & _U63))  # no shift by 64 when rot = 0
+        np.multiply(x >> _U11, 2.0**-53, out=draws)
+    states[:, 0], states[:, 1] = hi, lo
+    return u.T
+
+
+def _per_row_random(gen: np.random.Generator, states: np.ndarray, width: int) -> np.ndarray:
+    """`width` uniforms of every row of `states`, one row at a time through `gen`.
+
+    Each row's state is assigned to gen's PCG64 before its draw.  `states`
+    is left as it was (`_advance_states` catches it up).  Returns a
+    (rows, width) array.
+    """
+    bitgen = gen.bit_generator
+    u = np.empty((len(states), width))
+    for row, state in zip(u, map(_pcg64_state, states)):
+        bitgen.state = state
+        gen.random(out=row)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -469,43 +545,45 @@ class _ChainLaw(_UniformLaw):
         return self._labels[seq], seq[:, -1].copy()
 
 
+#: Rows per uniform drawn from which a take steps its rows in lockstep.
+LOCKSTEP_ROWS_PER_DRAW = 16
+
+
 class BatchSource:
     """Increments of seeded walks that share one law, a (rows, k) block at a time.
 
     Row j replays ``make_walk(config, seed=seeds[j])`` bit for bit from
-    ``states = pcg64_states(seeds)``.  Every row draws from one reused PCG64:
-    a row's state is assigned to it just before the row's draw, so each
-    uniform is numpy's own ``Generator.random``.  A batch drawn in one
-    ``take(k, last=True)`` builds each row's state dict just before the
-    draw and drops it after.  Otherwise every take keeps each row's state
-    after its draw for the next take.  A take after a ``last=True`` one
-    raises, as the states are gone.
+    ``states = pcg64_states(seeds)``; the batch keeps its own copy of that
+    array as its rows' only state.  Both draw paths give numpy's own
+    ``Generator.random`` uniforms.  A take that draws w uniforms a row from
+    at least ``LOCKSTEP_ROWS_PER_DRAW * w`` rows steps every row's PCG64 at
+    once in numpy: its cost is some 30 numpy calls per draw, shared by the
+    rows.  Any other take assigns each row's state to one reused PCG64 in
+    turn, a fixed cost per row, and draws the row with ``Generator.random``;
+    the next take, if any, first jumps the states ahead by the draws made.
+    In a chunk of 2^16 cells, lockstep runs for rows of at most 63 draws.
     """
 
     def __init__(self, law: _UniformLaw, states: np.ndarray):
         self._law = law
-        self._states = states
-        self._held: Optional[list] = None
+        self._states = np.array(states, dtype=np.uint64)
         self._bitgen = np.random.PCG64(0)  # each row assigns its own state
         self._gen = np.random.Generator(self._bitgen)
         self._carry: Optional[np.ndarray] = None
-        self._ended = False
+        self._lag = 0  # draws the states are behind the rows
 
-    def take(self, k: int, last: bool = False) -> np.ndarray:
-        if self._ended:
-            raise RuntimeError("batch already ended by a take with last=True")
-        self._ended = last
+    def take(self, k: int) -> np.ndarray:
         first = self._carry is None
         head = self._law.head if first else 0
-        states = map(_pcg64_state, self._states) if first else self._held
-        u = np.empty((len(self._states), head + k))
-        held = []
-        for row, state in zip(u, states):
-            self._bitgen.state = state
-            self._gen.random(out=row)
-            if not last:
-                held.append(self._bitgen.state)
-        self._held = held
+        width = head + k
+        if self._lag:
+            _advance_states(self._states, self._lag)
+        if len(self._states) >= LOCKSTEP_ROWS_PER_DRAW * width:
+            u = _lockstep_random(self._states, width)
+            self._lag = 0
+        else:
+            u = _per_row_random(self._gen, self._states, width)
+            self._lag = width
         if first:
             self._carry = self._law.start(u[:, :head])
         inc, self._carry = self._law.steps(u[:, head:], self._carry)

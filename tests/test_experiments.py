@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rangewalk.experiments import (
     AggregateReport,
     MetricAggregate,
     TrialSpec,
+    _aggregate,
     compare,
     estimate_no_return,
     exact_range_speed,
@@ -127,6 +129,19 @@ class TestRunTrials:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "trial,metric,value"
         assert lines[1] == "0,range_speed,1.25"
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7])
+    def test_aggregate_sums_exactly_on_both_sides_of_the_int64_bound(self, t):
+        # t·max|v|^2 = INT64_MAX at most (int64 sums), then just past it (Python ints).
+        edge = math.isqrt(INT64_MAX // t)
+        for peak in (edge, edge + 1):
+            values = np.resize(np.array([-peak, peak, peak // 3], dtype=np.int64), t)
+            ints = values.tolist()
+            s1, s2 = sum(ints), sum(v * v for v in ints)
+            var = (s2 * t - s1 * s1) / (t * (t - 1)) / 49 if t > 1 else 0.0
+            got = _aggregate(values, 7)
+            assert got.mean == s1 / (t * 7)
+            assert got.stddev == math.sqrt(max(var, 0.0))
 
     def test_ergodic_chain_theory_attached(self):
         spec = TrialSpec(

@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangewalk.core import validate_increment_bound
 from rangewalk.generators import (
+    LOCKSTEP_ROWS_PER_DRAW,
+    _PCG64_MULT,
     BatchSource,
     DegeneratePlanError,
     MarkovIncrementChain,
     ReducibleChainError,
     ZigzagPlan,
+    _advance_states,
     _ChainLaw,
     _gather_states,
     _pcg64_state,
@@ -54,6 +57,14 @@ class TestSeeding:
 # seeds below 2^32 hash as one uint32 word, the rest as two.
 _EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
 _seeds = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+
+# A batch of _ROWS rows draws takes of up to _T uniforms a row in lockstep,
+# longer ones row by row; these widths lie on both sides of that bound.
+_T = 5
+_ROWS = LOCKSTEP_ROWS_PER_DRAW * _T
+_STRADDLE = [_T - 1, _T, _T + 1, 2 * _T]
+_widths = st.lists(st.integers(1, 40) | st.sampled_from(_STRADDLE), min_size=1, max_size=3)
+_MASK64 = 2**64 - 1
 
 
 class _RawUniforms:
@@ -107,13 +118,55 @@ class TestBulkSeeding:
     def test_pcg64_states_equal_pcg64(self, seeds):
         self._check_states(seeds)
 
-    @given(_seeds, st.integers(1, 40), st.sampled_from([1, 2]))
+    @given(_seeds, _widths, st.booleans())
+    @example([0, 2**64 - 1], [_T + 5, 3], True)
+    @example([0, 2**64 - 1], [2, _T + 1, 1], True)
     @settings(max_examples=30)
-    def test_rows_equal_generator_random(self, seeds, k, takes):
+    def test_rows_equal_generator_random(self, seeds, widths, fill):
+        if fill:
+            seeds = seeds + mix_seeds(0, len(seeds), _ROWS).tolist()
         batch = BatchSource(_RawUniforms(), pcg64_states(seeds))
-        u = np.concatenate([batch.take(k, last=t == takes - 1) for t in range(takes)], axis=1)
+        u = np.concatenate([batch.take(k) for k in widths], axis=1)
         for seed, row in zip(seeds, u):
-            assert np.array_equal(row, np.random.Generator(np.random.PCG64(seed)).random(k * takes))
+            want = np.random.Generator(np.random.PCG64(seed)).random(sum(widths))
+            assert np.array_equal(row, want)
+
+    @staticmethod
+    def _edge_states() -> np.ndarray:
+        """Rows at the 128-bit edges, and rows whose first draw rotates by 0 and 63."""
+        top, inv = 2**128 - 1, pow(_PCG64_MULT, -1, 2**128)
+        rows = [(top, top), (top - 1, top), (2**64 - 1, 2**64 + 1), (0, 1), (2**64, top - 2)]
+        inc = 2**128 - 2**64 + 1  # the low word's add carries into the high word
+        for rot in (0, 63):
+            for low in (0, 2**64 - 1):
+                after = rot << 122 | low  # the state of the first draw
+                rows.append(((after - inc) * inv % 2**128, inc))
+        return np.array(
+            [[s >> 64, s & _MASK64, c >> 64, c & _MASK64] for s, c in rows], dtype=np.uint64
+        )
+
+    @pytest.mark.parametrize("widths", [(3,), (64,), (65,), (3, 65, 2)])
+    def test_edge_states_equal_generator_random(self, widths):
+        # Copies of the edge rows, enough that takes of up to 64 draws run in lockstep.
+        edge = self._edge_states()
+        states = np.tile(edge, (-(-LOCKSTEP_ROWS_PER_DRAW * 64 // len(edge)), 1))
+        batch = BatchSource(_RawUniforms(), states)
+        u = np.concatenate([batch.take(k) for k in widths], axis=1)
+        for row, got in zip(edge, u):
+            gen = np.random.Generator(np.random.PCG64())
+            gen.bit_generator.state = _pcg64_state(row)
+            assert np.array_equal(got, gen.random(sum(widths)))
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 2**16, 2**40 + 3, 2**128 - 1])
+    def test_jump_equals_pcg64_advance(self, k):
+        states = np.concatenate([self._edge_states(), pcg64_states(_EDGE_SEEDS)])
+        jumped = states.copy()
+        _advance_states(jumped, k)
+        for row, got in zip(states, jumped):
+            bitgen = np.random.PCG64()
+            bitgen.state = _pcg64_state(row)
+            bitgen.advance(k)
+            assert _pcg64_state(got) == bitgen.state
 
     def test_empty_batch(self):
         assert pcg64_states(mix_seeds(0, 5, 5)).shape == (0, 4)
@@ -590,18 +643,20 @@ _LAW_CONFIGS = [
 
 class TestBatchSource:
     @pytest.mark.parametrize("config", _LAW_CONFIGS, ids=lambda c: c.get("preset", "srw"))
-    @pytest.mark.parametrize("rows", [1, 5])
-    @pytest.mark.parametrize("widths", [(24,), (3, 1, 20)])
+    @pytest.mark.parametrize("rows", [1, 5, _ROWS])
+    # A chain's law draws one more uniform in its first take (head = 1).
+    @pytest.mark.parametrize(
+        "widths",
+        [(24,), (3, 1, 20)] + [(k,) for k in _STRADDLE] + [(_T + 5, 3), (2, _T + 1, 1)],
+    )
     def test_rows_replay_their_streams(self, config, rows, widths):
-        config = dict(config, steps=24)
+        steps = sum(widths)
+        config = dict(config, steps=steps)
         seeds = [mix_seed(4, i) for i in range(rows)]
         batch = BatchSource(uniform_law(make_walk(config, seed=0)), pcg64_states(seeds))
-        last = len(widths) - 1
-        inc = np.concatenate(
-            [batch.take(k, last=j == last) for j, k in enumerate(widths)], axis=1
-        )
+        inc = np.concatenate([batch.take(k) for k in widths], axis=1)
         for seed, row in zip(seeds, inc):
-            path = make_walk(config, seed=seed).path_array(24)
+            path = make_walk(config, seed=seed).path_array(steps)
             assert np.array_equal(row, np.diff(path))
 
     @pytest.mark.parametrize(
@@ -614,14 +669,6 @@ class TestBatchSource:
         walk = make_walk(dict(config, steps=60), seed=3)
         whole = walk.clone().path_array(60)
         assert np.array_equal(np.concatenate(list(walk.blocks(60, block_size=2))), whole)
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_no_take_after_the_last(self, rows):
-        law = uniform_law(make_walk({"gen": "srw", "p": 0.5, "steps": 4}, seed=0))
-        batch = BatchSource(law, pcg64_states([mix_seed(4, i) for i in range(rows)]))
-        batch.take(4, last=True)
-        with pytest.raises(RuntimeError):
-            batch.take(4)
 
     def test_law_is_built_once_per_walk(self):
         walk = make_walk({"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 4}, seed=0)
