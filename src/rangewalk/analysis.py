@@ -558,9 +558,10 @@ class ExcursionCheck:
 def check_excursion_bound(stream: WalkStream, horizon: int) -> ExcursionCheck:
     """Check |x_n| <= (tau_k - tau_{k-1}) / 2 within each complete excursion.
 
-    Also checks the chained form 2 |x_n| tau_{k-1} <= n (tau_k - tau_{k-1})
-    for n >= tau_{k-1} >= 1.  Requires d = 1, x_0 = 0, and at least two zero
-    visits within the horizon (else :class:`ClassRAssumptionError`).
+    Exact in integers for any int64 path.  The chained form
+    2 |x_n| tau_{k-1} <= n (tau_k - tau_{k-1}) follows, since n >= tau_{k-1}.
+    Requires d = 1, x_0 = 0, and at least two zero visits within the horizon
+    (else :class:`ClassRAssumptionError`).
     """
     if stream.d != 1:
         raise ValueError("excursion check requires d = 1")
@@ -576,16 +577,12 @@ def check_excursion_bound(stream: WalkStream, horizon: int) -> ExcursionCheck:
     last = int(zeros[-1])
     gaps = np.diff(zeros)
     ids = np.repeat(np.arange(gaps.size), gaps)
-    starts = zeros[:-1][ids]
-    ends = zeros[1:][ids]
-    n = np.arange(last, dtype=np.int64)
-    absx = np.abs(x[:last])
-    bad = 2 * absx > (ends - starts)
-    chained_mask = starts >= 1
-    bad |= chained_mask & (2 * absx * starts > n * (ends - starts))
+    absx = np.abs(x[:last]).view(np.uint64)  # exact at x = -2^63 too
+    half = (gaps // 2).astype(np.uint64)
+    bad = absx > half[ids]  # 2|x| > gap, in integers
     first = int(np.argmax(bad)) if bad.any() else None
     peaks = np.maximum.reduceat(absx, zeros[:-1])
-    tight = int(np.count_nonzero(2 * peaks == gaps))
+    tight = int(np.count_nonzero((peaks == half) & (gaps % 2 == 0)))
     return ExcursionCheck(
         first_violation=first,
         n_excursions=int(gaps.size),

@@ -1,15 +1,17 @@
 """Monte Carlo harness: independent seeded trials, exact aggregation, theory targets.
 
 Trial i draws the PCG64 stream of ``make_walk(config, seed=mix_seed(master_seed, i))``.
-`run_trials` runs the trials in chunks of ``max(1, CHUNK_CELLS // (horizon + 1))``:
-a chunk is one (trials, steps) uniform matrix, mapped to increments by the
-generator's uniform law and reduced with one cumsum and per-row lowest, highest
-and last positions.  Rows are seeded in bulk: the seeds of up to CHUNK_CELLS
-trials at a time (whole chunks) go through `mix_seeds` and `pcg64_states` at
-once, which give each trial's PCG64 state as numpy's own ``PCG64(seed)`` would,
-and each chunk draws its rows through `BatchSource`, numpy's own uniforms.
-Horizons beyond CHUNK_CELLS go in column blocks that carry those positions,
-so memory stays flat in the horizon.  `workers`
+`run_trials` and `estimate_no_return` run trials on one engine, in chunks of
+``max(1, CHUNK_CELLS // (horizon + 1))``: a chunk is one (trials, steps)
+uniform matrix, mapped to increments by the generator's uniform law and
+reduced with one cumsum and per-row lowest, highest and last positions and
+first-return times.  So a no-return estimate for srw(p) reads the very trials
+of ``mc`` on srw(p) with the same master seed.  Rows are seeded in bulk: the
+seeds of up to CHUNK_CELLS trials at a time (whole chunks) go through
+`mix_seeds` and `pcg64_states` at once, which give each trial's PCG64 state
+as numpy's own ``PCG64(seed)`` would, and each chunk draws its rows through
+`BatchSource`, numpy's own uniforms.  Horizons beyond CHUNK_CELLS go in column
+blocks that carry that state, so memory stays flat in the horizon.  `workers`
 schedules whole chunks on a thread pool, and results are reduced in
 trial-index order, so a report is byte-identical for any `workers`.
 A deterministic config, which runs one trial, goes through the range and
@@ -31,6 +33,7 @@ from .analysis import RangeTracker, _ExtremaTracker, _scan
 from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
     BatchSource,
+    _SignLaw,
     _parse_chain_preset,
     is_stochastic,
     make_walk,
@@ -135,28 +138,37 @@ class AggregateReport:
 class _Extremes:
     """Carried per-row state of stochastic walks from x_0 = 0 (d = 1, m = 1).
 
-    Holds each row's lowest, highest and last position and whether it has
-    revisited 0, which give R_N (interval mode), X_N, M_N and the
-    no-return indicator.
+    Holds each row's lowest, highest and last position and its first-return
+    time (the first n >= 1 with x_n = 0, or 0 for none), which give R_N
+    (interval mode), X_N, M_N and the no-return indicator.
     """
 
     def __init__(self, rows: int):
         self.lo = np.zeros(rows, dtype=np.int64)
         self.hi = np.zeros(rows, dtype=np.int64)
         self.last = np.zeros(rows, dtype=np.int64)
-        self.returned = np.zeros(rows, dtype=bool)
+        self.first = np.zeros(rows, dtype=np.int64)
+        self.done = 0
 
     def advance(self, inc: np.ndarray) -> None:
-        """Walk every row on by its row of a (rows, k) block of unit increments."""
+        """Walk every row on by its row of a (rows, k) block of unit increments.
+
+        The block is overwritten with the positions.
+        """
         # The same exact guard as WalkStream.blocks: no position can wrap.
         extent = max(-int(self.last.min()), int(self.last.max()))
         if extent + inc.shape[1] > INT64_MAX:
             raise CoordinateOverflowError("walk left the signed 64-bit coordinate range")
-        pos = np.cumsum(inc, axis=1)
+        pos = np.cumsum(inc, axis=1, out=inc)
         pos += self.last[:, None]
         np.minimum(self.lo, pos.min(axis=1), out=self.lo)
         np.maximum(self.hi, pos.max(axis=1), out=self.hi)
-        self.returned |= (pos == 0).any(axis=1)
+        # Column j holds x_{done + j + 1}, so x_0 is never a return.
+        hit = pos == 0
+        at = hit.argmax(axis=1)
+        new = hit[np.arange(len(at)), at] & (self.first == 0)
+        self.first[new] = self.done + 1 + at[new]
+        self.done += inc.shape[1]
         self.last = pos[:, -1].copy()
 
     def counts(self) -> dict:
@@ -165,17 +177,39 @@ class _Extremes:
             "final_abs": np.abs(self.last),
             "final_signed": self.last,
             "max_disp": np.maximum(self.hi, -self.lo),
-            "no_return": (~self.returned).astype(np.int64),
+            "no_return": (self.first == 0).astype(np.int64),
+            "first_return": self.first,
         }
 
 
-def _chunk_counts(law, states: np.ndarray, horizon: int) -> dict:
-    """Counts of one chunk of stochastic trials, one row per PCG64 state."""
-    source = BatchSource(law, states)
-    state = _Extremes(len(states))
-    for done in range(0, horizon, CHUNK_CELLS):
-        state.advance(source.take(min(CHUNK_CELLS, horizon - done)))
-    return state.counts()
+def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: int = 1) -> dict:
+    """`_Extremes` counts of trials 0..trials-1 of one law, in trial order.
+
+    `workers` schedules whole chunks on a pool of at most one thread a chunk.
+    """
+    rows = max(1, CHUNK_CELLS // (horizon + 1))
+    # Seeding has a fixed cost, so whole runs of chunks are seeded at once.
+    span = rows * max(1, CHUNK_CELLS // rows)
+
+    def slices():
+        for start in range(0, trials, span):
+            states = pcg64_states(mix_seeds(master_seed, start, min(start + span, trials)))
+            yield [states[i : i + rows] for i in range(0, len(states), rows)]
+
+    def one(states):
+        source = BatchSource(law, states)
+        state = _Extremes(len(states))
+        for done in range(0, horizon, CHUNK_CELLS):
+            state.advance(source.take(min(CHUNK_CELLS, horizon - done)))
+        return state.counts()
+
+    n_chunks = -(-trials // rows)
+    if workers > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            parts = [part for chunks in slices() for part in pool.map(one, chunks)]
+    else:
+        parts = [one(chunk) for chunks in slices() for chunk in chunks]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def _walk_counts(stream: WalkStream, horizon: int) -> dict:
@@ -267,27 +301,7 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
     if not is_stochastic(cfg):  # TrialSpec allows these one trial only
         counts = _walk_counts(walk, n)
     else:
-        law = uniform_law(walk)
-        rows = max(1, CHUNK_CELLS // (n + 1))
-        # Seeding has a fixed cost, so whole runs of chunks are seeded at once.
-        span = rows * max(1, CHUNK_CELLS // rows)
-
-        def slices():
-            for start in range(0, spec.trials, span):
-                seeds = mix_seeds(spec.master_seed, start, min(start + span, spec.trials))
-                states = pcg64_states(seeds)
-                yield [states[i : i + rows] for i in range(0, len(states), rows)]
-
-        def one(states):
-            return _chunk_counts(law, states, n)
-
-        n_chunks = -(-spec.trials // rows)
-        if workers > 1 and n_chunks > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-                parts = [part for chunks in slices() for part in pool.map(one, chunks)]
-        else:
-            parts = [one(chunk) for chunks in slices() for chunk in chunks]
-        counts = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        counts = _chunked_counts(uniform_law(walk), n, spec.trials, spec.master_seed, workers)
 
     series = {
         "range_speed": (counts["range"], n),
@@ -378,18 +392,6 @@ class NoReturnEstimate:
         return tuple(1 if t is None or t > h else 0 for t in self.first_returns)
 
 
-def _first_return(stream: WalkStream, horizon: int) -> Optional[int]:
-    done = 0
-    for block in stream.blocks(horizon, block_size=4096):
-        hits = block == 0
-        if done == 0:
-            hits[0] = False
-        if hits.any():
-            return done + int(np.argmax(hits))
-        done += block.shape[0]
-    return None
-
-
 def estimate_no_return(
     p: float,
     horizon: int,
@@ -400,7 +402,9 @@ def estimate_no_return(
     """Fraction of trials with no zero visit in [1, horizon].
 
     When `horizons` is given (each in [1, horizon]) the same trials also
-    yield the frequency at every nested horizon.
+    yield the frequency at every nested horizon.  The trials run on
+    `run_trials`' chunks and seeds: trial i is trial i of ``mc`` on srw(p)
+    with this master seed, so `frequency` is its ``no_return`` mean.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -411,19 +415,13 @@ def estimate_no_return(
     nested = tuple(sorted(int(h) for h in horizons)) if horizons else None
     if nested and not (1 <= nested[0] and nested[-1] <= horizon):
         raise ValueError(f"nested horizons must lie in [1, {horizon}], got {list(nested)}")
-    first_returns = []
-    for i in range(trials):
-        stream = make_walk({"gen": "srw", "p": p, "steps": horizon}, seed=mix_seed(master_seed, i))
-        first_returns.append(_first_return(stream, horizon))
+    first = _chunked_counts(_SignLaw(p), horizon, trials, master_seed)["first_return"]
 
     def freq_at(h: int) -> float:
-        survived = sum(1 for t in first_returns if t is None or t > h)
-        return survived / trials
+        return int(np.count_nonzero((first == 0) | (first > h))) / trials
 
     freqs = tuple(freq_at(h) for h in nested) if nested else None
-    monotone = None
-    if nested:
-        monotone = all(a >= b for a, b in zip(freqs, freqs[1:]))
+    monotone = all(a >= b for a, b in zip(freqs, freqs[1:])) if nested else None
     return NoReturnEstimate(
         p=p,
         horizon=horizon,
@@ -433,7 +431,7 @@ def estimate_no_return(
         horizons=nested,
         frequencies=freqs,
         per_trial_monotone=monotone,
-        first_returns=tuple(first_returns),
+        first_returns=tuple(t or None for t in first.tolist()),
     )
 
 

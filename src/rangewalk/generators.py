@@ -462,9 +462,9 @@ class _UniformLaw:
     The map works on a (rows, k) array of uniforms, one row per walk, and
     an int64 carry per row.  A row draws `head` uniforms before its first
     step (a chain's initial state), which `start` turns into the first
-    carry; `steps` maps the next k uniforms of every row to increments and
-    returns the new carry.  A streamed walk is the one-row case of a batch
-    of trials, so both run this one map.
+    carry; `steps` maps the next k uniforms of every row to increments (it
+    may write them over the uniforms) and returns the new carry.  A streamed
+    walk is the one-row case of a batch of trials, so both run this one map.
     """
 
     head = 0
@@ -483,7 +483,11 @@ class _SignLaw(_UniformLaw):
         self._p = p
 
     def steps(self, u, carry):
-        return np.where(u < self._p, 1, -1).astype(np.int64), carry
+        # 2·[u < p] − 1, written over u: a fresh array this size page-faults anew.
+        inc = np.less(u, self._p, out=u.view(np.int64))
+        inc *= 2
+        inc -= 1
+        return inc, carry
 
 
 class _LazyLaw(_UniformLaw):

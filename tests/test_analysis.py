@@ -712,6 +712,55 @@ class TestExcursionBound:
         assert chk.last_zero == 54
         assert chk.horizon == 100
 
+    def test_huge_step_is_a_violation(self):
+        # 2|x_1| = 2^63 wrapped to -2^63 and passed the plain bound.
+        chk = check_excursion_bound(walk_from_path([0, 2**62, 0]), 2)
+        assert chk.first_violation == 1
+        assert chk.peaks == (2**62,)
+
+    def test_int64_min_peak_is_exact(self):
+        # np.abs(-2^63) is -2^63 in int64: the peak read 2^62.
+        chk = check_excursion_bound(walk_from_path([0, -(2**62), -(2**63), -(2**62), 0]), 4)
+        assert chk.first_violation == 1
+        assert chk.peaks == (2**63,)
+        assert chk.tight == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.one_of(st.integers(1, 6), st.integers(1, 2**63)), min_size=0, max_size=6),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_python_int_oracle(self, excursions):
+        # Each excursion keeps one sign and only its inner points may be
+        # -2^63, so every step fits in int64.  The oracle checks the chained
+        # form too, which the checker derives.
+        path = [0]
+        for negative, sizes in excursions:
+            inner = range(1, len(sizes) - 1) if negative else ()
+            sizes = [v if j in inner else min(v, INT64_MAX) for j, v in enumerate(sizes)]
+            path += [-v if negative else v for v in sizes] + [0]
+        chk = check_excursion_bound(walk_from_path(path), len(path) - 1)
+        zeros = [n for n, x in enumerate(path) if x == 0]
+        first, peaks, gaps, tight = None, [], [], 0
+        for a, b in zip(zeros, zeros[1:]):
+            gap, peak = b - a, max(abs(x) for x in path[a:b])
+            bad = [n for n in range(a, b) if 2 * abs(path[n]) > gap
+                   or (a >= 1 and 2 * abs(path[n]) * a > n * gap)]
+            if bad and first is None:
+                first = bad[0]
+            peaks.append(peak)
+            gaps.append(gap)
+            tight += 2 * peak == gap
+        assert chk.first_violation == first
+        assert chk.peaks == tuple(peaks) and chk.gaps == tuple(gaps)
+        assert chk.tight == tight
+
 
 class TestTailEstimate:
     def test_constant_series(self):

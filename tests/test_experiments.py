@@ -265,6 +265,47 @@ class TestNoReturn:
         est = estimate_no_return(0.5, 10, 10, 0, horizons=(10, 1))
         assert est.horizons == (1, 10) and est.frequencies[1] == est.frequency
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.integers(1, 300),
+        st.integers(1, 50),
+        st.integers(2, 1024),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    def test_matches_per_trial_oracle(self, p, horizon, trials, cells, master, data):
+        # A small cell budget puts returns on chunk edges and column-block edges.
+        nested = data.draw(st.lists(st.integers(1, horizon), max_size=4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(E, "CHUNK_CELLS", cells)
+            est = estimate_no_return(p, horizon, trials, master, horizons=nested)
+        config = {"gen": "srw", "p": p, "steps": horizon}
+        _, first = _oracle_per_trial(config, horizon, trials, master)
+        assert est.first_returns == tuple(first)
+
+        def freq(h):
+            return sum(t is None or t > h for t in first) / trials
+
+        assert est.frequency == freq(horizon)
+        expected = tuple(freq(h) for h in sorted(nested)) if nested else None
+        assert est.frequencies == expected
+
+    @pytest.mark.parametrize(
+        "p,horizon,trials,seed",
+        [(0.7, 100, 500, 3), (0.5, 1000, 64, 11), (0.5, 10, 7, 2**64 - 1), (0.0, 5, 3, 0)],
+    )
+    def test_frequency_is_run_trials_no_return(self, p, horizon, trials, seed):
+        est = estimate_no_return(p, horizon, trials, seed)
+        spec = TrialSpec(
+            config={"gen": "srw", "p": p, "steps": horizon},
+            horizon=horizon,
+            metrics=("no_return",),
+            trials=trials,
+            master_seed=seed,
+        )
+        assert est.frequency == run_trials(spec).per_metric["no_return"].mean
+
 
 class TestExactRangeSpeed:
     def test_frozen_values(self):
@@ -342,17 +383,23 @@ def test_report_matches_golden_digest(config, horizon, trials, digest):
 
 
 def _oracle_per_trial(config, horizon, trials, master):
-    """Per-trial values from each trial's own stream, in Python ints and a set."""
+    """Per-trial values and first-return times from each trial's own stream.
+
+    Returns run_trials' ``per_trial`` dict, in Python ints and a set, and
+    each trial's first n >= 1 with x_n = 0 (None if there is none).
+    """
     out = {name: [] for name in ("range_speed", "walk_speed", "no_return", "max_speed")}
     out["walk_speed_signed"] = []
+    first_returns = []
     for i in range(trials):
         path = make_walk(config, seed=mix_seed(master, i)).path_array(horizon).tolist()
+        first_returns.append(path.index(0, 1) if 0 in path[1:] else None)
         out["range_speed"].append(len(set(path)) / horizon)
         out["walk_speed"].append(abs(path[-1]) / horizon)
         out["walk_speed_signed"].append(path[-1] / horizon)
         out["max_speed"].append(max(abs(x) for x in path) / horizon)
         out["no_return"].append((0 if 0 in path[1:] else 1) / 1)
-    return out
+    return out, first_returns
 
 
 _unit = st.floats(0.01, 0.99)
@@ -386,7 +433,7 @@ class TestChunkedTrials:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(E, "CHUNK_CELLS", cells)
             report = run_trials(spec, workers=workers, keep_trials=True)
-        assert report.per_trial == _oracle_per_trial(config, horizon, trials, master)
+        assert report.per_trial == _oracle_per_trial(config, horizon, trials, master)[0]
 
     def test_runs_of_chunks_share_one_seeding(self, monkeypatch):
         # 4 trials of N = 10 a chunk, 11 chunks (44 trials) seeded at once.
@@ -402,7 +449,7 @@ class TestChunkedTrials:
         spec = TrialSpec(config=config, horizon=10, trials=100, master_seed=5)
         report = run_trials(spec, keep_trials=True)
         assert seeded == [44, 44, 12]
-        assert report.per_trial == _oracle_per_trial(config, 10, 100, 5)
+        assert report.per_trial == _oracle_per_trial(config, 10, 100, 5)[0]
 
     def test_each_chunk_draws_from_its_own_bit_generator(self, monkeypatch):
         # Two threads run chunks at once; a shared generator would mix rows.
@@ -418,7 +465,7 @@ class TestChunkedTrials:
         config = {"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 10}
         spec = TrialSpec(config=config, horizon=10, trials=200, master_seed=9)
         report = run_trials(spec, workers=2, keep_trials=True)
-        assert report.per_trial == _oracle_per_trial(config, 10, 200, 9)
+        assert report.per_trial == _oracle_per_trial(config, 10, 200, 9)[0]
         assert len(made) == 50
         assert len({id(batch._bitgen) for batch in made}) == 50
 
