@@ -713,13 +713,13 @@ class TestExcursionBound:
         assert chk.horizon == 100
 
     def test_huge_step_is_a_violation(self):
-        # 2|x_1| = 2^63 wrapped to -2^63 and passed the plain bound.
+        # 2|x_1| = 2^63 does not fit in int64.
         chk = check_excursion_bound(walk_from_path([0, 2**62, 0]), 2)
         assert chk.first_violation == 1
         assert chk.peaks == (2**62,)
 
     def test_int64_min_peak_is_exact(self):
-        # np.abs(-2^63) is -2^63 in int64: the peak read 2^62.
+        # np.abs(-2^63) is -2^63 in int64.
         chk = check_excursion_bound(walk_from_path([0, -(2**62), -(2**63), -(2**62), 0]), 4)
         assert chk.first_violation == 1
         assert chk.peaks == (2**63,)

@@ -393,12 +393,13 @@ def _oracle_per_trial(config, horizon, trials, master):
     first_returns = []
     for i in range(trials):
         path = make_walk(config, seed=mix_seed(master, i)).path_array(horizon).tolist()
-        first_returns.append(path.index(0, 1) if 0 in path[1:] else None)
+        first = path.index(0, 1) if 0 in path[1:] else None
+        first_returns.append(first)
         out["range_speed"].append(len(set(path)) / horizon)
         out["walk_speed"].append(abs(path[-1]) / horizon)
         out["walk_speed_signed"].append(path[-1] / horizon)
         out["max_speed"].append(max(abs(x) for x in path) / horizon)
-        out["no_return"].append((0 if 0 in path[1:] else 1) / 1)
+        out["no_return"].append((1 if first is None else 0) / 1)
     return out, first_returns
 
 
