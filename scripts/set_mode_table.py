@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python scripts/set_mode_table.py [--horizons 20 22 23] [--seed 1]
 
-Two walks, each at horizons 2^k: a random unit walk on Z^2 streamed from
-PCG64 (no path is held in memory; it revisits, so its box is several times
-its range and it may fall back to sorted keys) and `spiral2d` (every point
-new).  Each cell runs in a fresh Python process, so its peak RSS (ru_maxrss)
-is that analysis alone on top of the interpreter and numpy.  Prints a
+Three walks, each at horizons 2^k: random unit walks on Z^2 and Z^3
+streamed from PCG64 (no path is held in memory; they revisit, so their box
+is several times their range and they may fall back to sorted keys) and
+`spiral2d` (every point new).  Each cell runs in a fresh Python process, so
+its peak RSS (ru_maxrss) is that analysis alone on top of the interpreter
+and numpy.  Prints a
 Markdown table: wall time, ns per step and peak RSS of each cell.
 """
 
@@ -23,24 +24,28 @@ import numpy as np
 
 from rangewalk import WalkMetadata, WalkStream, analyze_stream, make_walk
 
-_DIRS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
+#: The unit directions of each random walk: +-e_i on every axis.
+_DIRS = {name: np.concatenate([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
+         for name, d in (("rw2d", 2), ("rw3d", 3))}
 
 
-class _UnitSteps2d:
-    """Uniform unit steps on Z^2, one PCG64 draw a step."""
+class _UnitSteps:
+    """Uniform unit steps on Z^d, one PCG64 draw a step."""
 
-    def __init__(self, seed: int):
+    def __init__(self, dirs: np.ndarray, seed: int):
+        self._dirs = dirs
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
     def take(self, k: int) -> np.ndarray:
-        return _DIRS[self._rng.integers(0, 4, size=k)]
+        return self._dirs[self._rng.integers(0, len(self._dirs), size=k)]
 
 
 def walk(name: str, steps: int, seed: int) -> WalkStream:
     if name == "spiral2d":
         return make_walk({"gen": "spiral2d", "steps": steps})
-    meta = WalkMetadata("rw2d", {"steps": steps}, seed, m=1, d=2)
-    return WalkStream(meta, lambda: _UnitSteps2d(seed))
+    dirs = _DIRS[name]
+    meta = WalkMetadata(name, {"steps": steps}, seed, m=1, d=dirs.shape[1])
+    return WalkStream(meta, lambda: _UnitSteps(dirs, seed))
 
 
 def cell(name: str, steps: int, seed: int) -> dict:
@@ -62,18 +67,18 @@ def main() -> None:
     if args.cell:
         print(json.dumps(cell(args.cell[0], int(args.cell[1]), args.seed)))
         return
-    print("| horizon | random 2-D unit walk | `spiral2d` |")
-    print("|---|---|---|")
+    print("| horizon | random 2-D unit walk | random 3-D unit walk | `spiral2d` |")
+    print("|---|---|---|---|")
     for k in args.horizons:
         steps = 1 << k
         texts = []
-        for name in ("rw2d", "spiral2d"):
+        for name in ("rw2d", "rw3d", "spiral2d"):
             argv = [sys.executable, __file__, "--seed", str(args.seed), "--cell", name, str(steps)]
             out = subprocess.run(argv, check=True, capture_output=True, text=True)
             res = json.loads(out.stdout)
             ns = res["wall_s"] / steps * 1e9
             texts.append(f"{res['wall_s']:.2f} s ({ns:.0f} ns/step), {res['rss_mb']:.0f} MB")
-        print(f"| 2^{k} | {texts[0]} | {texts[1]} |")
+        print(f"| 2^{k} | {' | '.join(texts)} |")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .analysis import RangeTracker, _ExtremaTracker, _scan
 from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
     BatchSource,
-    _SignLaw,
+    _IidLaw,
     _parse_chain_preset,
     is_stochastic,
     make_walk,
@@ -415,7 +415,7 @@ def estimate_no_return(
     nested = tuple(sorted(int(h) for h in horizons)) if horizons else None
     if nested and not (1 <= nested[0] and nested[-1] <= horizon):
         raise ValueError(f"nested horizons must lie in [1, {horizon}], got {list(nested)}")
-    first = _chunked_counts(_SignLaw(p), horizon, trials, master_seed)["first_return"]
+    first = _chunked_counts(_IidLaw((p,), (1, -1)), horizon, trials, master_seed)["first_return"]
 
     def freq_at(h: int) -> float:
         return int(np.count_nonzero((first == 0) | (first > h))) / trials

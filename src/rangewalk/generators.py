@@ -11,11 +11,15 @@ a 64-bit bijection; changing it would break report reproducibility.  A batch
 of trials is seeded in numpy: `pcg64_states` computes, for many seeds at once,
 the state that numpy's own ``PCG64(seed)`` starts from.
 
-A Markov increment chain turns each uniform into a map of its states, and
-`_gather_states` follows the maps in numpy, for every row of a batch in one
-call: identity maps are skipped, constant maps fix the state, and a
-two-level scan composes whatever is left, with a Python loop over one map
-per block of positions only.  The states equal the plain loop's.
+Every stochastic law maps a uniform u to the number of its cuts that u
+reaches (u >= cut), and that count picks the label.  The cuts are the
+cumulative weights without the last, ``cumsum(w)[:-1]``, so the count is the
+clipped ``searchsorted(cumsum(w), u, side="right")``.  A Markov increment
+chain has one row of cuts per state, so each uniform becomes a map of its
+states, and `_gather_states` follows the maps in numpy, for every row of a
+batch in one call: identity maps are skipped, constant maps fix the state,
+and a two-level scan composes whatever is left, with a Python loop over one
+map per block of positions only.  The states equal the plain loop's.
 """
 
 from __future__ import annotations
@@ -329,14 +333,12 @@ def stationary_distribution(transition) -> np.ndarray:
 class MarkovIncrementChain:
     """Finite-state chain whose states are walk increments in {-1, 0, +1}.
 
-    Started from its stationary distribution (the default) the sampled
-    increments form a stationary ergodic sequence with mean
-    ``sum(pi[s] * state[s])``.
+    Started from its stationary distribution the sampled increments form a
+    stationary ergodic sequence with mean ``sum(pi[s] * state[s])``.
     """
 
     states: tuple
     transition: np.ndarray
-    initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
         states = tuple(int(s) for s in self.states)
@@ -349,16 +351,8 @@ class MarkovIncrementChain:
             raise ValueError("transition size does not match the state list")
         if not _is_irreducible(p):
             raise ReducibleChainError("chain is reducible")
-        init = self.initial
-        if init is not None:
-            init = np.asarray(init, dtype=np.float64)
-            if init.shape != (len(states),):
-                raise ValueError("initial distribution has wrong length")
-            if np.any(init < 0) or abs(init.sum() - 1.0) > 1e-12:
-                raise ValueError("initial distribution must be a probability vector")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", p)
-        object.__setattr__(self, "initial", init)
 
     @property
     def n_states(self) -> int:
@@ -372,9 +366,6 @@ class MarkovIncrementChain:
     def drift(self) -> float:
         """Stationary mean increment."""
         return float(self.stationary @ np.asarray(self.states, dtype=np.float64))
-
-    def start_distribution(self) -> np.ndarray:
-        return self.stationary if self.initial is None else self.initial
 
     @classmethod
     def iid(cls, p_up: float, p_down: Optional[float] = None) -> "MarkovIncrementChain":
@@ -476,30 +467,29 @@ class _UniformLaw:
         raise NotImplementedError
 
 
-class _SignLaw(_UniformLaw):
-    """+1 below p, else -1: srw(p), and birth-death symmetric at p = 1/2."""
+class _IidLaw(_UniformLaw):
+    """I.i.d. increments: u maps to labels[j], j the number of `cuts` u reaches.
 
-    def __init__(self, p: float):
-        self._p = p
+    The cuts are nondecreasing and u reaches a cut when u >= cut.  srw(p) and
+    birth-death symmetric have cuts (p,) and labels (1, -1); lazy(alpha) has
+    cuts (alpha, alpha + (1 - alpha)/2) and labels (0, 1, -1).
+    """
+
+    def __init__(self, cuts: Sequence[float], labels: Sequence[int]):
+        self._cuts = tuple(cuts)
+        self._first = labels[0]
+        self._rises = np.diff(np.array(labels, dtype=np.int8))  # int8: rise * mask is 1 B a cell
 
     def steps(self, u, carry):
-        # 2·[u < p] − 1, written over u: a fresh array this size page-faults anew.
-        inc = np.less(u, self._p, out=u.view(np.int64))
-        inc *= 2
-        inc -= 1
+        *lower, last = self._cuts
+        reached = [u >= cut for cut in lower]
+        # The last compare is written over u: a fresh array this size page-faults anew.
+        inc = np.greater_equal(u, last, out=u.view(np.int64))
+        inc *= self._rises[-1]
+        inc += self._first
+        for rise, mask in zip(self._rises, reached):
+            inc += rise * mask
         return inc, carry
-
-
-class _LazyLaw(_UniformLaw):
-    """Increments 0 with probability alpha, else +-1 equally."""
-
-    def __init__(self, alpha: float):
-        self._alpha = alpha
-        self._up = alpha + (1.0 - alpha) / 2.0
-
-    def steps(self, u, carry):
-        out = np.where(u < self._alpha, 0, np.where(u < self._up, 1, -1))
-        return out.astype(np.int64), carry
 
 
 class _ReflectedLaw(_UniformLaw):
@@ -509,42 +499,45 @@ class _ReflectedLaw(_UniformLaw):
     with exactly these transition probabilities; the carry is S_n.
     """
 
+    _signs = _IidLaw((0.5,), (1, -1))
+
     def steps(self, u, carry):
-        s = np.cumsum(np.where(u < 0.5, 1, -1).astype(np.int64), axis=1)
+        s, _ = self._signs.steps(u, carry)
+        np.cumsum(s, axis=1, out=s)
         s += carry[:, None]
-        a = np.abs(s)
-        out = np.empty_like(a)
-        out[:, 0] = a[:, 0] - np.abs(carry)
-        np.subtract(a[:, 1:], a[:, :-1], out=out[:, 1:])
-        return out, s[:, -1].copy()
+        last = s[:, -1].copy()
+        np.abs(s, out=s)
+        out = np.empty_like(s)
+        out[:, 0] = s[:, 0] - np.abs(carry)
+        np.subtract(s[:, 1:], s[:, :-1], out=out[:, 1:])
+        return out, last
 
 
 class _ChainLaw(_UniformLaw):
     """A Markov increment chain; the carry is the current state.
 
-    Uniform u moves state s to the first state whose cumulative transition
-    weight from s exceeds u.  `steps` builds that map for every position of
-    every row and follows all rows in one `_gather_states` call, each from
-    its own carry.
+    Uniform u moves state s to the number of cuts of ``cumsum(P[s])[:-1]``
+    it reaches, as `_IidLaw` counts them; the start state counts the cuts of
+    the stationary distribution's cumulative sum the same way.  `steps`
+    builds that map for every position of every row, one compare per cut
+    column for all states at once, and follows all rows in one
+    `_gather_states` call, each from its own carry.
     """
 
     head = 1
 
     def __init__(self, chain: MarkovIncrementChain):
         self._labels = np.asarray(chain.states, dtype=np.int64)
-        self._cum = np.cumsum(chain.transition, axis=1)
-        self._cum_init = np.cumsum(chain.start_distribution())
+        self._cuts = np.cumsum(chain.transition, axis=1)[:, :-1]
+        self._start_cuts = np.cumsum(chain.stationary)[:-1]
 
     def start(self, u):
-        picked = np.searchsorted(self._cum_init, u[:, 0], side="right")
-        return np.minimum(picked, len(self._cum_init) - 1)
+        return np.count_nonzero(u[:, :1] >= self._start_cuts, axis=1)
 
     def steps(self, u, carry):
-        n_states = self._cum.shape[0]
-        nxt = np.empty((n_states,) + u.shape, dtype=np.int64)
-        for s in range(n_states):
-            nxt[s] = np.searchsorted(self._cum[s], u, side="right")
-        np.minimum(nxt, n_states - 1, out=nxt)
+        nxt = np.zeros(self._cuts.shape[:1] + u.shape, dtype=np.int64)
+        for cut in self._cuts.T:
+            nxt += u >= cut[:, None, None]
         seq = _gather_states(nxt, carry)
         return self._labels[seq], seq[:, -1].copy()
 
@@ -869,15 +862,14 @@ def gen_simple_rw(p: float, steps: int, seed: int) -> WalkStream:
         d=1,
         theoretical_drift=2.0 * p - 1.0,
     )
-    return WalkStream(meta, _Seeded(_SignLaw(p), seed))
+    return WalkStream(meta, _Seeded(_IidLaw((p,), (1, -1)), seed))
 
 
 def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> WalkStream:
     """Partial sums of a stationary finite-state Markov increment chain.
 
-    The chain starts from its stationary distribution unless an explicit
-    initial distribution was supplied, and the drift metadata is the
-    stationary mean increment either way.
+    The chain starts from its stationary distribution, and the drift
+    metadata is the stationary mean increment.
     """
     meta = WalkMetadata(
         generator_name="ergodic",
@@ -912,10 +904,10 @@ def _birth_death_law(preset: str, alpha: Optional[float] = None):
             raise ValueError("lazy preset needs alpha")
         if not (0.0 <= alpha < 1.0):
             raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-        return name, float(alpha), _LazyLaw(alpha)
+        return name, float(alpha), _IidLaw((alpha, alpha + (1.0 - alpha) / 2.0), (0, 1, -1))
     if alpha is not None:
         raise ValueError(f"{name} preset takes no alpha")
-    return name, None, _SignLaw(0.5) if name == "symmetric" else _ReflectedLaw()
+    return name, None, _IidLaw((0.5,), (1, -1)) if name == "symmetric" else _ReflectedLaw()
 
 
 def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] = None) -> WalkStream:
@@ -1072,12 +1064,15 @@ def gen_linear_drift(m: int, pattern: Sequence[int], steps: int) -> WalkStream:
 
 def _parse_chain_preset(preset: str) -> MarkovIncrementChain:
     name, _, arg = preset.partition(":")
-    if name == "switch":
-        a, b = (float(v) for v in arg.split(","))
-        return MarkovIncrementChain.two_state(a, b)
-    if name == "iid":
-        return MarkovIncrementChain.iid(float(arg))
-    raise ValueError(f"unknown ergodic preset {preset!r}")
+    try:
+        values = [float(v) for v in arg.split(",")]
+    except ValueError:
+        values = []
+    if name == "switch" and len(values) == 2:
+        return MarkovIncrementChain.two_state(*values)
+    if name == "iid" and len(values) == 1:
+        return MarkovIncrementChain.iid(*values)
+    raise ValueError(f"ergodic preset {preset!r} is not of the form switch:<a>,<b> or iid:<p>")
 
 
 def make_walk(config: dict, seed: Optional[int] = None) -> WalkStream:
@@ -1085,34 +1080,44 @@ def make_walk(config: dict, seed: Optional[int] = None) -> WalkStream:
 
     Recognized keys: gen, steps, seed, and per-generator parameters (p, ell,
     preset, tau_rule, pattern, m).  `seed` overrides the record's seed, which
-    is how the Monte Carlo harness injects per-trial seeds.
+    is how the Monte Carlo harness injects per-trial seeds.  A linear-drift
+    record without m takes max|pattern|, as the CLI fills it in.
     """
     cfg = dict(config)
     gen = cfg.get("gen")
     steps = int(cfg.get("steps", 0) or 0)
     if steps < 1:
         raise ValueError("config needs steps >= 1")
-    if seed is None:
-        seed = cfg.get("seed")
+    if seed is not None:
+        cfg["seed"] = seed
+
+    def need(key: str):
+        if cfg.get(key) is None:
+            raise ValueError(f"config for gen {gen!r} needs the key {key!r}")
+        return cfg[key]
+
     if gen == "srw":
-        return gen_simple_rw(float(cfg["p"]), steps, _need_seed(seed))
+        return gen_simple_rw(float(need("p")), steps, int(need("seed")))
     if gen == "ergodic":
-        chain = _parse_chain_preset(str(cfg["preset"]))
-        return gen_ergodic_walk(chain, steps, _need_seed(seed))
+        chain = _parse_chain_preset(str(need("preset")))
+        return gen_ergodic_walk(chain, steps, int(need("seed")))
     if gen == "birth-death":
-        return gen_birth_death(str(cfg["preset"]), steps, _need_seed(seed))
+        return gen_birth_death(str(need("preset")), steps, int(need("seed")))
     if gen == "zigzag":
-        stream, _ = gen_zigzag(float(cfg["ell"]), steps)
+        stream, _ = gen_zigzag(float(need("ell")), steps)
         return stream
     if gen == "tau-tent":
-        return gen_tau_tent(str(cfg["tau_rule"]), steps)
+        return gen_tau_tent(str(need("tau_rule")), steps)
     if gen == "spiral2d":
         return gen_spiral2d(steps)
     if gen == "linear-drift":
-        pattern = cfg["pattern"]
+        pattern = need("pattern")
         if isinstance(pattern, str):
-            pattern = [int(v) for v in pattern.split(",")]
-        return gen_linear_drift(int(cfg.get("m", 1)), pattern, steps)
+            pattern = pattern.split(",")
+        pattern = [int(v) for v in pattern]
+        m = cfg.get("m")
+        m = max(map(abs, pattern), default=1) if m is None else int(m)
+        return gen_linear_drift(m, pattern, steps)
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -1131,9 +1136,3 @@ def uniform_law(walk: WalkStream) -> _UniformLaw:
 
 def is_stochastic(config: dict) -> bool:
     return config.get("gen") in ("srw", "ergodic", "birth-death")
-
-
-def _need_seed(seed) -> int:
-    if seed is None:
-        raise ValueError("stochastic generator needs a seed")
-    return int(seed)

@@ -186,6 +186,11 @@ class TestGenerate:
 
 
 class TestAnalyze:
+    def test_malformed_ergodic_preset_names_the_form(self, capsys):
+        argv = ["analyze", "--gen", "ergodic", "--preset", "switch:0.1", "--steps", "10"]
+        assert run(argv + ["--seed", "1"]) == 2
+        assert "switch:<a>,<b> or iid:<p>" in capsys.readouterr().err
+
     def test_spec_example_last_tau(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         run(["generate", "--gen", "zigzag", "--ell", "0.5", "--steps", "20", "--out", str(out)])

@@ -65,6 +65,11 @@ class TestRunTrials:
         assert report.per_metric["no_return"].mean == 1.0
         assert report.per_metric["range_speed"].stddev == 0.0
 
+    def test_missing_key_is_a_value_error(self):
+        spec = TrialSpec(config={"gen": "srw", "steps": 5}, horizon=5, trials=3)
+        with pytest.raises(ValueError, match="'p'"):
+            run_trials(spec)
+
     def test_parallel_report_is_byte_identical(self):
         spec = TrialSpec(
             config={"gen": "srw", "p": 0.6, "steps": 2000},

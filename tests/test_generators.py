@@ -1,6 +1,7 @@
 """Generator families: stochastic walks and the deterministic constructions."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,6 +385,88 @@ class TestMarkovSampler:
         assert np.array_equal(inc, np.asarray(chain.states)[looped])
 
 
+def _start_ref(pi, u):
+    """The start state `_ChainLaw` draws from u: the clipped searchsorted reference."""
+    return np.minimum(np.searchsorted(np.cumsum(pi), u, side="right"), len(pi) - 1)
+
+
+def _with_cuts(u, cuts, rng):
+    """u with about a fifth of its cells set to a cut, 0 or the largest uniform."""
+    values = np.concatenate([np.ravel(cuts), [0.0, 1.0 - 2.0**-53]])
+    hit = rng.random(u.shape) < 0.2
+    u[hit] = rng.choice(values, hit.sum())
+    return u
+
+
+class TestCutRule:
+    """Every law maps u to the number of nondecreasing cuts with u >= cut."""
+
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    @given(_transitions(), st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32), st.data())
+    def test_chain_law_matches_searchsorted(self, transition, rows, k, seed, data):
+        n_states = transition.shape[0]
+        rng = np.random.default_rng(seed)
+        # The start law is a row of the matrix: it may hold zeros, and no
+        # irreducibility is needed to test the map.
+        pi = transition[data.draw(st.integers(0, n_states - 1))]
+        labels = rng.integers(-1, 2, n_states)
+        chain = SimpleNamespace(states=tuple(labels), transition=transition, stationary=pi)
+        law = _ChainLaw(chain)
+        cuts = np.concatenate([np.cumsum(transition, axis=1).ravel(), np.cumsum(pi)])
+        u = _with_cuts(rng.random((rows, 1 + k)), cuts, rng)
+        assert np.array_equal(law.start(u[:, :1]), _start_ref(pi, u[:, 0]))
+        carry = rng.integers(0, n_states, rows)
+        looped = _loop_states(_maps(transition, u[:, 1:]), carry)
+        inc, last = law.steps(u[:, 1:].copy(), carry)
+        assert np.array_equal(inc, labels[looped])
+        assert np.array_equal(last, looped[:, -1])
+
+    @pytest.mark.parametrize("u", [1.0 - 2.0**-53, 0.5, 0.3, 0.8 - 1e-13, 0.0])
+    def test_chain_rows_short_of_one_and_u_on_a_cut(self, u):
+        # Each row sums to 1 - 1e-13: the largest uniform passes every cut,
+        # and must still pick the last state.
+        transition = np.array([[0.5, 0.5 - 1e-13], [0.3, 0.7 - 1e-13]])
+        pi = np.array([0.8 - 1e-13, 0.2])
+        chain = SimpleNamespace(states=(1, -1), transition=transition, stationary=pi)
+        law = _ChainLaw(chain)
+        cell = np.array([[u]])
+        assert law.start(cell).tolist() == _start_ref(pi, cell[:, 0]).tolist()
+        carry = np.array([0, 1])
+        looped = _loop_states(_maps(transition, np.repeat(cell, 2, axis=0)), carry)
+        inc, last = law.steps(np.repeat(cell, 2, axis=0), carry)
+        assert inc.tolist() == np.array([1, -1])[looped].tolist()
+        assert last.tolist() == looped[:, -1].tolist()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"gen": "srw", "p": p} for p in (0.0, 0.3, 1.0)]
+        + [{"gen": "birth-death", "preset": f"lazy:{a}"} for a in (0.0, 0.3)]
+        + [{"gen": "birth-death", "preset": p} for p in ("symmetric", "reflected")],
+        ids=lambda c: c.get("preset", f"srw:{c.get('p')}"),
+    )
+    def test_iid_laws_match_the_where_formulas(self, config):
+        p = config.get("p", 0.5)
+        alpha = float(config.get("preset", "lazy:0").partition(":")[2] or 0)
+        up = alpha + (1.0 - alpha) / 2.0
+        cuts = [p, alpha, up, np.nextafter(p, 0), np.nextafter(up, 1)]
+        u = _with_cuts(np.random.default_rng(5).random((3, 400)), cuts, np.random.default_rng(6))
+        signs = np.where(u < 0.5, 1, -1)
+        carry = np.array([0, 3, -2])
+        if config["gen"] == "srw":
+            want = np.where(u < p, 1, -1)
+        elif config["preset"] == "symmetric":
+            want = signs
+        elif config["preset"] == "reflected":
+            s = np.cumsum(signs, axis=1) + carry[:, None]
+            want = np.diff(np.abs(np.concatenate([carry[:, None], s], axis=1)), axis=1)
+        else:
+            want = np.where(u < alpha, 0, np.where(u < up, 1, -1))
+        law = uniform_law(make_walk(dict(config, steps=1), seed=0))
+        inc, _ = law.steps(u.copy(), carry)
+        assert inc.dtype == np.int64
+        assert np.array_equal(inc, want)
+
+
 class TestBirthDeath:
     def test_symmetric_replay(self):
         a = gen_birth_death("symmetric", 100, 4).path_array(100)
@@ -625,6 +708,34 @@ class TestMakeWalk:
     def test_unknown_gen(self):
         with pytest.raises(ValueError):
             make_walk({"gen": "levy", "steps": 10})
+
+    def test_linear_drift_m_defaults_to_the_largest_step(self):
+        # The CLI fills in max|pattern| for the same record.
+        walk = make_walk({"gen": "linear-drift", "pattern": [2, -1], "steps": 5})
+        assert walk.m == 2
+        assert walk.path_array(5).tolist() == [0, 2, 1, 3, 2, 4]
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"gen": "srw"}, "p"),
+            ({"gen": "ergodic"}, "preset"),
+            ({"gen": "birth-death"}, "preset"),
+            ({"gen": "zigzag"}, "ell"),
+            ({"gen": "tau-tent"}, "tau_rule"),
+            ({"gen": "linear-drift"}, "pattern"),
+        ],
+    )
+    def test_missing_key_is_named(self, cfg, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            make_walk(dict(cfg, steps=5), seed=1)
+
+    @pytest.mark.parametrize(
+        "preset", ["switch:0.1", "switch:0.1,0.2,0.3", "switch", "iid:", "iid:a", "iid:0.3,0.7"]
+    )
+    def test_malformed_ergodic_preset_names_the_form(self, preset):
+        with pytest.raises(ValueError, match="switch:<a>,<b> or iid:<p>"):
+            make_walk({"gen": "ergodic", "preset": preset, "steps": 5}, seed=1)
 
     def test_is_stochastic(self):
         assert is_stochastic({"gen": "srw"})
