@@ -1,11 +1,12 @@
 """Online trackers (range, extrema, return times) and inequality checkers.
 
 Everything here consumes a :class:`~rangewalk.core.WalkStream` in numpy
-blocks of B positions: interval mode costs O(B) per block, and so does set
-mode in its dense first-visit box; after its fallback to sorted keys, set
-mode costs O(B log R) plus one copy of its R stored keys.  All inequality
-checks are carried out in exact integer arithmetic (squared norms for
-d >= 2); no float rounding can flip a verdict.
+blocks of B positions.  A unit-step 1-D walk's range and extrema are read
+off its running extent in O(B) per block, with nothing block-sized written;
+every other walk's range is counted in a set, in O(B) per block while its
+dense first-visit box lasts, then in O(B log R) plus one copy of its R
+stored keys.  All inequality checks are carried out in exact integer
+arithmetic (squared norms for d >= 2); no float rounding can flip a verdict.
 """
 
 from __future__ import annotations
@@ -93,28 +94,16 @@ def _pack_keys(cols: list, origin: list) -> np.ndarray:
 class RangeTracker:
     """Online count of distinct visited points r_n = card{x_0, ..., x_n}.
 
-    Interval mode (legal only for d = 1, m = 1, where no integer can be
-    skipped) tracks min/max and uses r_n = max - min + 1.  Set mode marks
-    first visits in an int32 box over the walk's bounding box while it is
-    dense (BOX_CELLS_PER_POINT), then switches once to sorted keys; a memory
-    guard aborts beyond `cap` stored points.  `to_set` switches an interval
-    tracker to set mode, for a stream that breaks its unit-step contract.
+    Marks first visits in an int32 box over the walk's bounding box while it
+    is dense (BOX_CELLS_PER_POINT), then switches once to sorted keys; a
+    memory guard aborts beyond `cap` stored points.
     """
 
-    def __init__(self, mode: str = "auto", d: int = 1, m: int = 1, cap: int = DEFAULT_SET_CAP):
-        if mode == "auto":
-            mode = "interval" if (d == 1 and m == 1) else "set"
-        if mode not in ("interval", "set"):
-            raise ValueError(f"unknown range mode {mode!r}")
-        if mode == "interval" and not (d == 1 and m == 1):
-            raise ValueError("interval mode is only legal for d = 1, m = 1")
-        self.mode = mode
+    def __init__(self, d: int = 1, cap: int = DEFAULT_SET_CAP):
         self.d = d
         self._cap = cap
         self._count = 0
-        self._min: Optional[int] = None
-        self._max: Optional[int] = None
-        self._box: Optional[np.ndarray] = None  # set mode while dense
+        self._box: Optional[np.ndarray] = None  # while dense
         self._spans: list = []  # the box's lowest and highest coordinate on each axis
         self._known: Optional[np.ndarray] = None  # sorted keys, after the fallback
         self._origin: Optional[list] = None  # the d = 2 keys' origin
@@ -128,38 +117,6 @@ class RangeTracker:
         """Consume the next positions; return r at each of them (int64)."""
         if block.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        if self.mode == "interval":
-            return self._update_interval(block)
-        return self._update_set(block)
-
-    def _update_interval(self, block: np.ndarray) -> np.ndarray:
-        mins, maxs = self.running_extent(block)
-        return maxs - mins + 1
-
-    def running_extent(self, block: np.ndarray):
-        """Interval mode: consume a non-empty block; return the running min and max."""
-        mins = np.minimum.accumulate(block)
-        maxs = np.maximum.accumulate(block)
-        if self._min is not None:
-            np.minimum(mins, self._min, out=mins)
-            np.maximum(maxs, self._max, out=maxs)
-        self._min = int(mins[-1])
-        self._max = int(maxs[-1])
-        self._count = self._max - self._min + 1
-        return mins, maxs
-
-    def to_set(self) -> None:
-        """Continue an interval tracker in set mode.
-
-        Valid while every step so far was a unit step: the visited set is
-        then exactly [min, max], which seeds the box.
-        """
-        if self._min is not None:
-            self._box = np.full(self._count, -1, dtype=np.int32)
-            self._spans = [(self._min, self._max)]
-        self.mode = "set"
-
-    def _update_set(self, block: np.ndarray) -> np.ndarray:
         cols = [block] if block.ndim == 1 else [block[:, j] for j in range(block.shape[1])]
         if self._origin is None:  # 0, or x_0 on an axis where |x_0| >= 2^31
             self._origin = [c if abs(c) >= 2**31 else 0 for c in (int(col[0]) for col in cols)]
@@ -244,11 +201,15 @@ class RangeTracker:
 
 
 class _ExtremaTracker:
-    """Running M_n = max_{k<=n} ||x_k - x_0||; exact ints (squared for d >= 2)."""
+    """Running M_n = max_{k<=n} ||x_k - x_0||; exact ints (squared for d >= 2).
 
-    def __init__(self):
-        self._x0 = None  # an int for d = 1, an int64 row otherwise
-        self._best = 0  # |x-x0| for d=1, squared norm otherwise
+    `x0` and `best` seed a tracker that takes over mid-stream: x_0 (an int
+    for d = 1) and the M so far.
+    """
+
+    def __init__(self, x0=None, best: int = 0):
+        self._x0 = x0  # an int for d = 1, an int64 row otherwise
+        self._best = best  # |x-x0| for d=1, squared norm otherwise
 
     def update(self, block: np.ndarray) -> np.ndarray:
         """Return per-position running max (|disp| for d=1, disp^2 otherwise).
@@ -258,13 +219,10 @@ class _ExtremaTracker:
         if self._x0 is None:
             self._x0 = block[0].copy() if block.ndim > 1 else int(block[0])
         if block.ndim == 1:
-            # WalkStream.blocks keeps |x| <= INT64_MAX, so x - x0 can leave
-            # int64 only when x0 != 0, and only on the side away from x0.
-            x0, far = self._x0, 0
-            if x0 > 0:
-                far = x0 - int(block.min())
-            elif x0 < 0:
-                far = int(block.max()) - x0
+            # Exact ints decide whether |x - x0| fits int64; for x0 = 0 it
+            # does not at x = -2^63.
+            x0 = self._x0
+            far = max(x0 - int(block.min()), int(block.max()) - x0)
             disp = np.abs(block - x0 if far <= INT64_MAX else block.astype(object) - x0)
         else:
             disp = squared_distances(block, self._x0)
@@ -273,24 +231,6 @@ class _ExtremaTracker:
         run = np.maximum.accumulate(disp)
         if self._best:
             np.maximum(run, self._best, out=run)
-        self._best = int(run[-1])
-        return run
-
-    def from_extent(self, block: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-        """The `update` of a 1-D block, read off the running min and max.
-
-        M_n = max(max_n - x_0, x_0 - min_n), where min_n and max_n run over
-        the whole stream from x_0; Python ints where either side leaves int64.
-        Overwrites `mins` and `maxs`.
-        """
-        if self._x0 is None:
-            self._x0 = int(block[0])
-        x0 = self._x0
-        if max(int(maxs[-1]) - x0, x0 - int(mins[-1])) > INT64_MAX:
-            mins, maxs = mins.astype(object), maxs.astype(object)
-        np.subtract(x0, mins, out=mins)
-        np.subtract(maxs, x0, out=maxs)
-        run = np.maximum(maxs, mins, out=maxs)
         self._best = int(run[-1])
         return run
 
@@ -377,19 +317,42 @@ def _first_long_step(block: np.ndarray, edge: Optional[np.ndarray], m: int) -> O
     return None if k is None else k + 1
 
 
-def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
+def _extent_at(block: np.ndarray, at: np.ndarray, lo: int, hi: int):
+    """The running min and max of a 1-D stream at the offsets `at` of a block.
+
+    `lo` and `hi` are the min and max before the block.  One reduction runs
+    over each segment that ends at an offset or at the block's last position,
+    and a running min and max over those few values; nothing block-sized is
+    written.  Returns the mins and maxs at `at` as Python ints and the new
+    `lo` and `hi`.
+    """
+    starts = np.concatenate(([0], at[at < block.shape[0] - 1] + 1))
+    lows = np.minimum(np.minimum.accumulate(np.minimum.reduceat(block, starts)), lo)
+    highs = np.maximum(np.maximum.accumulate(np.maximum.reduceat(block, starts)), hi)
+    k = at.size
+    return lows[:k].tolist(), highs[:k].tolist(), int(lows[-1]), int(highs[-1])
+
+
+def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: bool):
     """The one pass over x_0..x_horizon that every report and checker reads.
 
-    Updates the trackers it is given (either may be None) and samples x_n,
-    r_n and the raw |x_n - x_0| (squared for d >= 2) at the sorted
-    checkpoints `cps`.  With a range tracker it tests every step, the one
-    into each block included, against the declared m; the first breach is
-    the violation "increment_bound" at the n it reaches, and an interval
-    tracker continues in set mode from there, so r_n stays the true count.
-    With both trackers it also counts zero hits and finds the first n
-    violating the maximal-range inequality and, when d = 1, m = 1 and
-    x_0 = 0, the 1-D sandwich; it stops once every checkpoint is sampled
-    and every check it runs has failed.
+    Samples x_n at the sorted checkpoints `cps`, and r_n and the raw
+    |x_n - x_0| (squared for d >= 2) when `count_range` and `extrema` ask
+    for them.  With `count_range` it tests every step, the one into each
+    block included, against the declared m; the first breach is the
+    violation "increment_bound" at the n it reaches.  With both it also
+    counts zero hits and finds the first n violating the maximal-range
+    inequality and, when d = 1, m = 1 and x_0 = 0, the 1-D sandwich; it
+    stops once every checkpoint is sampled and every check it runs has
+    failed.
+
+    A 1-D walk with unit steps visits exactly [min_n, max_n], so when d = 1
+    and either m = 1 or r_n is not asked for, r_n = max_n - min_n + 1 and
+    M_n = max(max_n - x_0, x_0 - min_n) are read off the running extent at
+    the checkpoints only; both inline checks are identities there.  From the
+    block of the first step longer than m on, a set tracker seeded with
+    [min, max] counts r_n, so it stays the true count.  Every other walk is
+    counted by a set tracker throughout.
 
     Returns (samples, x_0, first): exact ints per checkpoint under "x",
     "r", "disp", "tau_count" and "last_tau", x_0 as an int (d = 1) or a
@@ -397,7 +360,10 @@ def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
     """
     d, m = stream.d, stream.m
     cps = np.asarray(cps, dtype=np.int64)
-    both = tracker is not None and extrema is not None
+    extent = d == 1 and (m == 1 or not count_range)
+    tracker = RangeTracker(d) if count_range and not extent else None
+    extremes = _ExtremaTracker() if extrema and not extent else None
+    both = count_range and extrema
     samples = {key: [] for key in ("x", "r", "disp", "tau_count", "last_tau")}
     first: dict = {}
     checks: tuple = ()
@@ -406,36 +372,37 @@ def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
     edge = None  # the last position before the block
     for block in stream.blocks(horizon):
         if done == 0:
-            x0 = block[0].tolist()
+            x0 = lo = hi = block[0].tolist()
             if both:
                 sandwich = d == 1 and m == 1 and x0 == 0
                 checks = ("increment_bound", "maximal_range")
                 checks += ("range_sandwich_1d",) if sandwich else ()
-        hi = done + block.shape[0]
-        end = int(np.searchsorted(cps, hi))
+        end = int(np.searchsorted(cps, done + block.shape[0]))
         at = cps[ptr:end] - done
         samples["x"] += block[at].tolist()
-        extent = None
-        if tracker is not None:
+        if count_range:
             jump = None if "increment_bound" in first else _first_long_step(block, edge, m)
             if jump is not None:
                 first["increment_bound"] = done + jump
-            if jump is not None and tracker.mode == "interval":
-                head = tracker.update(block[:jump])
-                tracker.to_set()
-                r = np.concatenate((head, tracker.update(block[jump:])))
-            elif tracker.mode == "interval" and extrema is not None:
-                extent = tracker.running_extent(block)
-                r = extent[1] - extent[0]
-                r += 1
-            else:
-                r = tracker.update(block)
-            samples["r"] += r[at].tolist()
+            if jump is not None and extent:  # so far the visited set is [lo, hi]
+                extent = False
+                tracker = RangeTracker()
+                tracker.update(np.arange(lo, hi + 1, dtype=np.int64))
+                extremes = _ExtremaTracker(x0, max(hi - x0, x0 - lo)) if extrema else None
             edge = block[-1:].copy()  # not a view: it would keep the block alive
-        if extrema is not None:
-            disp = extrema.update(block) if extent is None else extrema.from_extent(block, *extent)
-            samples["disp"] += disp[at].tolist()
-        if both and tracker.mode == "set":  # in interval mode both hold by construction
+        if extent:
+            lows, highs, lo, hi = _extent_at(block, at, lo, hi)
+            if count_range:
+                samples["r"] += [h - l + 1 for l, h in zip(lows, highs)]
+            if extrema:
+                samples["disp"] += [max(h - x0, x0 - l) for l, h in zip(lows, highs)]
+        else:
+            if count_range:
+                r = tracker.update(block)
+                samples["r"] += r[at].tolist()
+            if extrema:
+                disp = extremes.update(block)
+                samples["disp"] += disp[at].tolist()
             for name in checks[1:]:  # checks[0], the step test, ran above
                 if name not in first:
                     if name == "maximal_range":
@@ -454,7 +421,7 @@ def _scan(stream: WalkStream, horizon: int, cps, tracker, extrema):
             zeros += hits.size
             if hits.size:
                 last_zero = done + int(hits[-1])
-        ptr, done = end, hi
+        ptr, done = end, done + block.shape[0]
         if ptr == cps.size and all(name in first for name in checks):
             break
     return samples, x0, first
@@ -471,11 +438,10 @@ def _exact_array(values: list) -> np.ndarray:
 def track_range(stream: WalkStream, horizon: int, checkpoints=None):
     """Exact r_n at each checkpoint; returns (checkpoints, counts).
 
-    Interval mode is selected automatically iff d = 1 and m = 1.
+    A 1-D walk with m = 1 is read off its running extent (see `_scan`).
     """
     cps = _as_checkpoints(horizon, checkpoints)
-    tracker = RangeTracker("auto", d=stream.d, m=stream.m)
-    samples, _, _ = _scan(stream, horizon, cps, tracker, None)
+    samples, _, _ = _scan(stream, horizon, cps, True, False)
     return cps, _exact_array(samples["r"])
 
 
@@ -486,7 +452,7 @@ def track_extrema(stream: WalkStream, horizon: int, checkpoints=None):
     a float norm for d >= 2.
     """
     cps = _as_checkpoints(horizon, checkpoints)
-    samples, _, _ = _scan(stream, horizon, cps, None, _ExtremaTracker())
+    samples, _, _ = _scan(stream, horizon, cps, False, True)
     raw = _exact_array(samples["disp"])
     return cps, raw if stream.d == 1 else np.sqrt(raw.astype(np.float64))
 
@@ -516,8 +482,7 @@ def check_maximal_range(stream: WalkStream, m: int, horizon: int) -> Optional[in
     """
     if m != stream.m:
         raise ValueError(f"declared m={m} does not match the stream's m={stream.m}")
-    tracker = RangeTracker("auto", d=stream.d, m=m)
-    _, _, first = _scan(stream, horizon, (), tracker, _ExtremaTracker())
+    _, _, first = _scan(stream, horizon, (), True, True)
     return first.get("maximal_range")
 
 
@@ -528,7 +493,7 @@ def check_range_sandwich_1d(stream: WalkStream, horizon: int) -> Optional[int]:
     """
     if stream.d != 1 or stream.m != 1:
         raise ValueError("sandwich check requires d = 1 and m = 1")
-    _, x0, first = _scan(stream, horizon, (), RangeTracker("interval"), _ExtremaTracker())
+    _, x0, first = _scan(stream, horizon, (), True, True)
     if x0 != 0:
         raise ValueError("sandwich check requires x_0 = 0")
     return first.get("range_sandwich_1d")
@@ -681,8 +646,7 @@ def analyze_stream(
     """
     cps = _as_checkpoints(horizon, checkpoints)
     d, m = stream.d, stream.m
-    tracker = RangeTracker("auto", d=d, m=m)
-    samples, _, first = _scan(stream, horizon, cps, tracker, _ExtremaTracker())
+    samples, _, first = _scan(stream, horizon, cps, True, True)
     violations: list = [[] for _ in range(cps.size)]
     for at, name in sorted((n, name) for name, n in first.items()):
         row = min(int(np.searchsorted(cps, at)), cps.size - 1)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import RangeTracker, _ExtremaTracker, _scan
+from .analysis import _scan
 from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
     BatchSource,
@@ -140,7 +140,8 @@ class _Extremes:
 
     Holds each row's lowest, highest and last position and its first-return
     time (the first n >= 1 with x_n = 0, or 0 for none), which give R_N
-    (interval mode), X_N, M_N and the no-return indicator.
+    (hi - lo + 1, since every step is a unit step), X_N, M_N and the
+    no-return indicator.
     """
 
     def __init__(self, rows: int):
@@ -214,8 +215,7 @@ def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: i
 
 def _walk_counts(stream: WalkStream, horizon: int) -> dict:
     """Counts of one deterministic walk from the origin, read at the horizon."""
-    tracker = RangeTracker("auto", d=stream.d, m=stream.m)
-    samples, _, _ = _scan(stream, horizon, [horizon], tracker, _ExtremaTracker())
+    samples, _, _ = _scan(stream, horizon, [horizon], True, True)
     (x,), (disp,) = samples["x"], samples["disp"]
     if stream.d == 1:
         final_signed, final_abs, max_disp = x, abs(x), disp

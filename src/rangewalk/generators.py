@@ -189,35 +189,20 @@ def _pcg64_state(row: np.ndarray) -> dict:
     }
 
 
-_MASK128 = (1 << 128) - 1
 _U11, _U58, _U63, _U64 = (np.uint64(v) for v in (11, 58, 63, 64))
-_U0 = np.uint64(0)
 
 
-def _lcg_jump(k: int) -> tuple:
-    """(A_k, C_k) = (MULT^k, sum of MULT^i for i < k) mod 2^128.
+def _advance_states(bitgen: np.random.PCG64, states: np.ndarray, k: int) -> None:
+    """Step every row of a `pcg64_states` array k times, in place.
 
-    k steps of the LCG s <- s·MULT + inc take s to s·A_k + inc·C_k; both
-    are built by squaring, in O(log k) Python-int steps (Brown, 1994).
+    Each row's state is assigned to `bitgen`, jumped with its own
+    ``advance(k)`` and read back.
     """
-    acc_mult, acc_plus = 1, 0
-    cur_mult, cur_plus = _PCG64_MULT, 1
-    while k:
-        if k & 1:
-            acc_mult = acc_mult * cur_mult & _MASK128
-            acc_plus = (acc_plus * cur_mult + cur_plus) & _MASK128
-        cur_plus = (cur_mult + 1) * cur_plus & _MASK128
-        cur_mult = cur_mult * cur_mult & _MASK128
-        k >>= 1
-    return acc_mult, acc_plus
-
-
-def _advance_states(states: np.ndarray, k: int) -> None:
-    """Step every row of a `pcg64_states` array k times, in place."""
-    mult, plus = _lcg_jump(k)
-    hi, lo, inc_hi, inc_lo = states.T
-    add_hi, add_lo = _muladd128(inc_hi, inc_lo, plus, _U0, _U0)
-    states[:, 0], states[:, 1] = _muladd128(hi, lo, mult, add_hi, add_lo)
+    for row, state in zip(states, map(_pcg64_state, states)):
+        bitgen.state = state
+        bitgen.advance(k)
+        after = bitgen.state["state"]["state"]
+        row[0], row[1] = after >> 64, after & _MASK64
 
 
 def _lockstep_random(states: np.ndarray, width: int) -> np.ndarray:
@@ -574,7 +559,7 @@ class BatchSource:
         head = self._law.head if first else 0
         width = head + k
         if self._lag:
-            _advance_states(self._states, self._lag)
+            _advance_states(self._bitgen, self._states, self._lag)
         if len(self._states) >= LOCKSTEP_ROWS_PER_DRAW * width:
             u = _lockstep_random(self._states, width)
             self._lag = 0

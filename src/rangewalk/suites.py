@@ -115,7 +115,7 @@ def maximal_range_suite(
 
 
 def sandwich_suite(paths: int = 1000, length: int = 1000, seed: int = 7) -> list:
-    """1-D sandwich M+1 <= r <= 2M+1 plus interval-vs-set oracle equivalence."""
+    """1-D sandwich M+1 <= r <= 2M+1 plus extent-vs-set range oracle equivalence."""
     rng = np.random.Generator(np.random.PCG64(seed))
     sandwich_bad = 0
     oracle_bad = 0
@@ -130,9 +130,8 @@ def sandwich_suite(paths: int = 1000, length: int = 1000, seed: int = 7) -> list
         stream = walk_from_path(path, m=1)
         if analysis.check_range_sandwich_1d(stream.clone(), length) is not None:
             sandwich_bad += 1
-        interval = analysis.RangeTracker("interval")
-        by_set = analysis.RangeTracker("set")
-        if not np.array_equal(interval.update(path), by_set.update(path)):
+        cps, by_extent = analysis.track_range(stream, length)
+        if not np.array_equal(by_extent, analysis.RangeTracker().update(path)[cps]):
             oracle_bad += 1
     return [
         _result(
@@ -141,7 +140,7 @@ def sandwich_suite(paths: int = 1000, length: int = 1000, seed: int = 7) -> list
             f"{paths} paths of length {length}, {sandwich_bad} violations",
         ),
         _result(
-            "interval-mode range == set-mode range",
+            "extent range == set range at dyadic checkpoints",
             oracle_bad == 0,
             f"{paths} paths, {oracle_bad} mismatches",
         ),
@@ -244,7 +243,7 @@ def spiral_distinct_suite(steps: int = 100_000) -> list:
     """Spiral fills Z^2: all vertices distinct, r_n = n + 1, unit steps."""
     stream = generators.gen_spiral2d(steps)
     path = stream.path_array(steps)
-    tracker = analysis.RangeTracker("set", d=2)
+    tracker = analysis.RangeTracker(d=2)
     r = tracker.update(path)
     distinct = tracker.count == steps + 1
     counts_ok = bool(np.array_equal(r, np.arange(1, steps + 2)))

@@ -161,7 +161,7 @@ def test_criterion_08_sandwich_and_oracle_equivalence(capsys):
     with capsys.disabled():
         _report(
             8,
-            "1-D sandwich plus interval/set oracle equivalence on 10^4 paths",
+            "1-D sandwich plus extent/set range oracle equivalence on 10^4 paths",
             ok,
             "; ".join(r.detail for r in results),
         )

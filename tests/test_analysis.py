@@ -174,9 +174,7 @@ class TestTrackRange:
         assert r[-1] == 10**4 + 1
 
     def test_r_monotone_with_unit_jumps(self):
-        x = gen_simple_rw(0.4, 0, 5).path_array(2000)
-        tracker = RangeTracker("interval")
-        r = tracker.update(x)
+        _, r = track_range(gen_simple_rw(0.4, 0, 5), 2000, checkpoints=range(2001))
         assert r[0] == 1
         steps = np.diff(r)
         assert set(np.unique(steps)) <= {0, 1}
@@ -184,29 +182,29 @@ class TestTrackRange:
 
 class TestRangeTrackerModes:
     def test_interval_equals_set_on_many_random_walks(self):
-        # oracle equivalence: 1000 seeds x length 1000
+        # the extent path against the set tracker: 1000 seeds x length 1000
         rng = np.random.Generator(np.random.PCG64(2024))
         for _ in range(1000):
             p_zero = rng.uniform(0, 0.4)
             u = rng.random(1000)
             steps = np.where(u < p_zero, 0, np.where(u < (1 + p_zero) / 2, 1, -1))
             path = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
-            a = RangeTracker("interval").update(path)
-            b = RangeTracker("set").update(path)
+            _, a = track_range(walk_from_path(path, m=1), 1000, checkpoints=range(1001))
+            b = RangeTracker().update(path)
             assert np.array_equal(a, b)
 
     def test_set_mode_matches_brute_force_for_m2(self):
         rng = np.random.Generator(np.random.PCG64(5))
         steps = rng.integers(-2, 3, size=500)
         path = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
-        assert np.array_equal(RangeTracker("set").update(path), _brute_force_range(path))
+        assert np.array_equal(RangeTracker().update(path), _brute_force_range(path))
 
     def test_set_mode_matches_brute_force_2d(self):
         rng = np.random.Generator(np.random.PCG64(6))
         dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
         path = np.vstack([[0, 0], np.cumsum(dirs[rng.integers(0, 4, 400)], axis=0)])
         assert np.array_equal(
-            RangeTracker("set", d=2).update(path.astype(np.int64)),
+            RangeTracker(d=2).update(path.astype(np.int64)),
             _brute_force_range(path),
         )
 
@@ -217,25 +215,19 @@ class TestRangeTrackerModes:
             [[0, 0, 0], np.cumsum(dirs[rng.integers(0, 6, 300)], axis=0)]
         ).astype(np.int64)
         assert np.array_equal(
-            RangeTracker("set", d=3).update(path), _brute_force_range(path)
+            RangeTracker(d=3).update(path), _brute_force_range(path)
         )
 
     def test_set_mode_split_updates_agree(self):
         rng = np.random.Generator(np.random.PCG64(7))
         path = np.cumsum(rng.integers(-3, 4, 300)).astype(np.int64)
-        whole = RangeTracker("set").update(path)
-        split = RangeTracker("set")
+        whole = RangeTracker().update(path)
+        split = RangeTracker()
         parts = [split.update(path[:100]), split.update(path[100:250]), split.update(path[250:])]
         assert np.array_equal(whole, np.concatenate(parts))
 
-    def test_interval_mode_rejected_off_contract(self):
-        with pytest.raises(ValueError):
-            RangeTracker("interval", d=2)
-        with pytest.raises(ValueError):
-            RangeTracker("interval", d=1, m=2)
-
     def test_memory_guard(self):
-        tracker = RangeTracker("set", cap=10)
+        tracker = RangeTracker(cap=10)
         with pytest.raises(MemoryGuardError):
             tracker.update(np.arange(100, dtype=np.int64))
 
@@ -244,15 +236,15 @@ class TestRangeTrackerModes:
         # np.abs(-2^63) wraps to -2^63, which once let this row past the guard.
         block = np.array([[0, 0], row], dtype=np.int64)
         with pytest.raises(ValueError, match="2\\^31"):
-            RangeTracker("set", d=2).update(block)
+            RangeTracker(d=2).update(block)
         ok = np.array([[0, 0], [-(2**31) + 1, 2**31 - 1]], dtype=np.int64)
-        assert RangeTracker("set", d=2).update(ok).tolist() == [1, 2]
+        assert RangeTracker(d=2).update(ok).tolist() == [1, 2]
 
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_blocked_paths(), st.sampled_from([DEFAULT_SET_CAP, 1, 2, 3, 5, 8]))
     def test_set_mode_matches_python_set(self, case, cap):
         d, blocks = case
-        tracker = RangeTracker("set", d=d, cap=cap)
+        tracker = RangeTracker(d=d, cap=cap)
         seen = set()
         for block in blocks:
             expected = []
@@ -279,7 +271,7 @@ class TestDenseBox:
         path = np.cumsum(steps, axis=0)
         path = path if d > 1 else path[:, 0]
         blocks = np.split(path, range(7, path.shape[0], 7))
-        tracker = RangeTracker("set", d=d)
+        tracker = RangeTracker(d=d)
         corners, tops = [], []
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", 10**9):
             for block, want in zip(blocks, _oracle_counts(blocks)):
@@ -300,7 +292,7 @@ class TestDenseBox:
         # would pass the limit.
         edge = INT64_MIN if side < 0 else INT64_MAX
         offsets = [np.arange(20, 1, -1), np.array([1])]
-        tracker = RangeTracker("set", d=d)
+        tracker = RangeTracker(d=d)
         for off in offsets:
             block = edge - side * off
             rows = np.column_stack([block] + [np.full_like(block, edge)] * (d - 1))
@@ -313,7 +305,7 @@ class TestDenseBox:
     def test_matches_python_set_across_the_switch(self, case, cells_per_point):
         # A small bound moves the switch to sorted keys to a drawn block.
         d, blocks = case
-        tracker = RangeTracker("set", d=d)
+        tracker = RangeTracker(d=d)
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
             for block, want in zip(blocks, _oracle_counts(blocks)):
                 assert tracker.update(block).tolist() == want
@@ -329,7 +321,7 @@ class TestDenseBox:
         path = np.cumsum(np.array(steps, dtype=np.int64))
         cuts = sorted(data.draw(st.sets(st.integers(1, len(steps)), max_size=30)))
         blocks = [b for b in np.split(path, cuts) if b.shape[0]]
-        tracker = RangeTracker("set")
+        tracker = RangeTracker()
         for block, want in zip(blocks, _oracle_counts(blocks)):
             assert tracker.update(block).tolist() == want
         assert tracker._known is None
@@ -341,7 +333,7 @@ class TestDenseBox:
         total = _oracle_counts(blocks)
         want = next((i for i, r in enumerate(total) if r[-1] > cap), None)
         for cells_per_point in (10**9, 0):  # always the box, always sorted keys
-            tracker = RangeTracker("set", d=d, cap=cap)
+            tracker = RangeTracker(d=d, cap=cap)
             fired = None
             with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
                 for i, block in enumerate(blocks):
@@ -353,24 +345,6 @@ class TestDenseBox:
             assert fired == want
             assert (tracker._known is None) == (cells_per_point > 0)
 
-    @settings(deadline=None)
-    @given(st.data(), st.sampled_from([0, 0.5, 1, 4]))
-    def test_a_lying_1d_stream_continues_after_to_set(self, data, cells_per_point):
-        # Unit steps in interval mode, then steps of up to 5 in set mode.
-        unit = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=60))
-        lying = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=120))
-        start = data.draw(st.sampled_from([0, INT64_MAX - 200, INT64_MIN + 200]))
-        path = start + np.cumsum(np.array(unit + lying, dtype=np.int64))
-        head, tail = path[: len(unit)], path[len(unit) :]
-        cuts = sorted(data.draw(st.sets(st.integers(1, len(lying)), max_size=10)))
-        blocks = [head] + [b for b in np.split(tail, cuts) if b.shape[0]]
-        tracker = RangeTracker("interval")
-        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
-            for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks))):
-                if i == 1:
-                    tracker.to_set()
-                assert tracker.update(block).tolist() == want
-
     @pytest.mark.parametrize("switch_at", [None, 1, 3])
     def test_compact_2d_walk_far_from_the_origin(self, switch_at):
         # Around (2^40, -2^40): the box is keyed to its corner and the sorted
@@ -379,7 +353,7 @@ class TestDenseBox:
         dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.int64)
         path = np.cumsum(dirs[rng.integers(0, 4, 5000)], axis=0) + [2**40, -(2**40)]
         blocks = np.split(path, range(1000, 5000, 1000))
-        tracker = RangeTracker("set", d=2)
+        tracker = RangeTracker(d=2)
         for i, (block, want) in enumerate(zip(blocks, _oracle_counts(blocks))):
             bound = 0 if switch_at is not None and i >= switch_at else analysis.BOX_CELLS_PER_POINT
             with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", bound):
@@ -390,7 +364,7 @@ class TestDenseBox:
         block = np.array([[2**40, 0], [2**40 + 2**31, 0]], dtype=np.int64)
         with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", 0):
             with pytest.raises(ValueError, match="2\\^31"):
-                RangeTracker("set", d=2).update(block)
+                RangeTracker(d=2).update(block)
 
 
 class TestTrackExtrema:
@@ -428,6 +402,13 @@ class TestTrackExtrema:
     def test_exact_above_2_to_the_53(self):
         _, M = track_extrema(walk_from_path([0, 2**53 + 1]), 1, [1])
         assert M.tolist() == [2**53 + 1]
+
+    def test_displacement_to_int64_min_from_the_origin(self):
+        # np.abs(-2^63) wraps to -2^63, which read as M_1 = 0.
+        _, M = track_extrema(walk_from_path([0, -(2**63)]), 1, checkpoints=[1])
+        assert M.tolist() == [2**63]
+        row = analyze_stream(walk_from_path([0, -(2**63)]), 1, checkpoints=[1]).rows[0]
+        assert row["M_over_n"] == 2.0**63
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_displacement_beyond_int64_1d(self, sign):
@@ -491,6 +472,11 @@ class TestMaximalRange:
         s = walk_from_path(_FAR_3D)
         assert check_maximal_range(s, s.m, 3) is None  # tight: M_3 / m + 1 = 4 = r_3
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_detects_a_jump_to_int64_min(self, m):
+        # M_1 = 2^63 > m (r_1 - 1); a wrapped |x_1| read as 0 hid it.
+        assert check_maximal_range(_jump_walk(m, 1, -(2**63)), m, 1) == 1
+
     def test_mismatched_m_rejected(self):
         s = walk_from_path([0, 1], m=1)
         with pytest.raises(ValueError):
@@ -546,7 +532,7 @@ class _SmallBlocks(WalkStream):
         return super().blocks(horizon, block_size or self.block_size)
 
 
-def _liar(steps, m, block_size):
+def _liar(steps, m, block_size, origin=None):
     """A stream declaring m over the given (possibly oversized) steps."""
     steps = np.asarray(steps, dtype=np.int64)
 
@@ -559,7 +545,7 @@ def _liar(steps, m, block_size):
             return steps[self._at - k : self._at]
 
     d = 1 if steps.ndim == 1 else steps.shape[1]
-    stream = _SmallBlocks(WalkMetadata("liar", {}, None, m=m, d=d), Steps)
+    stream = _SmallBlocks(WalkMetadata("liar", {}, None, m=m, d=d), Steps, origin)
     stream.block_size = block_size
     return stream
 
@@ -592,7 +578,7 @@ class TestStepContract:
     """The inline checks test the step bound that a stream declares."""
 
     def test_jump_over_integers_is_reported(self):
-        # True r_50 = 2 ({0, 3}) < M_50 + 1 = 4; interval counts would say 4.
+        # True r_50 = 2 ({0, 3}) < M_50 + 1 = 4; max - min + 1 would say 4.
         want = ["increment_bound", "maximal_range", "range_sandwich_1d"]
         rows = analyze_stream(_jump_walk(1, 50, 3), 100).rows
         assert [(row["n"], row["violations"]) for row in rows if row["violations"]] == [
@@ -650,6 +636,65 @@ class TestStepContract:
         assert r.tolist() == _brute_force_range(path).tolist()
 
 
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from([0, 0.5, 1, 4]))
+    def test_a_lying_1d_stream_continues_in_set_mode(self, data, cells_per_point):
+        # Unit steps on the extent path, then steps of up to 5 in set mode.
+        unit = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=60))
+        lying = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=120))
+        start = data.draw(st.sampled_from([0, INT64_MAX - 200, INT64_MIN + 200]))
+        steps = np.array(unit + lying, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(steps)])
+        start = min(max(start, INT64_MIN - int(offsets.min())), INT64_MAX - int(offsets.max()))
+        n, block_size = len(steps), data.draw(st.integers(2, 9))
+        with mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
+            samples, _, first = analysis._scan(
+                _liar(steps, 1, block_size, (start,)), n, np.arange(n + 1), True, True
+            )
+        path = [start + int(v) for v in offsets]
+        assert samples["r"] == _brute_force_range(np.array(path)).tolist()
+        assert samples["disp"] == [max(abs(x - start) for x in path[: k + 1]) for k in range(n + 1)]
+        long = [k + 1 for k, step in enumerate(steps.tolist()) if abs(step) > 1]
+        assert first.get("increment_bound") == (long[0] if long else None)
+
+
+class TestExtentPath:
+    """A 1-D unit-step walk's r_n and M_n, read off its extent at the checkpoints."""
+
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.sampled_from([0, 2**63 - 300, -(2**63 - 300)]),
+        st.data(),
+    )
+    def test_matches_python_ints(self, block_size, x0, data):
+        steps = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=200))
+        n = len(steps)
+        path = [x0]
+        for step in steps:
+            path.append(path[-1] + step)
+        r = [len(set(path[: k + 1])) for k in range(n + 1)]
+        disp = [max(abs(x - x0) for x in path[: k + 1]) for k in range(n + 1)]
+        # Sparse picks leave most blocks without a checkpoint.
+        cps = data.draw(st.sets(st.integers(0, n), max_size=max(1, n // (2 * block_size))))
+        if data.draw(st.booleans()):
+            cps |= {0}
+        if data.draw(st.booleans()):  # block ends: x_0..x_{B-1}, then B positions a block
+            cps |= set(range(block_size - 1, n + 1, block_size))
+        cps = sorted(cps or {n})
+
+        def walk(m):
+            return _liar(steps, m, block_size, (x0,))
+
+        assert track_range(walk(1), n, cps)[1].tolist() == [r[k] for k in cps]
+        for m in (1, 2, 3):
+            assert track_extrema(walk(m), n, cps)[1].tolist() == [disp[k] for k in cps]
+        rows = analyze_stream(walk(1), n, cps).rows
+        assert [row["r_over_n"] for row in rows] == [float(r[k]) / k if k else float(r[k]) for k in cps]
+        assert [row["M_over_n"] for row in rows] == [float(disp[k]) / k if k else 0.0 for k in cps]
+        assert all(row["violations"] == [] for row in rows)
+
+
 class TestSandwich:
     def test_small_example(self):
         s = walk_from_path([0, 1, 0, -1], m=1)
@@ -663,8 +708,7 @@ class TestSandwich:
         path = [0, 1, 0, -1, 0, 1]  # visits [-1, 1]: r = 3 = 2*1 + 1
         s = walk_from_path(path, m=1)
         assert check_range_sandwich_1d(s, 5) is None
-        tracker = RangeTracker("interval")
-        r = tracker.update(np.asarray(path, dtype=np.int64))
+        _, r = track_range(walk_from_path(path, m=1), 5, checkpoints=[5])
         assert r[-1] == 3
 
     def test_preconditions(self):

@@ -279,7 +279,7 @@ class TestAnalyze:
 
     def test_set_mode_cap_is_a_limit_error(self, monkeypatch, capsys):
         # Lower the default point cap so the spiral's 10^3 new points exceed it.
-        monkeypatch.setattr(RangeTracker.__init__, "__defaults__", ("auto", 1, 1, 100))
+        monkeypatch.setattr(RangeTracker.__init__, "__defaults__", (1, 100))
         assert run(["analyze", "--gen", "spiral2d", "--steps", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cap of 100" in err

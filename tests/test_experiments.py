@@ -475,7 +475,7 @@ class TestChunkedTrials:
         assert len(made) == 50
         assert len({id(batch._bitgen) for batch in made}) == 50
 
-    @pytest.mark.parametrize("m", [1, 2])  # interval mode, then set mode
+    @pytest.mark.parametrize("m", [1, 2])  # the extent path, then set mode
     def test_deterministic_start_is_not_a_return(self, m):
         config = {"gen": "linear-drift", "m": m, "pattern": [m], "steps": 5}
         report = run_trials(TrialSpec(config=config, horizon=5))

@@ -162,7 +162,7 @@ class TestBulkSeeding:
     def test_jump_equals_pcg64_advance(self, k):
         states = np.concatenate([self._edge_states(), pcg64_states(_EDGE_SEEDS)])
         jumped = states.copy()
-        _advance_states(jumped, k)
+        _advance_states(np.random.PCG64(), jumped, k)
         for row, got in zip(states, jumped):
             bitgen = np.random.PCG64()
             bitgen.state = _pcg64_state(row)
