@@ -5,8 +5,9 @@ blocks of B positions.  A unit-step 1-D walk's range and extrema are read
 off its running extent in O(B) per block, with nothing block-sized written;
 every other walk's range is counted in a set, in O(B) per block while its
 dense first-visit box lasts, then in O(B log R) plus one copy of its R
-stored keys.  All inequality checks are carried out in exact integer
-arithmetic (squared norms for d >= 2); no float rounding can flip a verdict.
+stored keys.  Each step is tested against m once, where the stream builds
+its block.  Every check runs in exact integer arithmetic (squared norms for
+d >= 2); no float rounding can flip a verdict.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (INT64_MAX, INT64_MIN, WalkStream, at_origin, squared_distances,
-                   validate_increment_bound)
+from .core import INT64_MAX, INT64_MIN, WalkStream, at_origin, squared_distances
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -304,19 +304,6 @@ def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
     return cps
 
 
-def _first_long_step(block: np.ndarray, edge: Optional[np.ndarray], m: int) -> Optional[int]:
-    """Index in `block` of the first position reached by a step longer than m.
-
-    `edge` holds the position before the block, or is None for the first
-    block; the step from it into the block is tested too.
-    """
-    if edge is not None:
-        if validate_increment_bound(np.concatenate((edge, block[:1])), m) is not None:
-            return 0
-    k = validate_increment_bound(block, m)
-    return None if k is None else k + 1
-
-
 def _extent_at(block: np.ndarray, at: np.ndarray, lo: int, hi: int):
     """The running min and max of a 1-D stream at the offsets `at` of a block.
 
@@ -338,9 +325,9 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
 
     Samples x_n at the sorted checkpoints `cps`, and r_n and the raw
     |x_n - x_0| (squared for d >= 2) when `count_range` and `extrema` ask
-    for them.  With `count_range` it tests every step, the one into each
-    block included, against the declared m; the first breach is the
-    violation "increment_bound" at the n it reaches.  With both it also
+    for them.  With `count_range` the first step longer than the declared m,
+    which the stream finds as it builds each block, is the violation
+    "increment_bound" at the n it reaches.  With both it also
     counts zero hits and finds the first n violating the maximal-range
     inequality and, when d = 1, m = 1 and x_0 = 0, the 1-D sandwich; it
     stops once every checkpoint is sampled and every check it runs has
@@ -369,8 +356,7 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
     checks: tuple = ()
     zeros, last_zero = 0, None
     ptr = done = 0
-    edge = None  # the last position before the block
-    for block in stream.blocks(horizon):
+    for block, jump in stream._checked_blocks(horizon):
         if done == 0:
             x0 = lo = hi = block[0].tolist()
             if both:
@@ -380,16 +366,13 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
         end = int(np.searchsorted(cps, done + block.shape[0]))
         at = cps[ptr:end] - done
         samples["x"] += block[at].tolist()
-        if count_range:
-            jump = None if "increment_bound" in first else _first_long_step(block, edge, m)
-            if jump is not None:
-                first["increment_bound"] = done + jump
-            if jump is not None and extent:  # so far the visited set is [lo, hi]
+        if count_range and jump is not None and "increment_bound" not in first:
+            first["increment_bound"] = done + jump
+            if extent:  # so far the visited set is [lo, hi]
                 extent = False
                 tracker = RangeTracker()
                 tracker.update(np.arange(lo, hi + 1, dtype=np.int64))
                 extremes = _ExtremaTracker(x0, max(hi - x0, x0 - lo)) if extrema else None
-            edge = block[-1:].copy()  # not a view: it would keep the block alive
         if extent:
             lows, highs, lo, hi = _extent_at(block, at, lo, hi)
             if count_range:

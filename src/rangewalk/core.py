@@ -178,6 +178,28 @@ def at_origin(block: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _peak(diffs: np.ndarray) -> int:
+    """The largest |coordinate| of an (N,) or (N, d) int64 array, 0 if N = 0 (exact int)."""
+    cols = [diffs] if diffs.ndim == 1 else [diffs[:, j] for j in range(diffs.shape[1])]
+    return max((max(int(c.max()), -int(c.min())) for c in cols if c.size), default=0)
+
+
+def _first_long_step(diffs: np.ndarray, m: int, peak: Optional[int] = None) -> Optional[int]:
+    """Index of the first increment of Euclidean norm > m, or None; exact ints.
+
+    Every step test runs here.  `peak`, the largest |coordinate| of `diffs`
+    when the caller has it, settles most arrays without a pass: no step is
+    longer than m while d * peak^2 <= m^2, which for d = 1 is exact.
+    """
+    d = 1 if diffs.ndim == 1 else diffs.shape[1]
+    peak = _peak(diffs) if peak is None else peak
+    if d * peak * peak <= m * m:
+        return None
+    bad = (diffs > m) | (diffs < -m) if d == 1 else squared_distances(diffs, (0,) * d) > m * m
+    k = int(np.argmax(bad))
+    return k if bad[k] else None
+
+
 def validate_increment_bound(path, m: int) -> Optional[int]:
     """Check that every step of `path` has Euclidean norm <= m.
 
@@ -192,18 +214,7 @@ def validate_increment_bound(path, m: int) -> Optional[int]:
     arr = path_to_array(path)
     if arr.shape[0] == 0:
         raise ValueError("empty path")
-    if arr.shape[0] == 1:
-        return None
-    diffs = _increments(arr)
-    if arr.ndim == 1:
-        if -m <= int(diffs.min()) and int(diffs.max()) <= m:
-            return None
-        bad = (diffs > m) | (diffs < -m)
-    else:
-        bad = squared_distances(diffs, (0,) * arr.shape[1]) > m * m
-    if not bad.any():
-        return None
-    return int(np.argmax(bad))
+    return _first_long_step(_increments(arr), m)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +305,17 @@ class WalkStream:
 
         The first block starts with x_0; concatenating all yielded arrays
         gives the full prefix of horizon + 1 positions.  Block size does not
-        affect the values produced.
+        affect the values produced.  Each block's steps are tested against m
+        as it is built; `_checked_blocks` yields the verdict, this drops it.
+        """
+        return (pos for pos, _ in self._checked_blocks(horizon, block_size))
+
+    def _checked_blocks(self, horizon: int, block_size: int = DEFAULT_BLOCK):
+        """Yield each block of `blocks` with the offset in it of the first
+        position reached by a step longer than m, or None.
+
+        Every step is tested here, once, with the largest coordinate step
+        that the overflow guard computes, so a d = 1 block pays nothing more.
         """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
@@ -303,14 +324,13 @@ class WalkStream:
         self._mark_consumed()
         source = self._source_factory()
         m = self.metadata.m
-        if self.d == 1:
-            carry = np.int64(self._origin.coords[0])
-        else:
-            carry = np.array(self._origin.coords, dtype=np.int64)
+        coords = self._origin.coords
+        carry = np.array(coords if self.d > 1 else coords[0], dtype=np.int64)  # 0-d for d = 1
         first = True
         remaining = horizon
         while first or remaining > 0:
             n_inc = min(remaining, block_size - 1 if first else block_size)
+            jump = None
             if n_inc > 0:
                 inc = source.take(n_inc)
                 # Overflow guard: no coordinate of the block can move farther
@@ -320,29 +340,26 @@ class WalkStream:
                 # itself.  Only when this cheap bound trips are the positions
                 # summed exactly, so no walk that stays in range is refused
                 # (the int64 sums below wrap mod 2^64, so they are exact then).
-                cols = [inc] if self.d == 1 else [inc[:, j] for j in range(self.d)]
-                step = max(m, *(max(int(c.max()), -int(c.min())) for c in cols))
+                peak = _peak(inc)
                 extent = max(abs(int(c)) for c in np.atleast_1d(carry))
-                if extent + n_inc * step > INT64_MAX:
+                if extent + n_inc * max(m, peak) > INT64_MAX:
                     exact = np.cumsum(inc.astype(object), axis=0) + carry.astype(object)
                     if exact.min() < INT64_MIN or exact.max() > INT64_MAX:
                         raise CoordinateOverflowError(
                             "walk left the signed 64-bit coordinate range"
                         )
+                jump = _first_long_step(inc, m, peak)
                 pos = np.cumsum(inc, axis=0)
                 pos += carry
             else:
-                pos = np.empty((0,) if self.d == 1 else (0, self.d), dtype=np.int64)
-            if first:
-                head = np.empty((n_inc + 1,) if self.d == 1 else (n_inc + 1, self.d), dtype=np.int64)
-                head[0] = carry
-                head[1:] = pos
-                pos = head
+                pos = np.empty((0,) + carry.shape, dtype=np.int64)
+            if first:  # the block starts with x_0, so a step reaches one further
+                pos = np.concatenate((carry[None], pos))
+                jump = None if jump is None else jump + 1
                 first = False
-            if pos.shape[0]:
-                carry = pos[-1].copy() if self.d > 1 else np.int64(pos[-1])
+            carry = pos[-1].copy()
             remaining -= n_inc
-            yield pos
+            yield pos, jump
 
     def path_array(self, horizon: int) -> np.ndarray:
         """Materialize x_0..x_horizon as one int64 array."""
@@ -385,16 +402,8 @@ def walk_from_path(
     if arr.shape[0] == 0:
         raise ValueError("empty path")
     d = 1 if arr.ndim == 1 else arr.shape[1]
-    if arr.shape[0] > 1:
-        diffs = _increments(arr)
-        if d == 1:
-            observed = max(int(diffs.max()), -int(diffs.min()))
-        else:
-            worst = int(np.max(squared_distances(diffs, (0,) * d)))
-            observed = math.isqrt(worst - 1) + 1 if worst else 0  # ceil(sqrt(worst))
-    else:
-        diffs = np.zeros((0,) if d == 1 else (0, d), dtype=np.int64)
-        observed = 0
+    diffs = _increments(arr)
+    bound = m
     if metadata is not None:
         if m is not None and m != metadata.m:
             raise ValueError("m argument conflicts with the supplied metadata")
@@ -403,10 +412,14 @@ def walk_from_path(
             raise DimensionMismatchError(
                 f"metadata declares d={metadata.d} but the path has d={d}"
             )
-    else:
-        bound = m if m is not None else max(observed, 1)
-    violation = validate_increment_bound(arr, bound)
-    if violation is not None:
+    if bound is None:  # the smallest integer bound the data satisfies, at least 1
+        worst = _peak(diffs) ** 2
+        if d > 1 and worst:
+            worst = int(np.max(squared_distances(diffs, (0,) * d)))
+        bound = math.isqrt(worst - 1) + 1 if worst > 1 else 1  # ceil(sqrt(worst))
+    elif bound < 1:
+        raise ValueError("increment bound m must be >= 1")
+    elif (violation := _first_long_step(diffs, bound)) is not None:
         raise ValueError(
             f"stored path violates declared increment bound m={bound} at step {violation}"
         )

@@ -524,12 +524,15 @@ class TestViolationPlacement:
 
 
 class _SmallBlocks(WalkStream):
-    """A stream cut into blocks of `block_size` positions, to reach block edges."""
+    """A stream cut into blocks of `block_size` positions, to reach block edges.
+
+    `_scan` reads `_checked_blocks`, and `blocks` goes through it too.
+    """
 
     block_size = 65_536
 
-    def blocks(self, horizon, block_size=None):
-        return super().blocks(horizon, block_size or self.block_size)
+    def _checked_blocks(self, horizon, block_size=None):
+        return super()._checked_blocks(horizon, self.block_size)
 
 
 def _liar(steps, m, block_size, origin=None):
@@ -603,6 +606,24 @@ class TestStepContract:
             track_extrema(_steady(2**62), 3, [3])
         with pytest.raises(CoordinateOverflowError):
             return_times(_steady(2**62), 3)
+
+    def test_scan_reads_the_small_blocks(self):
+        seen = []
+        extent_at, update = analysis._extent_at, RangeTracker.update
+
+        def on_extent(block, *rest):
+            seen.append(block.shape[0])
+            return extent_at(block, *rest)
+
+        def on_update(tracker, block):
+            seen.append(block.shape[0])
+            return update(tracker, block)
+
+        with mock.patch.object(analysis, "_extent_at", on_extent), \
+                mock.patch.object(RangeTracker, "update", on_update):
+            for m in (1, 2):  # the extent path, then set mode
+                analysis._scan(_liar(np.ones(20, np.int64), m, 3), 20, [20], True, True)
+        assert seen == [3] * 14  # 21 positions, 7 blocks of 3 on each path
 
     def test_honest_streams_report_nothing(self):
         rows = analyze_stream(walk_from_path([0, 1, 2, 1, 0, -1], m=1), 5).rows

@@ -366,6 +366,16 @@ class TestVerify:
         assert len(lines) == 2
         assert all(line.startswith("PASS: ") for line in lines)
 
+    def test_sandwich_fails_on_corrupted_set_counts(self, monkeypatch, capsys):
+        # 3 r + 7 > 2 M + 1 whenever r <= 2 M + 1, so every path breaks the sandwich.
+        update = RangeTracker.update
+        monkeypatch.setattr(RangeTracker, "update", lambda self, block: 3 * update(self, block) + 7)
+        assert run(["verify", "--suite", "sandwich", "--paths", "50", "--len", "100"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "FAIL: sandwich M+1 <= r <= 2M+1 on random m=1 paths "
+            "(50 paths of length 100, 50 violations)"
+        )
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
 

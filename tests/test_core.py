@@ -1,10 +1,13 @@
 """Core types: points, norms, increment bounds, stream replay contracts."""
 
+import itertools
 import math
+import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangewalk.core import (
@@ -195,6 +198,56 @@ class TestWalkStream:
         assert path[1:].tolist() == [2**50 if d == 1 else [2**50] * d] * 70_000
 
 
+@lru_cache(maxsize=None)
+def _steps_by_norm(d, m):
+    """The integer steps of norm <= m, and some of norm > m (up to 3m a coordinate)."""
+    honest, long = [], []
+    for step in itertools.product(range(-3 * m, 3 * m + 1), repeat=d):
+        (honest if sum(c * c for c in step) <= m * m else long).append(step[0] if d == 1 else step)
+    return honest, long
+
+
+class TestCheckedBlocks:
+    """`WalkStream._checked_blocks`: each block with the offset of its first long step."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(1, 2), st.integers(2, 9), st.data())
+    def test_offsets_match_a_python_int_oracle(self, d, m, block_size, data):
+        n = data.draw(st.integers(1, 40))
+        honest, long = _steps_by_norm(d, m)
+        steps = data.draw(st.lists(st.sampled_from(honest), min_size=n, max_size=n))
+        # Step 1, the steps into each later block's first position, the last step.
+        spots = [0, n - 1] + list(range(block_size - 1, n, block_size))
+        for k in data.draw(st.sets(st.sampled_from(spots), max_size=3)):
+            steps[k] = data.draw(st.sampled_from(long))
+        reached = [k + 1 for k, step in enumerate(steps) if np.dot(step, step) > m * m]
+        steps = np.array(steps, dtype=np.int64)
+        path = np.concatenate([np.zeros((1,) + steps.shape[1:], np.int64), np.cumsum(steps, axis=0)])
+        stream = WalkStream(WalkMetadata("steps", {}, None, m=m, d=d), walk_from_path(path).source_factory)
+        firsts, parts, done = [], [], 0
+        for block, jump in stream._checked_blocks(n, block_size):
+            assert block.shape[0] <= block_size
+            inside = [k - done for k in reached if done <= k < done + block.shape[0]]
+            assert jump == (inside[0] if inside else None)
+            if jump is not None:
+                firsts.append(done + jump)
+            parts.append(block)
+            done += block.shape[0]
+        assert np.array_equal(np.concatenate(parts), path)
+        k = validate_increment_bound(path, m)
+        assert firsts[:1] == ([] if k is None else [k + 1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_horizon_zero_reports_no_long_step(self, d):
+        class Huge:
+            def take(self, k):
+                return np.full((k,) if d == 1 else (k, d), 5, dtype=np.int64)
+
+        stream = WalkStream(WalkMetadata("huge", {}, None, m=1, d=d), Huge)
+        [(block, jump)] = stream._checked_blocks(0)
+        assert block.tolist() == ([0] if d == 1 else [[0] * d]) and jump is None
+
+
 class TestWalkFromPath:
     def test_infers_bound(self):
         s = walk_from_path([0, 2, 4, 1])
@@ -233,6 +286,30 @@ class TestWalkFromPath:
             walk_from_path(path)
         with pytest.raises(CoordinateOverflowError):
             validate_increment_bound(path, 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("at", [0, 5, 9])  # the first, a middle and the last step
+    def test_a_long_step_is_named_with_its_index(self, d, at):
+        path = np.zeros((11, d), dtype=np.int64)
+        path[1:, 0] = np.arange(1, 11)  # unit steps along the first axis
+        path[at + 1 :, 1] += 2  # one step of norm sqrt(5)
+        message = f"stored path violates declared increment bound m=2 at step {at}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            walk_from_path(path, m=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            walk_from_path(path, metadata=WalkMetadata("g", {}, None, m=2, d=d))
+        assert validate_increment_bound(path, 2) == at
+        assert walk_from_path(path).m == 3
+
+    def test_non_axis_steps_infer_the_ceiling_of_the_norm(self):
+        assert walk_from_path([(0, 0), (3, 4)]).m == 5
+        assert walk_from_path([(0, 0), (1, 1)]).m == 2
+        assert walk_from_path([(0, 0, 0), (1, 1, 0), (1, 1, 1)]).m == 2
+
+    def test_m_below_one_is_refused(self):
+        for path in ([0, 1], [0], [(0, 0), (1, 0)]):
+            with pytest.raises(ValueError, match="^increment bound m must be >= 1$"):
+                walk_from_path(path, m=0)
 
     def test_extreme_steps_infer_the_exact_bound(self):
         assert walk_from_path([0, INT64_MIN]).m == 2**63
