@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 a verified property or tolerance check failed,
 2 usage, I/O or limit error (a coordinate beyond int64, the set-mode point
 cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
-JSON lines, experiment reports as a single JSON document.  A CSV whose data
-rows use only ASCII digits, `+`, `-`, `,` and LF is read in one
-`np.loadtxt` pass; other spellings that `int()` accepts (`1_000`, Unicode
-digits, padding whitespace) are read line by line.
+JSON lines, experiment reports as a single JSON document.  CSV rows are
+spelled in numpy, byte for byte as `str(int)`.  Rows of only ASCII digits,
+`+`, `-`, `,` and LF are read in one `np.loadtxt` pass; other spellings that
+`int()` accepts (`1_000`, Unicode digits, padding whitespace) line by line.
 """
 
 from __future__ import annotations
@@ -38,21 +38,50 @@ class CsvFormatError(ValueError):
 
 
 def write_trajectory_csv(stream: WalkStream, horizon: int, fh: TextIO) -> None:
-    """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings."""
+    """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings, a block at a time (`_ascii_rows`)."""
     d = stream.d
     fh.write("n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-    row_fmt = ",".join(["{}"] * (d + 1)) + "\n"
     n = 0
     for block in stream.blocks(horizon):
         k = block.shape[0]
         table = np.column_stack((np.arange(n, n + k, dtype=np.int64), block))
-        fh.write((row_fmt * k).format(*table.ravel().tolist()))
+        fh.write(_ascii_rows(table))
         n += k
 
 
-# Data rows spelled with these characters alone mean the same to np.loadtxt
-# as to the line loop; any other character sends the file to the loop.
-_LOADTXT_CHARS = str.maketrans("", "", "0123456789+-,\n")
+def _ascii_rows(table: np.ndarray) -> str:
+    """An int64 table as `,`-separated rows ending in LF, each entry as `str(int)` spells it.
+
+    A (width, entries) uint8 buffer holds the sign, one digit of |v| a row (one
+    division pass per digit of the largest |v|) and the separator; leading zeros
+    and the sign of v >= 0 stay 0 bytes, dropped at the end."""
+    values = table.ravel()
+    mag = np.abs(values).view(np.uint64)  # abs leaves -2^63 as is: 2^63 as uint64
+    top = int(mag.max())
+    mag = mag.astype(np.uint32) if top < 2**32 else mag  # uint32 divides faster
+    width = len(str(top)) + 2
+    buf = np.empty((width, values.size), dtype=np.uint8)
+    np.multiply(values < 0, np.uint8(ord("-")), out=buf[0])
+    buf[-1] = ord(",")
+    buf[-1, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
+    quot, rem, shown = np.empty_like(mag), np.empty_like(mag), np.empty(values.size, bool)
+    for place in range(width - 2, 0, -1):
+        row = buf[place]
+        np.floor_divide(mag, 10, out=quot)
+        np.multiply(quot, 10, out=rem)
+        np.subtract(mag, rem, out=rem)
+        np.copyto(row, rem, casting="unsafe")
+        row += ord("0")
+        if place < width - 2:  # the units digit always shows
+            np.not_equal(mag, 0, out=shown)
+            row *= shown
+        mag, quot = quot, mag
+    return buf.tobytes(order="F").translate(None, b"\0").decode("ascii")
+
+
+# Data rows spelled with these bytes alone mean the same to np.loadtxt as to
+# the line loop; any other character sends the file to the loop.
+_LOADTXT_BYTES = b"0123456789+-,\n"
 
 
 def read_trajectory_csv(fh: TextIO) -> np.ndarray:
@@ -80,14 +109,14 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
 
 def _parse_rows_loadtxt(text: str, d: int) -> Optional[np.ndarray]:
     """The (N, d) coordinates of well-formed rows, or None to use the loop."""
-    if not text.strip() or text.translate(_LOADTXT_CHARS):
+    raw = text.encode("ascii") if text.isascii() else None  # 1 byte a character; StringIO takes 4
+    if not text.strip() or raw is None or raw.translate(None, _LOADTXT_BYTES):
         return None
-    rows = io.BytesIO(text.encode("ascii"))  # 1 byte a character; StringIO takes 4
     try:
         # numpy < 2 reads an integer beyond int64 as a float, warns, and wraps.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(io.BytesIO(raw), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
     if table.shape[1] != d + 1 or not np.array_equal(table[:, 0], np.arange(table.shape[0])):

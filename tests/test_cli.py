@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangewalk.analysis import RangeTracker
@@ -84,6 +84,34 @@ def _csv_bodies(draw):
     return d, draw(noise) if rare() else body
 
 
+# Every decimal width from 1 to 19 digits at both of its ends, both signs,
+# and the uint32 edge, where a block's magnitudes switch dtype.
+_WIDTH_EDGES = [0, 2**63 - 1, -(2**63)] + [
+    s * v for k in range(1, 19) for v in (10**k - 1, 10**k) for s in (1, -1)
+] + [2**32 - 1, 2**32, -(2**32 - 1), -(2**32)]
+
+
+def _bridge(a, b):
+    """The points after `a` up to `b`, with midpoints put in where a step would not fit in int64."""
+    if all(-(2**63) <= y - x < 2**63 for x, y in zip(a, b)):
+        return [b]
+    mid = [(x + y) // 2 for x, y in zip(a, b)]
+    return _bridge(a, mid) + _bridge(mid, b)
+
+
+@st.composite
+def _edge_paths(draw):
+    """(d, rows) for d = 1..3: width edges mixed with small values, so that
+    digit counts differ within a block; one row is horizon 0."""
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(_WIDTH_EDGES), st.integers(-50, 50))
+    points = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=12))
+    rows = points[:1]
+    for point in points[1:]:
+        rows += _bridge(rows[-1], point)
+    return d, rows
+
+
 def _outcome(parse):
     try:
         arr = parse()
@@ -140,6 +168,19 @@ class TestTrajectoryCsv:
         buf = io.StringIO()
         write_trajectory_csv(walk_from_path(path), horizon, buf)
         assert buf.getvalue() == _row_by_row_csv(walk_from_path(path), horizon)
+
+    @settings(deadline=None)
+    @given(_edge_paths())
+    @example((1, [[-(2**63)]]))
+    @example((3, [[0, 2**63 - 1, -(2**63)]]))
+    def test_writer_spells_each_entry_as_str_int(self, case):
+        d, rows = case
+        path = np.array(rows, dtype=np.int64)
+        buf = io.StringIO()
+        write_trajectory_csv(walk_from_path(path[:, 0] if d == 1 else path), len(rows) - 1, buf)
+        lines = ["n," + ",".join(f"x{i + 1}" for i in range(d))]
+        lines += [",".join(str(int(v)) for v in [n, *row]) for n, row in enumerate(rows)]
+        assert buf.getvalue() == "\n".join(lines) + "\n"
 
     def test_integer_read_through_a_float_goes_to_the_loop(self, monkeypatch):
         # numpy < 2 reads an int64 overflow as a float, warns, and wraps.

