@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python scripts/csv_io_table.py [--rows 65536 262144 1048576] [--repeats 5]
 
-Two walks, each at the given row counts (positions x_0..x_{rows-1}): srw
-p = 0.7 on Z (d = 1, the shape of the `csv-roundtrip` benchmark) and
+Three walks, each at the given row counts (positions x_0..x_{rows-1}): srw
+p = 0.7 on Z (d = 1, the shape of the `csv-roundtrip` benchmark), the same
+path shifted by 2^62 (19-digit coordinates, the reader's widest fields) and
 `spiral2d` (d = 2).  Each cell runs in a fresh Python process: it draws the
 path once, then times `write_trajectory_csv` from `walk_from_path` (its
 block pass included) to a file and `read_trajectory_csv` back, the best of
@@ -28,9 +29,11 @@ import numpy as np
 from rangewalk import make_walk, walk_from_path
 from rangewalk.cli import read_trajectory_csv, write_trajectory_csv
 
+# name: (generator config, shift added to every coordinate)
 WALKS = {
-    "srw p=0.7 (d = 1)": {"gen": "srw", "p": 0.7, "seed": 1},
-    "`spiral2d` (d = 2)": {"gen": "spiral2d"},
+    "srw p=0.7 (d = 1)": ({"gen": "srw", "p": 0.7, "seed": 1}, 0),
+    "srw p=0.7 from 2^62 (d = 1)": ({"gen": "srw", "p": 0.7, "seed": 1}, 2**62),
+    "`spiral2d` (d = 2)": ({"gen": "spiral2d"}, 0),
 }
 
 
@@ -45,7 +48,8 @@ def str_int_rows(path: np.ndarray) -> str:
 
 def cell(walk: str, rows: int, repeats: int) -> dict:
     horizon = rows - 1
-    path = make_walk({**WALKS[walk], "steps": max(horizon, 1)}).path_array(horizon)
+    config, shift = WALKS[walk]
+    path = make_walk({**config, "steps": max(horizon, 1)}).path_array(horizon) + shift
     best_write = best_read = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "t.csv")

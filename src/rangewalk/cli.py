@@ -4,19 +4,18 @@ Exit codes: 0 success, 1 a verified property or tolerance check failed,
 2 usage, I/O or limit error (a coordinate beyond int64, the set-mode point
 cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
 JSON lines, experiment reports as a single JSON document.  CSV rows are
-spelled in numpy, byte for byte as `str(int)`.  Rows of only ASCII digits,
-`+`, `-`, `,` and LF are read in one `np.loadtxt` pass; other spellings that
-`int()` accepts (`1_000`, Unicode digits, padding whitespace) line by line.
+spelled in numpy, byte for byte as `str(int)`, and read back in numpy, chunk
+by chunk, when every field is an optional sign and at most 19 ASCII digits;
+other spellings that `int()` accepts (`1_000`, Unicode digits, padding
+whitespace, 20 or more digits) are read line by line.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-import warnings
 from typing import Optional, TextIO
 
 import numpy as np
@@ -79,18 +78,29 @@ def _ascii_rows(table: np.ndarray) -> str:
     return buf.tobytes(order="F").translate(None, b"\0").decode("ascii")
 
 
-# Data rows spelled with these bytes alone mean the same to np.loadtxt as to
-# the line loop; any other character sends the file to the loop.
-_LOADTXT_BYTES = b"0123456789+-,\n"
+# The numpy reader parses this many bytes of rows at a time, cut after an LF
+# (a longer line is a chunk of its own), so that its arrays, a few 8-byte
+# entries a field, stay small enough for the heap to reuse: a freshly mapped
+# page costs a fault.
+CHUNK_BYTES = 1 << 16
+# Bytes kept before a chunk in the parse buffer: a 19-digit field that opens
+# the chunk takes its top digits from the 8 bytes 24 to 17 before its end.
+_PAD = 24
+# _DIGIT_MASKS[k] keeps the low nibble (an ASCII digit's value) of the last
+# min(k, 8) bytes of an 8-byte little-endian load: the last digits of a field.
+_DIGIT_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F << 8 * (8 - min(k, 8)) & (2**64 - 1) for k in range(20)], dtype=np.uint64
+)
 
 
 def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     """Parse a trajectory CSV; malformed rows report their line number.
 
-    Data rows spelled with ASCII digits, `+`, `-`, `,` and LF only are
-    parsed in one `np.loadtxt` call.  Any other character (a CR that `fh`
-    did not translate, other whitespace, `_`, non-ASCII digits), and every
-    file that call rejects or misreads, goes through the line loop, which
+    Data rows spelled with ASCII digits, `+`, `-`, `,` and LF only, each
+    field at most 19 digits after its sign, are parsed in numpy
+    (`_parse_rows_numpy`), chunk by chunk.  Any other character (a CR that
+    `fh` did not translate, other whitespace, `_`, non-ASCII digits), and
+    every file that parser does not accept, goes through the line loop, which
     accepts what `int()` accepts and names the line of the first error.
     """
     header = fh.readline()
@@ -101,27 +111,100 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
         raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
     d = len(cols) - 1
     text = fh.read()
-    arr = _parse_rows_loadtxt(text, d)
+    arr = _parse_rows_numpy(text, d)
     if arr is None:
         arr = _parse_rows_loop(text, d)
     return arr[:, 0] if d == 1 else arr
 
 
-def _parse_rows_loadtxt(text: str, d: int) -> Optional[np.ndarray]:
-    """The (N, d) coordinates of well-formed rows, or None to use the loop."""
-    raw = text.encode("ascii") if text.isascii() else None  # 1 byte a character; StringIO takes 4
-    if not text.strip() or raw is None or raw.translate(None, _LOADTXT_BYTES):
+def _parse_rows_numpy(text: str, d: int) -> Optional[np.ndarray]:
+    """The (N, d) coordinates of plainly spelled rows, or None to use the loop.
+
+    A row is d + 1 fields separated by `,` and ended by LF; a field is an
+    optional sign and 1-19 ASCII digits.  LF-only lines are skipped and a
+    missing final LF is supplied, as the loop does.  Anything else, a value
+    beyond int64 or an `n` column other than 0, 1, 2, ... returns None.
+
+    Each chunk of whole lines is copied behind an LF that stands for the end
+    of the row before it.  One `flatnonzero` finds the separators; every
+    other byte must be a digit or a sign opening its field.  A field's last
+    8 digits are one unaligned load (`_digits8`); a wider field adds one or
+    two loads further back, scaled by 10^8 or 10^16, in uint64, which holds
+    19 digits exactly.
+    """
+    if not text.isascii():
         return None
-    try:
-        # numpy < 2 reads an integer beyond int64 as a float, warns, and wraps.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(io.BytesIO(raw), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
-    if table.shape[1] != d + 1 or not np.array_equal(table[:, 0], np.arange(table.shape[0])):
-        return None
-    return np.ascontiguousarray(table[:, 1:])
+    out = np.empty((text.count("\n") + 1, d), dtype=np.int64)
+    buf = np.empty(0, dtype=np.uint8)
+    rows = start = 0
+    while start < len(text):
+        stop = text.rfind("\n", start, start + CHUNK_BYTES) + 1
+        stop = stop or text.find("\n", start + CHUNK_BYTES) + 1 or len(text)
+        chunk = text[start:stop].encode("ascii")
+        start = stop
+        if buf.size < _PAD + len(chunk) + 1:
+            buf = np.zeros(_PAD + max(len(chunk), CHUNK_BYTES) + 1, dtype=np.uint8)
+            buf[_PAD - 1] = ord("\n")
+            # words[i]: the 8 bytes before b[i] below, as a little-endian uint64
+            words = np.ndarray(buf.size - _PAD + 1, "<u8", buf, _PAD - 9, (1,))
+        b = buf[_PAD - 1 : _PAD + len(chunk) + (chunk[-1] != ord("\n"))]
+        b[1 : len(chunk) + 1] = np.frombuffer(chunk, dtype=np.uint8)
+        b[-1] = ord("\n")
+        seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+        lf = b[seps] == ord("\n")
+        ends, row_end = seps[1:], lf[1:]  # the separator after each field
+        width = np.diff(seps) - 1
+        if not width.all():  # drop the empty fields that are LF-only lines
+            keep = (width != 0) | ~(lf[1:] & lf[:-1])
+            ends, row_end, width = ends[keep], row_end[keep], width[keep]
+        k = ends.size // (d + 1)
+        if ends.size % (d + 1) or np.count_nonzero(row_end) != k or not row_end[d :: d + 1].all():
+            return None
+        if k == 0:
+            continue
+        first = b[ends - width]
+        neg = first == ord("-")
+        signed = neg | (first == ord("+"))
+        if np.count_nonzero(b - ord("0") < 10) + seps.size + np.count_nonzero(signed) != b.size:
+            return None
+        ndig = width - signed
+        top = ndig.max()
+        if ndig.min() < 1 or top > 19:
+            return None
+        value = _digits8(words, ends, ndig)
+        for place in (8, 16):
+            if top > place:
+                wide = np.flatnonzero(ndig > place)
+                value[wide] += _digits8(words, ends[wide] - place, ndig[wide] - place) * np.uint64(10**place)
+        if top == 19 and np.any(value > neg + np.uint64(2**63 - 1)):  # int64 holds -2^63 .. 2^63 - 1
+            return None
+        np.negative(value, out=value, where=neg)
+        table = value.view(np.int64).reshape(k, d + 1)
+        if not np.array_equal(table[:, 0], np.arange(rows, rows + k)):
+            return None
+        out[rows : rows + k] = table[:, 1:]
+        rows += k
+    return out[:rows] if rows else None
+
+
+def _digits8(words: np.ndarray, last: np.ndarray, ndig: np.ndarray) -> np.ndarray:
+    """The value, as uint64, of the min(ndig, 8) digits just before each `last`.
+
+    `words[last]` loads the 8 bytes before each `last`; the mask keeps the
+    digits' values and zeroes the bytes before them.  Three multiply-shift
+    steps then join neighbouring digits into 2-, 4- and 8-digit values.
+    """
+    v = words[last]
+    v &= _DIGIT_MASKS[ndig]
+    v *= np.uint64(10 << 8 | 1)
+    v >>= np.uint64(8)
+    v &= np.uint64(0x00FF00FF00FF00FF)
+    v *= np.uint64(100 << 16 | 1)
+    v >>= np.uint64(16)
+    v &= np.uint64(0x0000FFFF0000FFFF)
+    v *= np.uint64(10000 << 32 | 1)
+    v >>= np.uint64(32)
+    return v
 
 
 def _parse_rows_loop(text: str, d: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 import inspect
 import io
 import json
-import warnings
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +120,28 @@ def _outcome(parse):
     return arr.dtype, arr.shape, arr.tolist()
 
 
+def _check_against_loop(d, body):
+    """`read_trajectory_csv` gives what `_parse_rows_loop` gives, array or
+    error; a body the loop reads that is spelled in the numpy parser's bytes,
+    at most 19 digits a field, is read without the loop."""
+    header = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+
+    def reference():
+        arr = _parse_rows_loop(body, d)
+        return arr[:, 0] if d == 1 else arr
+
+    expected = _outcome(reference)
+    assert _outcome(lambda: read_trajectory_csv(io.StringIO(header + body))) == expected
+    fields = re.split("[,\n]", body)
+    if isinstance(expected[0], np.dtype) and set(body) <= set("0123456789+-,\n"):
+        if max(len(f.lstrip("+-")) for f in fields) <= 19:
+            assert cli._parse_rows_numpy(body, d) is not None
+
+
+def _no_loop(text, d):
+    raise AssertionError("the line loop ran")
+
+
 class TestTrajectoryCsv:
     def test_write_read_roundtrip_1d(self):
         stream, _ = gen_zigzag(0.5, 20)
@@ -182,27 +204,63 @@ class TestTrajectoryCsv:
         lines += [",".join(str(int(v)) for v in [n, *row]) for n, row in enumerate(rows)]
         assert buf.getvalue() == "\n".join(lines) + "\n"
 
-    def test_integer_read_through_a_float_goes_to_the_loop(self, monkeypatch):
-        # numpy < 2 reads an int64 overflow as a float, warns, and wraps.
-        def wrapping_loadtxt(*args, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            return np.array([[0, -(2**63)]])
+    @settings(deadline=None)
+    @given(_edge_paths(), st.sampled_from([cli.CHUNK_BYTES]) | st.integers(1, 64))
+    @example((1, [[-(2**63)], [1 - 2**63]]), 1)
+    @example((3, [[0, 2**63 - 1, -(2**63)]]), 3)
+    def test_reader_reads_the_writer_rows_back(self, case, chunk):
+        d, rows = case
+        path = np.array(rows, dtype=np.int64)
+        path = path[:, 0] if d == 1 else path
+        buf = io.StringIO()
+        write_trajectory_csv(walk_from_path(path), len(rows) - 1, buf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_BYTES", chunk)
+            mp.setattr(cli, "_parse_rows_loop", _no_loop)
+            back = read_trajectory_csv(io.StringIO(buf.getvalue()))
+        assert back.dtype == np.int64 and back.tolist() == path.tolist()
 
-        monkeypatch.setattr(np, "loadtxt", wrapping_loadtxt)
-        with pytest.raises(OverflowError):
-            read_trajectory_csv(io.StringIO("n,x1\n0,9223372036854775808\n"))
+    @pytest.mark.parametrize("body", ["\n0,1\n1,2\n", "0,1\n\n1,2\n", "0,1\n1,2\n\n", "0,1\n1,2"])
+    def test_blank_lines_and_no_final_lf_stay_off_the_loop(self, body, monkeypatch):
+        monkeypatch.setattr(cli, "_parse_rows_loop", _no_loop)
+        assert read_trajectory_csv(io.StringIO("n,x1\n" + body)).tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "field", [str(2**63), str(-(2**63) - 1), str(10**19), str(-(10**19)), "0" * 19 + "1", "9" * 20]
+    )
+    def test_fields_past_int64_or_19_digits_go_to_the_loop(self, field, tmp_path, capsys):
+        body = f"0,{field}\n1,0\n"
+        assert cli._parse_rows_numpy(body, 1) is None
+        _check_against_loop(1, body)
+        if -(2**63) <= int(field) < 2**63:
+            return
+        csv = tmp_path / "t.csv"
+        csv.write_text("n,x1\n" + body)
+        assert run(["analyze", "--in", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @settings(max_examples=500, deadline=None)
     @given(_csv_bodies())
     def test_reader_agrees_with_line_loop(self, case):
-        d, body = case
-        header = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+        _check_against_loop(*case)
 
-        def reference():
-            arr = _parse_rows_loop(body, d)
-            return arr[:, 0] if d == 1 else arr
-
-        assert _outcome(lambda: read_trajectory_csv(io.StringIO(header + body))) == _outcome(reference)
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_bodies(), st.integers(1, 64))
+    @example((1, "0,+0\n"), 1)
+    @example((1, "0,-0\n"), 2)
+    @example((1, "0,-" + "0" * 19 + "\n"), 3)
+    @example((1, "0,-\n"), 1)
+    @example((1, "0,+\n"), 5)
+    @example((1, "0,1-2\n"), 4)
+    @example((1, ",,\n"), 1)
+    @example((1, "0,+-1\n"), 2)
+    @example((2, "+0,-0,+0\n\n1,2,3"), 1)
+    def test_reader_agrees_with_line_loop_at_chunk_edges(self, case, chunk):
+        # Chunks of 1-64 bytes, so that nearly every line opens a chunk.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_BYTES", chunk)
+            _check_against_loop(*case)
 
 
 class TestGenerate:
