@@ -558,7 +558,6 @@ class TailEstimate:
     liminf_hat: float
     limsup_hat: float
     window: tuple
-    n_points: int
 
 
 def tail_limit_estimate(ns: Sequence[int], values: Sequence[float]) -> TailEstimate:
@@ -570,13 +569,11 @@ def tail_limit_estimate(ns: Sequence[int], values: Sequence[float]) -> TailEstim
     if ns.size < 4:
         raise ValueError("tail estimate needs at least 4 checkpoints")
     big_n = int(ns[-1])
-    mask = 2 * ns >= big_n
-    window_vals = values[mask]
+    window_vals = values[2 * ns >= big_n]
     return TailEstimate(
         liminf_hat=float(window_vals.min()),
         limsup_hat=float(window_vals.max()),
         window=(big_n / 2, big_n),
-        n_points=int(mask.sum()),
     )
 
 
@@ -663,7 +660,6 @@ def analyze_stream(
             liminf_hat=min(row[name] for row in rows),
             limsup_hat=max(row[name] for row in rows),
             window=(rows[0]["n"], rows[-1]["n"]),
-            n_points=len(rows),
         )
         for name in ("x_over_n", "M_over_n", "r_over_n")
     }

@@ -1,6 +1,7 @@
-"""Core lattice-walk types: points, stream metadata, and the increment-bound contract.
+"""Core lattice-walk types: stream metadata, the stream, and the increment-bound contract.
 
-Positions live on the integer lattice Z^d.  A walk is a sequence x_0, x_1, ...
+Positions live on the integer lattice Z^d, held as int64 arrays, or as tuples
+of ints for one point (a stream's origin).  A walk is a sequence x_0, x_1, ...
 whose consecutive steps are bounded in Euclidean norm by a declared integer m.
 Streams are produced in numpy blocks so that million-step horizons stay cheap,
 but the block size never changes the emitted sequence: replaying a stream with
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -41,76 +42,21 @@ def _checked_i64(value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lattice points
+# Paths and increment-bound validation
 # ---------------------------------------------------------------------------
 
-PointLike = Union["LatticePoint", int, Sequence[int]]
 
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """A position in Z^d, d >= 1.
-
-    Coordinates are plain Python integers constrained to the signed 64-bit
-    range; arithmetic that would leave that range raises
-    :class:`CoordinateOverflowError` instead of wrapping.
-    """
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("LatticePoint needs dimension >= 1")
-        object.__setattr__(
-            self, "coords", tuple(_checked_i64(int(c)) for c in self.coords)
-        )
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
-    @classmethod
-    def origin(cls, d: int = 1) -> "LatticePoint":
-        return cls((0,) * d)
-
-    def _require_same_d(self, other: "LatticePoint") -> None:
-        if self.d != other.d:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {self.d} vs {other.d}"
-            )
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        self._require_same_d(other)
-        return LatticePoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        self._require_same_d(other)
-        return LatticePoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def norm_sq(self) -> int:
-        """Exact squared Euclidean norm (Python int, never overflows)."""
-        return sum(c * c for c in self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def as_point(value: PointLike) -> LatticePoint:
-    """Coerce an int (d=1), coordinate sequence, or LatticePoint to a point."""
-    if isinstance(value, LatticePoint):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return LatticePoint((int(value),))
-    return LatticePoint(tuple(int(c) for c in value))
-
-
-# ---------------------------------------------------------------------------
-# Increment-bound validation
-# ---------------------------------------------------------------------------
+def _point(value) -> tuple:
+    """One lattice point as int64-checked coordinates; an int is a d = 1 point."""
+    coords = (value,) if np.ndim(value) == 0 else tuple(value)  # a str or bytes is one value
+    if not coords or not all(isinstance(c, (int, np.integer)) for c in coords):
+        raise ValueError(f"a point is an int or a non-empty sequence of ints, not {value!r}")
+    return tuple(_checked_i64(int(c)) for c in coords)
 
 
 def path_to_array(path) -> np.ndarray:
-    """Normalize a path (array, ints, tuples, or LatticePoints) to an int64 array.
+    """Normalize a path (an integer array, or a sequence of ints or int
+    sequences) to an int64 array.
 
     Returns shape (N,) for d = 1 walks and (N, d) otherwise.
     """
@@ -119,20 +65,19 @@ def path_to_array(path) -> np.ndarray:
         if arr.dtype != np.int64:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError("path array must be integer-valued")
+            if arr.dtype.kind == "u" and arr.size and int(arr.max()) > INT64_MAX:
+                raise CoordinateOverflowError("path array has a value outside signed 64-bit range")
             arr = arr.astype(np.int64)
         if arr.ndim not in (1, 2):
             raise ValueError("path array must be 1-D or (N, d)")
         return arr
-    points = [as_point(p) for p in path]
+    points = [_point(p) for p in path]
     if not points:
         raise ValueError("empty path")
-    d = points[0].d
-    for p in points[1:]:
-        if p.d != d:
-            raise DimensionMismatchError("points in path have mixed dimensions")
-    if d == 1:
-        return np.array([p.coords[0] for p in points], dtype=np.int64)
-    return np.array([p.coords for p in points], dtype=np.int64)
+    d = len(points[0])
+    if any(len(p) != d for p in points):
+        raise DimensionMismatchError("points in path have mixed dimensions")
+    return np.array([p[0] for p in points] if d == 1 else points, dtype=np.int64)
 
 
 def _increments(arr: np.ndarray) -> np.ndarray:
@@ -259,19 +204,20 @@ class WalkStream:
     source; `clone()` returns a fresh unconsumed stream that replays the
     identical sequence.  Consumption happens through `blocks` (numpy arrays
     whose concatenation is x_0..x_horizon) or `path_array` (one array for the
-    whole prefix).
+    whole prefix).  `origin`, x_0, is an int for d = 1 or a sequence of d
+    ints, the origin of Z^d by default.
     """
 
     def __init__(
         self,
         metadata: WalkMetadata,
         source_factory: Callable[[], IncrementSource],
-        origin: Optional[PointLike] = None,
+        origin=None,
     ):
         self.metadata = metadata
         self._source_factory = source_factory
-        self._origin = as_point(origin) if origin is not None else LatticePoint.origin(metadata.d)
-        if self._origin.d != metadata.d:
+        self._origin = (0,) * metadata.d if origin is None else _point(origin)
+        if len(self._origin) != metadata.d:
             raise DimensionMismatchError("origin dimension differs from metadata.d")
         self._consumed = False
 
@@ -324,8 +270,7 @@ class WalkStream:
         self._mark_consumed()
         source = self._source_factory()
         m = self.metadata.m
-        coords = self._origin.coords
-        carry = np.array(coords if self.d > 1 else coords[0], dtype=np.int64)  # 0-d for d = 1
+        carry = np.array(self._origin if self.d > 1 else self._origin[0], dtype=np.int64)  # 0-d for d = 1
         first = True
         remaining = horizon
         while first or remaining > 0:
@@ -430,5 +375,4 @@ def walk_from_path(
         m=bound,
         d=d,
     )
-    origin = int(arr[0]) if d == 1 else tuple(int(c) for c in arr[0])
-    return WalkStream(meta, lambda: _ArraySource(diffs), origin=origin)
+    return WalkStream(meta, lambda: _ArraySource(diffs), origin=arr[0].tolist())

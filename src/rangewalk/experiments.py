@@ -120,20 +120,6 @@ class AggregateReport:
             doc["trials"] = self.per_trial
         return doc
 
-    def per_trial_csv_rows(self):
-        """Rows for the optional CSV dump, header trial,metric,value."""
-        if self.per_trial is None:
-            raise ValueError("report was built without per-trial values")
-        for metric, values in self.per_trial.items():
-            for i, v in enumerate(values):
-                yield i, metric, v
-
-    def write_trials_csv(self, fh) -> None:
-        """Dump per-trial values as CSV with header trial,metric,value."""
-        fh.write("trial,metric,value\n")
-        for trial, metric, value in self.per_trial_csv_rows():
-            fh.write(f"{trial},{metric},{value}\n")
-
 
 class _Extremes:
     """Carried per-row state of stochastic walks from x_0 = 0 (d = 1, m = 1).

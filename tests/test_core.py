@@ -1,4 +1,4 @@
-"""Core types: points, norms, increment bounds, stream replay contracts."""
+"""Core types: path points, step norms, increment bounds, stream replay contracts."""
 
 import itertools
 import math
@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangewalk.core import (
@@ -15,59 +15,101 @@ from rangewalk.core import (
     INT64_MIN,
     CoordinateOverflowError,
     DimensionMismatchError,
-    LatticePoint,
     StreamConsumedError,
     WalkMetadata,
     WalkStream,
-    as_point,
     at_origin,
+    path_to_array,
+    squared_distances,
     validate_increment_bound,
     walk_from_path,
 )
 from rangewalk.generators import gen_simple_rw, gen_spiral2d
 
 
-class TestLatticePoint:
-    def test_construction_and_d(self):
-        p = LatticePoint((3, -4))
-        assert p.d == 2
-        assert p.coords == (3, -4)
-        assert LatticePoint.origin(3).coords == (0, 0, 0)
+class TestPathPoints:
+    """Points of a listed path and a stream's origin: ints or int sequences, int64-checked."""
+
+    @staticmethod
+    def _x0(d, **origin):
+        return WalkStream(WalkMetadata("g", {}, None, m=1, d=d), lambda: None, **origin).path_array(0).tolist()
+
+    def test_origin_default_and_given(self):
+        assert self._x0(2) == [[0, 0]]
+        assert self._x0(3) == [[0, 0, 0]]
+        assert self._x0(2, origin=(3, np.int64(-4))) == [[3, -4]]
+        assert self._x0(1, origin=np.int32(7)) == [7]
+        assert self._x0(1, origin=[INT64_MIN]) == [INT64_MIN]
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            LatticePoint(())
+            path_to_array([(), ()])
 
-    def test_arithmetic(self):
-        a = LatticePoint((1, 2))
-        b = LatticePoint((3, -1))
-        assert (a + b).coords == (4, 1)
-        assert (b - a).coords == (2, -3)
-
-    def test_dimension_mismatch(self):
+    def test_origin_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            LatticePoint((1,)) + LatticePoint((1, 2))
+            WalkStream(WalkMetadata("g", {}, None, m=1, d=2), None, origin=5)
+        with pytest.raises(DimensionMismatchError):
+            WalkStream(WalkMetadata("g", {}, None, m=1, d=1), None, origin=(1, 2))
 
     def test_overflow_is_an_error_not_a_wrap(self):
-        big = LatticePoint((INT64_MAX,))
-        with pytest.raises(CoordinateOverflowError):
-            big + LatticePoint((1,))
-        with pytest.raises(CoordinateOverflowError):
-            LatticePoint((INT64_MAX + 1,))
+        for bad in (INT64_MAX + 1, INT64_MIN - 1):
+            with pytest.raises(CoordinateOverflowError):
+                path_to_array([0, bad])
+            with pytest.raises(CoordinateOverflowError):
+                path_to_array([(0, 0), (1, bad)])
+            with pytest.raises(CoordinateOverflowError):
+                WalkStream(WalkMetadata("g", {}, None, m=1, d=1), None, origin=bad)
+        assert path_to_array([INT64_MIN, np.int64(INT64_MAX)]).tolist() == [INT64_MIN, INT64_MAX]
+
+    @pytest.mark.parametrize(
+        "path",
+        [["12", "34"], ["10", "99"], [b"\x01\x02"], [("1", "2")], [(0, b"1")], [(0, 0), (1.9, 0)], [0, 1.5]],
+    )
+    def test_text_and_float_points_are_refused(self, path):
+        # A str or bytes iterates as a sequence of digits or byte values; int() truncates a float.
+        with pytest.raises(ValueError, match="^a point is an int or a non-empty sequence of ints"):
+            path_to_array(path)
+        with pytest.raises(ValueError):
+            validate_increment_bound(path, 1)
+
+    @given(
+        st.lists(st.integers(2**63 - 3, 2**63 + 2) | st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @example([2**64 - 1, 0], False)
+    @example([2**63 - 1, 2**63], True)
+    def test_uint64_values_past_int64_are_refused(self, values, as_rows):
+        # astype(np.int64) would wrap 2^64 - 1 to -1, a unit step from 0.
+        arr = np.array(values, dtype=np.uint64)
+        if as_rows:
+            arr = np.stack([arr, np.zeros_like(arr)], axis=1)
+        if max(values) > INT64_MAX:
+            with pytest.raises(CoordinateOverflowError):
+                path_to_array(arr)
+            with pytest.raises(CoordinateOverflowError):
+                validate_increment_bound(arr, 1)
+        else:
+            assert path_to_array(arr).tolist() == arr.astype(object).tolist()
+            assert validate_increment_bound(arr, 1) == validate_increment_bound(arr.tolist(), 1)
 
 
-def _step_sq(a, b) -> int:
-    """Exact squared Euclidean norm of the step from a to b."""
-    return (as_point(b) - as_point(a)).norm_sq()
+def _step_sq(a, b):
+    """Squared Euclidean norm of the step from a to b, by `squared_distances`."""
+    rows = path_to_array([a, b]).reshape(2, -1)
+    return squared_distances(rows[1:], rows[0].tolist())[0]
 
 
 class TestStepNorm:
     def test_d1_exact_integer(self):
         assert _step_sq(0, -3) == 9
-        assert isinstance(_step_sq(0, -3), int)
+        assert isinstance(_step_sq(0, -3), np.int64)
 
     def test_345_triangle(self):
         assert _step_sq((0, 0), (3, 4)) == 25
+
+    def test_d3(self):
+        assert _step_sq((1, 2, 3), (4, 6, 15)) == 169
+        assert _step_sq((-1, 0, 1), (1, 0, -1)) == 8
 
     def test_identity(self):
         assert _step_sq((1, 1), (1, 1)) == 0
@@ -75,6 +117,20 @@ class TestStepNorm:
     def test_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             _step_sq(0, (1, 2))
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (0, 2**32, 2**64),
+            (INT64_MIN, INT64_MAX, (2**64 - 1) ** 2),
+            ((INT64_MIN, 0), (INT64_MAX, 3), (2**64 - 1) ** 2 + 9),
+            ((0, 0, 0), (2**31, 2**31, 2**31), 3 * 2**62),
+        ],
+        ids=["d1-square", "d1-difference", "d2", "d3"],
+    )
+    def test_squares_past_int64_are_exact_python_ints(self, a, b, expected):
+        got = _step_sq(a, b)
+        assert type(got) is int and got == expected
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_symmetric_1d(self, a, b):
@@ -119,7 +175,9 @@ class TestValidateIncrementBound:
 
     def test_mixed_dimensions(self):
         with pytest.raises(DimensionMismatchError):
-            validate_increment_bound([LatticePoint((0,)), LatticePoint((0, 0))], 1)
+            validate_increment_bound([0, (0, 0)], 1)
+        with pytest.raises(DimensionMismatchError):
+            validate_increment_bound([(0, 0), (1,)], 1)
 
     def test_single_point_holds(self):
         assert validate_increment_bound([5], 1) is None

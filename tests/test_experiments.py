@@ -107,35 +107,6 @@ class TestRunTrials:
         absd = np.asarray(report.per_trial["walk_speed"])
         assert np.allclose(np.abs(signed), absd)
 
-    def test_csv_dump_rows(self):
-        spec = TrialSpec(
-            config={"gen": "srw", "p": 0.5, "steps": 10},
-            horizon=10,
-            metrics=("range_speed",),
-            trials=3,
-            master_seed=1,
-        )
-        report = run_trials(spec, keep_trials=True)
-        rows = list(report.per_trial_csv_rows())
-        assert rows[0][0] == 0 and rows[0][1] == "range_speed"
-        assert len(rows) == 3
-
-    def test_csv_dump_format(self):
-        import io
-
-        spec = TrialSpec(
-            config={"gen": "srw", "p": 1.0, "steps": 4},
-            horizon=4,
-            metrics=("range_speed",),
-            trials=2,
-            master_seed=1,
-        )
-        buf = io.StringIO()
-        run_trials(spec, keep_trials=True).write_trials_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "trial,metric,value"
-        assert lines[1] == "0,range_speed,1.25"
-
     @pytest.mark.parametrize("t", [1, 2, 3, 7])
     def test_aggregate_sums_exactly_on_both_sides_of_the_int64_bound(self, t):
         # t·max|v|^2 = INT64_MAX at most (int64 sums), then just past it (Python ints).

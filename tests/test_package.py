@@ -1,0 +1,66 @@
+"""The package's public surface: `rangewalk.__all__`, pinned."""
+
+import rangewalk
+
+PUBLIC = [
+    "AggregateReport",
+    "AnalysisReport",
+    "ClassRAssumptionError",
+    "CoordinateOverflowError",
+    "DegeneratePlanError",
+    "DimensionMismatchError",
+    "ExactRangeStats",
+    "ExcursionCheck",
+    "MarkovIncrementChain",
+    "MemoryGuardError",
+    "MetricAggregate",
+    "NoReturnEstimate",
+    "RangeTracker",
+    "ReducibleChainError",
+    "ReturnTimes",
+    "StreamConsumedError",
+    "TailEstimate",
+    "TrialSpec",
+    "WalkMetadata",
+    "WalkStream",
+    "ZigzagPlan",
+    "analyze_stream",
+    "arith_checkpoints",
+    "check_excursion_bound",
+    "check_maximal_range",
+    "check_range_sandwich_1d",
+    "compare",
+    "dyadic_checkpoints",
+    "estimate_no_return",
+    "exact_range_speed",
+    "gen_birth_death",
+    "gen_ergodic_walk",
+    "gen_linear_drift",
+    "gen_simple_rw",
+    "gen_spiral2d",
+    "gen_tau_tent",
+    "gen_zigzag",
+    "make_walk",
+    "mix_seed",
+    "ratio_series",
+    "return_times",
+    "run_trials",
+    "stationary_distribution",
+    "track_extrema",
+    "track_range",
+    "validate_increment_bound",
+    "walk_from_path",
+]
+
+
+def test_all_is_pinned_and_resolves():
+    assert sorted(rangewalk.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(rangewalk, name) is not None
+
+
+def test_internal_steps_stay_unexported():
+    # Each of these is reached through a public name: plan.n0, gen_zigzag,
+    # MetricAggregate.theory, AnalysisReport.tails.
+    for name in ("LatticePoint", "compute_n0", "zigzag_plan", "theory_value", "tail_limit_estimate"):
+        assert not hasattr(rangewalk, name), name
