@@ -253,12 +253,6 @@ class ReturnTimes:
                 raise ValueError("return times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def gaps(self) -> np.ndarray:
-        return np.diff(np.asarray(self.times, dtype=np.int64))
-
 
 def return_times(stream: WalkStream, horizon: int) -> ReturnTimes:
     """All n <= horizon with x_n = 0, ascending.  d = 1 only."""
@@ -552,7 +546,8 @@ class TailEstimate:
     """Window min/max of a checkpointed series over [N/2, N].
 
     An estimate of liminf/limsup, never asserted to equal a true limit;
-    the window is reported alongside.
+    the window is reported alongside.  Fewer than 4 checkpoints make one
+    window of them all, (first n, N).
     """
 
     liminf_hat: float
@@ -566,14 +561,15 @@ def tail_limit_estimate(ns: Sequence[int], values: Sequence[float]) -> TailEstim
     values = np.asarray(values, dtype=np.float64)
     if ns.size != values.size:
         raise ValueError("ns and values must have equal length")
-    if ns.size < 4:
-        raise ValueError("tail estimate needs at least 4 checkpoints")
     big_n = int(ns[-1])
-    window_vals = values[2 * ns >= big_n]
+    if ns.size < 4:
+        window_vals, window = values, (int(ns[0]), big_n)
+    else:
+        window_vals, window = values[2 * ns >= big_n], (big_n / 2, big_n)
     return TailEstimate(
         liminf_hat=float(window_vals.min()),
         limsup_hat=float(window_vals.max()),
-        window=(big_n / 2, big_n),
+        window=window,
     )
 
 
@@ -587,8 +583,6 @@ class AnalysisReport:
 
     rows: list
     horizon: int
-    d: int
-    m: int
     tails: dict
     theory: Optional[dict]
     provenance: dict
@@ -610,12 +604,7 @@ class AnalysisReport:
         yield json.dumps({"provenance": self.provenance})
 
 
-def analyze_stream(
-    stream: WalkStream,
-    horizon: int,
-    checkpoints=None,
-    provenance: Optional[dict] = None,
-) -> AnalysisReport:
+def analyze_stream(stream: WalkStream, horizon: int, checkpoints=None) -> AnalysisReport:
     """One pass producing the checkpoint report, inline checks, and tails.
 
     Every step is tested against the stream's declared m, and the
@@ -652,15 +641,7 @@ def analyze_stream(
             }
         )
     tails = {
-        name: tail_limit_estimate(
-            [row["n"] for row in rows], [row[name] for row in rows]
-        )
-        if len(rows) >= 4
-        else TailEstimate(
-            liminf_hat=min(row[name] for row in rows),
-            limsup_hat=max(row[name] for row in rows),
-            window=(rows[0]["n"], rows[-1]["n"]),
-        )
+        name: tail_limit_estimate(cps, [row[name] for row in rows])
         for name in ("x_over_n", "M_over_n", "r_over_n")
     }
     theory = None
@@ -674,18 +655,17 @@ def analyze_stream(
             "delta_M_over_n": abs(final["M_over_n"] - abs(drift)),
             "delta_r_over_n": abs(final["r_over_n"] - abs(drift)) if m == 1 else None,
         }
-    prov = dict(provenance) if provenance else {}
-    prov.setdefault("generator", stream.metadata.generator_name)
-    prov.setdefault("params", stream.metadata.params)
-    prov.setdefault("seed", stream.metadata.seed)
-    prov.setdefault("m", m)
-    prov.setdefault("d", d)
+    provenance = {
+        "generator": stream.metadata.generator_name,
+        "params": stream.metadata.params,
+        "seed": stream.metadata.seed,
+        "m": m,
+        "d": d,
+    }
     return AnalysisReport(
         rows=rows,
         horizon=horizon,
-        d=d,
-        m=m,
         tails=tails,
         theory=theory,
-        provenance=prov,
+        provenance=provenance,
     )

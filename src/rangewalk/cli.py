@@ -16,14 +16,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
 from .analysis import MemoryGuardError, analyze_stream, arith_checkpoints, dyadic_checkpoints
 from .core import WalkStream, walk_from_path
 from .experiments import METRICS, TrialSpec, compare, run_trials
-from .generators import make_walk
+from .generators import is_stochastic, make_walk
 from .suites import SUITES, run_suite
 
 
@@ -267,9 +268,9 @@ def _build_config(args, require_seed: bool = True) -> dict:
     steps = args.steps
     if steps is None or steps < 1:
         raise ValueError("--steps must be >= 1")
-    if require_seed and gen in ("srw", "ergodic", "birth-death") and args.seed is None:
-        raise ValueError(f"--seed is required for --gen {gen}")
     cfg = {"gen": gen, "steps": int(steps)}
+    if require_seed and is_stochastic(cfg) and args.seed is None:
+        raise ValueError(f"--seed is required for --gen {gen}")
     if gen == "srw":
         if args.p is None or not (0.0 <= args.p <= 1.0):
             raise ValueError("--p must lie in [0, 1]")
@@ -304,10 +305,14 @@ def _parse_checkpoints(spec: Optional[str], horizon: int) -> np.ndarray:
     raise ValueError("--checkpoints must be dyadic or arith:<k>")
 
 
-def _open_out(path: Optional[str]):
+@contextmanager
+def _open_out(path: Optional[str]) -> Iterator[TextIO]:
+    """The file at `path`, written with LF endings and closed after, or stdout."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +323,8 @@ def _open_out(path: Optional[str]):
 def cmd_generate(args) -> int:
     cfg = _build_config(args)
     stream = make_walk(cfg)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         write_trajectory_csv(stream, cfg["steps"], fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -352,8 +353,7 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"--m {args.m} conflicts with the generator's m={stream.m}")
     checkpoints = _parse_checkpoints(args.checkpoints, horizon)
     report = analyze_stream(stream, horizon, checkpoints=checkpoints)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         if args.plot_data:
             for row in report.rows:
                 n = row["n"]
@@ -362,9 +362,6 @@ def cmd_analyze(args) -> int:
         else:
             for line in report.jsonl_lines():
                 fh.write(line + "\n")
-    finally:
-        if close:
-            fh.close()
     return 1 if any(row["violations"] for row in report.rows) else 0
 
 
@@ -396,10 +393,9 @@ def cmd_mc(args) -> int:
         doc["verdicts"] = verdicts
         failed = not all(v["pass"] for v in verdicts.values())
     text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    if args.json or not args.out:
+    with _open_out(args.out or None) as fh:  # an empty --out prints, as no --out does
+        fh.write(text + "\n")
+    if args.json and args.out:
         print(text)
     if not args.json:
         for name, agg in report.per_metric.items():

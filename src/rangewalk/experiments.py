@@ -15,7 +15,9 @@ blocks that carry that state, so memory stays flat in the horizon.  `workers`
 schedules whole chunks on a thread pool, and results are reduced in
 trial-index order, so a report is byte-identical for any `workers`.
 A deterministic config, which runs one trial, goes through the range and
-extrema trackers instead.
+extrema trackers instead.  The theory target is the |drift| of the trial-0 walk
+`run_trials` builds anyway: |2p - 1| for srw(p), the |stationary mean| for an
+ergodic chain, whose law is solved once a run.
 Per-trial metrics are exact integers (R_N, X_N, M_N), int64 arrays for chunked
 trials; division by N happens once at aggregation.
 """
@@ -33,8 +35,7 @@ from .analysis import _scan
 from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
     BatchSource,
-    _IidLaw,
-    _parse_chain_preset,
+    gen_simple_rw,
     is_stochastic,
     make_walk,
     mix_seed,
@@ -260,16 +261,6 @@ def _aggregate(values: Sequence, denom: int) -> MetricAggregate:
     return MetricAggregate(mean=mean, stddev=std, ci95=ci95)
 
 
-def theory_value(config: dict) -> Optional[float]:
-    """Closed-form speed target: |2p-1| for srw, |stationary mean| for chains."""
-    gen = config.get("gen")
-    if gen == "srw":
-        return abs(2.0 * float(config["p"]) - 1.0)
-    if gen == "ergodic":
-        return abs(_parse_chain_preset(str(config["preset"])).drift)
-    return None
-
-
 def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> AggregateReport:
     """Run the spec's trials and aggregate in trial-index order.
 
@@ -295,20 +286,18 @@ def run_trials(spec: TrialSpec, workers: int = 1, keep_trials: bool = False) -> 
         "no_return": (counts["no_return"], 1),
         "max_speed": (counts["max_disp"], n),
     }
-    theory = theory_value(cfg)
-    theory_metrics = ()
-    if cfg.get("gen") == "srw":
-        theory_metrics = ("range_speed", "walk_speed", "no_return")
-    elif cfg.get("gen") == "ergodic":
-        theory_metrics = ("range_speed", "walk_speed")
+    theory_metrics = {
+        "srw": ("range_speed", "walk_speed", "no_return"),
+        "ergodic": ("range_speed", "walk_speed"),
+    }.get(cfg.get("gen"), ())
 
     per_metric = {}
     for name in spec.metrics:
         values, denom = series[name]
         agg = _aggregate(values, denom)
-        if theory is not None and name in theory_metrics:
-            agg.theory = theory
-            agg.delta = abs(agg.mean - theory)
+        if name in theory_metrics:
+            agg.theory = abs(walk.metadata.theoretical_drift)
+            agg.delta = abs(agg.mean - agg.theory)
         per_metric[name] = agg
 
     per_trial = None
@@ -392,8 +381,7 @@ def estimate_no_return(
     `run_trials`' chunks and seeds: trial i is trial i of ``mc`` on srw(p)
     with this master seed, so `frequency` is its ``no_return`` mean.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    law = uniform_law(gen_simple_rw(p, horizon, 0))  # checks p
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if trials < 1:
@@ -401,7 +389,7 @@ def estimate_no_return(
     nested = tuple(sorted(int(h) for h in horizons)) if horizons else None
     if nested and not (1 <= nested[0] and nested[-1] <= horizon):
         raise ValueError(f"nested horizons must lie in [1, {horizon}], got {list(nested)}")
-    first = _chunked_counts(_IidLaw((p,), (1, -1)), horizon, trials, master_seed)["first_return"]
+    first = _chunked_counts(law, horizon, trials, master_seed)["first_return"]
 
     def freq_at(h: int) -> float:
         return int(np.count_nonzero((first == 0) | (first > h))) / trials

@@ -25,9 +25,8 @@ map per block of positions only.  The states equal the plain loop's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -256,29 +255,25 @@ def _is_irreducible(transition: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _validate_stochastic(transition: np.ndarray) -> np.ndarray:
+def stationary_distribution(transition) -> np.ndarray:
+    """Unique pi with pi P = pi and sum(pi) = 1, residual <= 1e-10.
+
+    Validates `transition` as a stochastic matrix of at most 16 states first.
+    Solved directly (replace one balance equation by the normalization); a
+    damped power iteration is kept as a fallback for ill-conditioned input.
+    Raises :class:`ReducibleChainError` when the chain is reducible.
+    """
     p = np.asarray(transition, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise ValueError("transition matrix must be square and non-empty")
     if p.shape[0] > 16:
         raise ValueError("transition matrix limited to 16 states")
-    if np.any(p < 0) or np.any(p > 1):
+    if not ((p >= 0) & (p <= 1)).all():  # also refuses NaN, which no compare admits
         raise ValueError("transition entries must lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
         raise ValueError("transition rows must sum to 1 within 1e-12")
-    return p
-
-
-def stationary_distribution(transition) -> np.ndarray:
-    """Unique pi with pi P = pi and sum(pi) = 1, residual <= 1e-10.
-
-    Solved directly (replace one balance equation by the normalization); a
-    damped power iteration is kept as a fallback for ill-conditioned input.
-    Raises :class:`ReducibleChainError` when the chain is reducible.
-    """
-    p = _validate_stochastic(transition)
     if not _is_irreducible(p):
-        raise ReducibleChainError("chain is reducible: no unique stationary distribution")
+        raise ReducibleChainError("chain is reducible")
     n = p.shape[0]
 
     def _residual(pi):
@@ -318,12 +313,16 @@ def stationary_distribution(transition) -> np.ndarray:
 class MarkovIncrementChain:
     """Finite-state chain whose states are walk increments in {-1, 0, +1}.
 
-    Started from its stationary distribution the sampled increments form a
-    stationary ergodic sequence with mean ``sum(pi[s] * state[s])``.
+    Construction validates the transition matrix, checks that the chain is
+    irreducible and solves for its stationary law `stationary`, all in one
+    `stationary_distribution` call.  Started from that law the sampled
+    increments form a stationary ergodic sequence with mean `drift`,
+    ``sum(pi[s] * state[s])``.
     """
 
     states: tuple
     transition: np.ndarray
+    stationary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(int(s) for s in self.states)
@@ -331,21 +330,13 @@ class MarkovIncrementChain:
             raise ValueError("chain needs at least one state")
         if any(s not in (-1, 0, 1) for s in states):
             raise ValueError("chain states must be increments in {-1, 0, +1}")
-        p = _validate_stochastic(self.transition)
-        if p.shape[0] != len(states):
+        p = np.asarray(self.transition, dtype=np.float64)
+        pi = stationary_distribution(p)
+        if pi.size != len(states):
             raise ValueError("transition size does not match the state list")
-        if not _is_irreducible(p):
-            raise ReducibleChainError("chain is reducible")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", p)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def stationary(self) -> np.ndarray:
-        return stationary_distribution(self.transition)
+        object.__setattr__(self, "stationary", pi)
 
     @property
     def drift(self) -> float:
@@ -353,19 +344,15 @@ class MarkovIncrementChain:
         return float(self.stationary @ np.asarray(self.states, dtype=np.float64))
 
     @classmethod
-    def iid(cls, p_up: float, p_down: Optional[float] = None) -> "MarkovIncrementChain":
-        """I.i.d. increments: every row equal, states (+1, -1)."""
-        if p_down is None:
-            p_down = 1.0 - p_up
-        if not math.isclose(p_up + p_down, 1.0, abs_tol=1e-12):
-            raise ValueError("iid weights must sum to 1")
-        row = [p_up, p_down]
+    def iid(cls, p_up: float) -> "MarkovIncrementChain":
+        """I.i.d. increments: every row (p_up, 1 - p_up), states (+1, -1)."""
+        row = [p_up, 1.0 - p_up]
         return cls(states=(1, -1), transition=np.array([row, row]))
 
     @classmethod
-    def two_state(cls, p_up_to_down: float, p_down_to_up: float) -> "MarkovIncrementChain":
+    def two_state(cls, up_to_down: float, down_to_up: float) -> "MarkovIncrementChain":
         """States (+1, -1) with the given switch probabilities."""
-        a, b = float(p_up_to_down), float(p_down_to_up)
+        a, b = float(up_to_down), float(down_to_up)
         t = np.array([[1.0 - a, a], [b, 1.0 - b]])
         return cls(states=(1, -1), transition=t)
 
@@ -698,47 +685,62 @@ def _eq1_holds(ell: Fraction, n: int) -> bool:
 def compute_n0(ell: float) -> int:
     """Minimal integer n0 >= 0 with ((1+l)/(1-l))^n0 * (2l/(1-l)) > 1.
 
-    Exact rational arithmetic on the binary value of `ell`.  Values of ell so
-    small that n0 would exceed ~65000 are rejected: the resulting plan's
-    first return time is astronomically large and exact floors become
-    impractical.
+    Exact rational arithmetic on the binary value of `ell`: the search starts
+    at the float estimate of n0 and steps to the least n that passes the
+    exact test.  An ell whose estimate, plus 2, exceeds the cap of ~65000 is
+    rejected: the resulting plan's first return time is astronomically
+    large and exact floors become impractical.
     """
     if not (0.0 < ell < 1.0):
         raise ValueError(f"ell must lie in (0, 1), got {ell}")
     f = Fraction(ell)
     if _eq1_holds(f, 0):
         return 0
-    q = (1 + f) / (1 - f)
-    est = math.log((1 - ell) / (2 * ell)) / math.log(float(q))
-    hi = max(1, math.ceil(est) + 2)
-    if hi > _EXACT_EXP_CAP:
+    q = float((1 + f) / (1 - f))
+    est = math.ceil(math.log((1 - ell) / (2 * ell)) / math.log(q)) if q > 1 else _EXACT_EXP_CAP
+    if est + 2 > _EXACT_EXP_CAP:
         raise ValueError(f"ell={ell} too small for a practical plan (n0 > {_EXACT_EXP_CAP})")
-    while not _eq1_holds(f, hi):
-        hi = hi * 2
-        if hi > _EXACT_EXP_CAP:
-            raise ValueError(f"ell={ell} too small for a practical plan (n0 > {_EXACT_EXP_CAP})")
-    lo = 0  # known to fail
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _eq1_holds(f, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = max(1, est)
+    while not _eq1_holds(f, n):
+        n += 1
+    while n > 1 and _eq1_holds(f, n - 1):
+        n -= 1
+    return n
 
 
-def _zigzag_tau_fn(ell: float, n0: int):
-    """Exact tau_n for the plan: closed form 2*3^n at ell=1/2, else 2*floor(q^(n+n0))."""
+def _zigzag_zero_time(ell: float, n0: int):
+    """Zero j of the plan, exactly: 0 at j = 0, then tau_{j-1}.
+
+    tau_n = 2*3^n in closed form at ell = 1/2, else 2*floor(q^(n+n0)).
+    """
     if ell == 0.5:
-        return lambda n: 2 * 3**n
+        return lambda j: 2 * 3 ** (j - 1) if j else 0
     f = Fraction(ell)
     q = (1 + f) / (1 - f)
 
-    def tau(n: int) -> int:
-        power = q ** (n + n0)
+    def zero_time(j: int) -> int:
+        if j == 0:
+            return 0
+        power = q ** (j - 1 + n0)
         return 2 * (power.numerator // power.denominator)
 
-    return tau
+    return zero_time
+
+
+def _rising_zeros(zero_time, steps: int) -> list:
+    """zero_time(1), zero_time(2), ... up to the first at or past `steps`.
+
+    Raises DegeneratePlanError unless they rise strictly from zero_time(0) = 0.
+    """
+    times = [0]
+    while len(times) == 1 or times[-1] < steps:
+        v = zero_time(len(times))
+        if v <= times[-1]:
+            raise DegeneratePlanError(
+                f"return-time schedule not strictly increasing at index {len(times)}"
+            )
+        times.append(v)
+    return times[1:]
 
 
 @dataclass(frozen=True)
@@ -786,9 +788,7 @@ class ZigzagPlan:
 
     def tau_at(self, n: int) -> int:
         """tau_n by direct formula (n = -1 gives the conventional 0)."""
-        if n < 0:
-            return 0
-        return _zigzag_tau_fn(self.ell, self.n0)(n)
+        return _zigzag_zero_time(self.ell, self.n0)(max(n + 1, 0))
 
     def position_at(self, k: int) -> int:
         """x_k evaluated from the piecewise formula, exact for any k >= 0."""
@@ -810,23 +810,8 @@ class ZigzagPlan:
 def zigzag_plan(ell: float, steps: int) -> ZigzagPlan:
     """Plan whose tau entries cover x_0..x_steps (always at least one entry)."""
     n0 = compute_n0(ell)
-    tau_fn = _zigzag_tau_fn(ell, n0)
-    tau = []
-    t = []
-    prev = 0
-    n = 0
-    while True:
-        v = tau_fn(n)
-        if v <= prev:
-            raise DegeneratePlanError(
-                f"tau not strictly increasing after flooring at n={n} (ell={ell})"
-            )
-        tau.append(v)
-        t.append((v + prev) // 2)
-        prev = v
-        n += 1
-        if v >= steps:
-            break
+    tau = _rising_zeros(_zigzag_zero_time(ell, n0), steps)
+    t = [(a + b) // 2 for a, b in zip([0] + tau, tau)]
     return ZigzagPlan(ell=ell, n0=n0, tau=tuple(tau), t=tuple(t))
 
 
@@ -874,14 +859,10 @@ def gen_ergodic_walk(chain: MarkovIncrementChain, steps: int, seed: int) -> Walk
 _BD_PRESETS = ("symmetric", "lazy", "reflected")
 
 
-def _birth_death_law(preset: str, alpha: Optional[float] = None):
+def _birth_death_law(preset: str):
     """Parse a birth-death preset into (name, alpha, uniform law)."""
-    name = preset
-    if ":" in preset:
-        name, _, arg = preset.partition(":")
-        if alpha is not None:
-            raise ValueError("alpha given both inline and as a keyword")
-        alpha = float(arg)
+    name, colon, arg = preset.partition(":")
+    alpha = float(arg) if colon else None
     if name not in _BD_PRESETS:
         raise ValueError(f"unknown birth-death preset {preset!r}")
     if name == "lazy":
@@ -895,14 +876,14 @@ def _birth_death_law(preset: str, alpha: Optional[float] = None):
     return name, None, _IidLaw((0.5,), (1, -1)) if name == "symmetric" else _ReflectedLaw()
 
 
-def gen_birth_death(preset: str, steps: int, seed: int, alpha: Optional[float] = None) -> WalkStream:
+def gen_birth_death(preset: str, steps: int, seed: int) -> WalkStream:
     """Birth-death style chain on Z with increments in {-1, 0, +1}; x_0 = 0.
 
-    Presets: ``symmetric`` (+-1 equally), ``lazy`` (stay with probability
-    alpha, else +-1 equally; alpha in [0, 1)), ``reflected`` (from 0 step +1
-    surely, otherwise +-1 equally).  ``lazy:0.3`` style strings are accepted.
+    Presets: ``symmetric`` (+-1 equally), ``lazy:<alpha>`` (stay with
+    probability alpha, else +-1 equally; alpha in [0, 1)), ``reflected``
+    (from 0 step +1 surely, otherwise +-1 equally).
     """
-    name, alpha, law = _birth_death_law(preset, alpha)
+    name, alpha, law = _birth_death_law(preset)
     params = {"preset": name, "steps": int(steps)}
     if alpha is not None:
         params["alpha"] = alpha
@@ -925,11 +906,7 @@ def gen_zigzag(ell: float, steps: int):
     transparently.
     """
     plan = zigzag_plan(ell, steps)
-    tau_fn = _zigzag_tau_fn(ell, plan.n0)
-
-    def zero_time(j: int) -> int:
-        return 0 if j == 0 else tau_fn(j - 1)
-
+    zero_time = _zigzag_zero_time(ell, plan.n0)
     meta = WalkMetadata(
         generator_name="zigzag",
         params={"ell": float(ell), "steps": int(steps), "n0": plan.n0},
@@ -941,13 +918,9 @@ def gen_zigzag(ell: float, steps: int):
     return WalkStream(meta, lambda: _TentSource(zero_time)), plan
 
 
-def _parse_tau_rule(tau_rule: str, c: Optional[float]):
-    name = tau_rule
-    if ":" in tau_rule:
-        name, _, arg = tau_rule.partition(":")
-        if c is not None:
-            raise ValueError("c given both inline and as a keyword")
-        c = float(arg)
+def _parse_tau_rule(tau_rule: str):
+    name, colon, arg = tau_rule.partition(":")
+    c = float(arg) if colon else None
     if name == "squares":
         if c is not None:
             raise ValueError("squares rule takes no parameter")
@@ -961,14 +934,15 @@ def _parse_tau_rule(tau_rule: str, c: Optional[float]):
     raise ValueError(f"unknown tau rule {tau_rule!r}")
 
 
-def gen_tau_tent(tau_rule: str, steps: int, c: Optional[float] = None) -> WalkStream:
+def gen_tau_tent(tau_rule: str, steps: int) -> WalkStream:
     """Tent excursions between scheduled zeros.
 
-    ``squares`` pins zeros at 0, 1, 4, 9, ...; ``geometric:<c>`` at 0 and
-    2*ceil(c^k) for k >= 0.  Odd gaps get one flat step at the peak so the
-    walk still returns to 0 exactly on schedule with increments in {-1,0,+1}.
+    ``squares`` pins zeros at 0, 1, 4, 9, ...; ``geometric:<c>`` (c > 1) at
+    0 and 2*ceil(c^k) for k >= 0.  Odd gaps get one flat step at the peak so
+    the walk still returns to 0 exactly on schedule with increments in
+    {-1, 0, +1}.  The schedule is checked to rise up to `steps`.
     """
-    name, cc = _parse_tau_rule(tau_rule, c)
+    name, cc = _parse_tau_rule(tau_rule)
     if name == "squares":
         zero_time = lambda j: j * j
     else:
@@ -980,19 +954,7 @@ def gen_tau_tent(tau_rule: str, steps: int, c: Optional[float] = None) -> WalkSt
             power = frac_c ** (j - 1)
             return 2 * (-((-power.numerator) // power.denominator))  # 2*ceil
 
-    # Validate the schedule over the declared horizon up front.
-    prev = 0
-    j = 1
-    while True:
-        v = zero_time(j)
-        if v <= prev:
-            raise DegeneratePlanError(
-                f"return-time schedule not strictly increasing at index {j}"
-            )
-        prev = v
-        j += 1
-        if v >= steps:
-            break
+    _rising_zeros(zero_time, steps)
     params = {"tau_rule": name, "steps": int(steps)}
     if cc is not None:
         params["c"] = cc

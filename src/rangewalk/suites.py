@@ -52,12 +52,12 @@ def _shipped_generators(seed: int, horizon: int):
         generators.gen_simple_rw(0.5, horizon, seed + 1),
         generators.gen_ergodic_walk(chain, horizon, seed + 2),
         generators.gen_birth_death("symmetric", horizon, seed + 3),
-        generators.gen_birth_death("lazy", horizon, seed + 4, alpha=0.3),
+        generators.gen_birth_death("lazy:0.3", horizon, seed + 4),
         generators.gen_birth_death("reflected", horizon, seed + 5),
         zz,
         zz3,
         generators.gen_tau_tent("squares", horizon),
-        generators.gen_tau_tent("geometric", horizon, c=3.0),
+        generators.gen_tau_tent("geometric:3", horizon),
         generators.gen_linear_drift(2, [2, -1, 1], horizon),
         generators.gen_spiral2d(horizon),
     ]

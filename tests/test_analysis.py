@@ -17,6 +17,7 @@ from rangewalk.analysis import (
     MemoryGuardError,
     RangeTracker,
     ReturnTimes,
+    TailEstimate,
     analyze_stream,
     arith_checkpoints,
     check_excursion_bound,
@@ -850,8 +851,12 @@ class TestTailEstimate:
         assert est.liminf_hat == 3  # only n >= 4 in the window
 
     def test_too_few_checkpoints(self):
+        # Fewer than 4 checkpoints make one window of them all, as analyze_stream reports it.
+        est = tail_limit_estimate([1, 2, 3], [0.5, 2.0, 1.0])
+        assert est == TailEstimate(liminf_hat=0.5, limsup_hat=2.0, window=(1, 3))
+        assert tail_limit_estimate([5], [0.25]).window == (5, 5)
         with pytest.raises(ValueError):
-            tail_limit_estimate([1, 2], [0.0, 0.0])
+            tail_limit_estimate([1, 2], [0.0])
 
 
 class TestSpeedReport:

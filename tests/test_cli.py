@@ -272,9 +272,47 @@ class TestGenerate:
         assert len(lines) == 22
         assert lines[-1] == "20,2"
 
-    def test_flag_validation_names_the_flag(self, capsys):
-        assert run(["generate", "--gen", "srw", "--p", "1.5", "--steps", "5", "--seed", "1"]) == 2
-        assert "--p" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["generate", "--gen", "srw", "--p", "1.5", "--steps", "5", "--seed", "1"], "--p"),
+            (["generate", "--steps", "5"], "--gen"),
+            (["generate", "--gen", "srw", "--p", "0.5", "--steps", "5"], "--seed"),
+            (["generate", "--gen", "zigzag", "--ell", "1.5", "--steps", "5"], "--ell"),
+            (["generate", "--gen", "birth-death", "--steps", "5", "--seed", "1"], "--preset"),
+            (["generate", "--gen", "tau-tent", "--steps", "5"], "--tau-rule"),
+            (["generate", "--gen", "linear-drift", "--steps", "5"], "--pattern"),
+            (["analyze", "--gen", "spiral2d", "--steps", "5", "--checkpoints", "every"], "--checkpoints"),
+            (["mc", "--gen", "srw", "--p", "0.5", "--steps", "5", "--seed", "1", "--metric", "speed"], "--metric"),
+            (["analyze", "--gen", "srw", "--p", "0.5", "--steps", "5", "--seed", "1", "--m", "2"], "--m"),
+            (["analyze", "--in", "{csv}", "--gen", "zigzag", "--ell", "0.5", "--m", "2"], "--m"),
+        ],
+        ids=["p", "gen", "seed", "ell", "preset", "tau-rule", "pattern", "checkpoints", "metric",
+             "m-inline", "m-csv"],
+    )
+    def test_flag_validation_names_the_flag(self, argv, flag, tmp_path, capsys):
+        csv = tmp_path / "t.csv"
+        assert run(["generate", "--gen", "zigzag", "--ell", "0.5", "--steps", "8", "--out", str(csv)]) == 0
+        assert run([str(csv) if a == "{csv}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+        assert re.search(re.escape(flag) + r"\b(?!-)", err[0]), err
+
+    @pytest.mark.parametrize(
+        "flags,last,params",
+        [
+            (["--gen", "tau-tent", "--tau-rule", "geometric:3"], "18,0", {"tau_rule": "geometric", "steps": 18, "c": 3.0}),
+            (["--gen", "linear-drift", "--pattern", "2,-1,1"], "18,12", {"m": 2, "pattern": [2, -1, 1], "steps": 18}),
+        ],
+        ids=["tau-tent", "linear-drift"],
+    )
+    def test_deterministic_flags_build_their_config(self, flags, last, params, capsys):
+        assert run(["generate", *flags, "--steps", "18"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last
+        assert run(["analyze", *flags, "--steps", "18"]) == 0
+        prov = json.loads(capsys.readouterr().out.splitlines()[-1])["provenance"]
+        assert prov["params"] == params and prov["m"] == params.get("m", 1)
 
     def test_steps_required(self, capsys):
         assert run(["generate", "--gen", "srw", "--p", "0.5", "--seed", "1"]) == 2
@@ -289,6 +327,12 @@ class TestAnalyze:
         argv = ["analyze", "--gen", "ergodic", "--preset", "switch:0.1", "--steps", "10"]
         assert run(argv + ["--seed", "1"]) == 2
         assert "switch:<a>,<b> or iid:<p>" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["switch:nan,0.3", "switch:0.1,inf", "switch:-inf,0.3", "iid:nan"])
+    def test_non_finite_chain_preset_is_a_usage_error(self, preset, capsys):
+        argv = ["analyze", "--gen", "ergodic", "--preset", preset, "--steps", "10", "--seed", "1"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: transition entries must lie in [0, 1]\n"
 
     def test_spec_example_last_tau(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -450,6 +494,17 @@ class TestMc:
         assert doc["per_metric"]["range_speed"]["mean"] == pytest.approx(1.01)
 
 
+# Small sizes for each verify suite (under 0.1 s each), and the number of properties it reports.
+SUITE_RUNS = {
+    "maximal-range": (["--paths", "20", "--len", "200"], 6),
+    "sandwich": (["--paths", "50", "--len", "100"], 2),
+    "excursion": (["--paths", "20", "--steps", "2000"], 3),
+    "zigzag-exact": (["--steps", "100000"], 4),
+    "spiral-distinct": (["--steps", "2000"], 3),
+    "oracle-range": (["--trials", "20000"], 3),
+}
+
+
 class TestVerify:
     def test_spec_example_invocation(self, capsys):
         assert run([
@@ -459,10 +514,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_every_suite_prints_per_property_lines(self, capsys):
-        assert run(["verify", "--suite", "sandwich", "--paths", "50", "--len", "100"]) == 0
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_suite_prints_per_property_lines(self, name, capsys):
+        flags, properties = SUITE_RUNS[name]
+        assert run(["verify", "--suite", name, *flags]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == properties
         assert all(line.startswith("PASS: ") for line in lines)
 
     def test_sandwich_fails_on_corrupted_set_counts(self, monkeypatch, capsys):

@@ -21,7 +21,6 @@ from rangewalk.experiments import (
     estimate_no_return,
     exact_range_speed,
     run_trials,
-    theory_value,
 )
 from rangewalk.generators import BatchSource, make_walk, mix_seed, pcg64_states
 
@@ -133,15 +132,41 @@ class TestRunTrials:
 
 
 class TestTheoryValue:
+    """run_trials' theory target is the |drift| of the walk it builds."""
+
+    @staticmethod
+    def _theory(config):
+        spec = TrialSpec(config={**config, "steps": 10}, horizon=10)
+        return {name: agg.theory for name, agg in run_trials(spec).per_metric.items()}
+
     def test_srw(self):
-        assert theory_value({"gen": "srw", "p": 0.5}) == 0.0
-        assert theory_value({"gen": "srw", "p": 0.75}) == pytest.approx(0.5)
+        assert self._theory({"gen": "srw", "p": 0.5})["range_speed"] == 0.0
+        got = self._theory({"gen": "srw", "p": 0.75})
+        assert got == {"range_speed": 0.5, "walk_speed": 0.5, "no_return": 0.5, "max_speed": None}
 
     def test_chain(self):
-        assert theory_value({"gen": "ergodic", "preset": "switch:0.1,0.3"}) == pytest.approx(0.5)
+        got = self._theory({"gen": "ergodic", "preset": "switch:0.1,0.3"})
+        assert got["range_speed"] == got["walk_speed"] == pytest.approx(0.5)
+        assert got["no_return"] is got["max_speed"] is None
+
+    def test_chain_law_is_solved_once(self, monkeypatch):
+        import rangewalk.generators as G
+
+        calls = []
+        solve = G.stationary_distribution
+        monkeypatch.setattr(G, "stationary_distribution", lambda p: calls.append(1) or solve(p))
+        self._theory({"gen": "ergodic", "preset": "switch:0.1,0.3"})
+        assert len(calls) == 1
 
     def test_absent(self):
-        assert theory_value({"gen": "zigzag", "ell": 0.5}) is None
+        # Only srw and ergodic runs have a theory target, whatever drift the walk declares.
+        for config in (
+            {"gen": "zigzag", "ell": 0.5},
+            {"gen": "birth-death", "preset": "symmetric"},
+            {"gen": "spiral2d"},
+            {"gen": "linear-drift", "pattern": [2, -1, 1]},
+        ):
+            assert set(self._theory(config).values()) == {None}, config
 
 
 class TestCompare:

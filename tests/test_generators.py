@@ -1,5 +1,6 @@
 """Generator families: stochastic walks and the deterministic constructions."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -249,6 +250,16 @@ class TestMarkovIncrementChain:
         with pytest.raises(ValueError):
             MarkovIncrementChain(states=(1, -1), transition=[[0.6, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN fails every compare, so no range or row-sum test alone refused it.
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            MarkovIncrementChain((1, 0, -1), [[bad, 0.5, 0.5], [0.3, 0.3, 0.4], [0.2, 0.4, 0.4]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            stationary_distribution([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            MarkovIncrementChain.two_state(bad, 0.3)
+
 
 class TestErgodicWalk:
     def test_degenerate_single_state(self):
@@ -476,7 +487,7 @@ class TestBirthDeath:
 
     def test_lazy_alpha_one_rejected(self):
         with pytest.raises(ValueError):
-            gen_birth_death("lazy", 10, 0, alpha=1.0)
+            gen_birth_death("lazy:1.0", 10, 0)
 
     def test_lazy_inline_param(self):
         x = gen_birth_death("lazy:0.5", 1000, 8).path_array(1000)
@@ -509,15 +520,41 @@ class TestComputeN0:
             with pytest.raises(ValueError):
                 compute_n0(bad)
 
-    def test_minimality(self):
-        for ell in (0.05, 0.1, 0.2, 0.3, 0.47):
-            n0 = compute_n0(ell)
-            f = Fraction(ell)
-            q = (1 + f) / (1 - f)
-            factor = 2 * f / (1 - f)
-            assert q**n0 * factor > 1
-            if n0 > 0:
-                assert q ** (n0 - 1) * factor <= 1
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 0.99))
+    @example(0.05)
+    @example(0.1)
+    @example(0.2)
+    @example(0.3)
+    @example(0.47)
+    @example(1 / 3)  # 2l/(1-l) = 1 at l = 1/3: n0 = 0 just above it
+    @example(float(np.nextafter(1 / 3, 0)))
+    @example(float(np.nextafter(1 / 3, 1)))
+    @example(0.2360679774997897)  # the float estimate, 1, is one short of n0 = 2
+    @example(0.18882895203249914)  # the float estimate, 3, is one past n0 = 2
+    def test_minimality(self, ell):
+        n0 = compute_n0(ell)
+        f = Fraction(ell)
+        q = (1 + f) / (1 - f)
+        factor = 2 * f / (1 - f)
+        assert q**n0 * factor > 1
+        if n0 > 0:
+            assert q ** (n0 - 1) * factor <= 1
+
+    # The largest ell whose float estimate of n0, plus 2, passes the cap of 2^16.
+    CAP_EDGE = 6.793252711979467e-05
+
+    @pytest.mark.parametrize("ell", [float(np.nextafter(CAP_EDGE, 0)), 1e-17, 5e-324])
+    def test_past_the_cap_raises_at_once(self, ell, monkeypatch):
+        # 1e-17 and 5e-324 are so small that q = (1 + l)/(1 - l) rounds to 1.
+        import rangewalk.generators as G
+
+        tried = []
+        holds = G._eq1_holds
+        monkeypatch.setattr(G, "_eq1_holds", lambda f, n: tried.append(n) or holds(f, n))
+        with pytest.raises(ValueError, match="too small for a practical plan"):
+            compute_n0(ell)
+        assert tried == [0]
 
 
 class TestZigzag:
@@ -598,7 +635,7 @@ class TestTauTent:
 
     def test_near_one_c_is_degenerate(self):
         with pytest.raises(DegeneratePlanError):
-            gen_tau_tent("geometric", 100, c=1.01)
+            gen_tau_tent("geometric:1.01", 100)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -653,11 +690,11 @@ def _all_generators(seed):
         gen_simple_rw(0.7, 3000, seed),
         gen_ergodic_walk(chain, 3000, seed),
         gen_birth_death("symmetric", 3000, seed),
-        gen_birth_death("lazy", 3000, seed, alpha=0.25),
+        gen_birth_death("lazy:0.25", 3000, seed),
         gen_birth_death("reflected", 3000, seed),
         zz,
         gen_tau_tent("squares", 3000),
-        gen_tau_tent("geometric", 3000, c=2.5),
+        gen_tau_tent("geometric:2.5", 3000),
         gen_spiral2d(3000),
         gen_linear_drift(3, [3, -1, 0, 2], 3000),
     ]

@@ -61,6 +61,6 @@ def test_all_is_pinned_and_resolves():
 
 def test_internal_steps_stay_unexported():
     # Each of these is reached through a public name: plan.n0, gen_zigzag,
-    # MetricAggregate.theory, AnalysisReport.tails.
-    for name in ("LatticePoint", "compute_n0", "zigzag_plan", "theory_value", "tail_limit_estimate"):
+    # AnalysisReport.tails.
+    for name in ("LatticePoint", "compute_n0", "zigzag_plan", "tail_limit_estimate"):
         assert not hasattr(rangewalk, name), name
