@@ -23,7 +23,7 @@ for n, (tau, t) in enumerate(zip(plan.tau, plan.t)):
         break
     print(f"{n:3d} {tau:8d} {t:8d} {x[t]:9d} {x[t] / t:12.6f}")
 
-rt = return_times(stream.clone(), STEPS)
+rt = return_times(stream, STEPS)
 print(f"\nzero visits up to {STEPS}: {rt.times}")
 print("every scheduled return lands exactly on zero, and from n = 1 on the")
 print("peak ratio is exactly 1/2 (the first excursion starts from time 0,")

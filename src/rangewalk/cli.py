@@ -393,7 +393,7 @@ def cmd_mc(args) -> int:
         doc["verdicts"] = verdicts
         failed = not all(v["pass"] for v in verdicts.values())
     text = json.dumps(doc, indent=2)
-    with _open_out(args.out or None) as fh:  # an empty --out prints, as no --out does
+    with _open_out(args.out) as fh:
         fh.write(text + "\n")
     if args.json and args.out:
         print(text)

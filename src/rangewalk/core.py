@@ -4,8 +4,8 @@ Positions live on the integer lattice Z^d, held as int64 arrays, or as tuples
 of ints for one point (a stream's origin).  A walk is a sequence x_0, x_1, ...
 whose consecutive steps are bounded in Euclidean norm by a declared integer m.
 Streams are produced in numpy blocks so that million-step horizons stay cheap,
-but the block size never changes the emitted sequence: replaying a stream with
-the same metadata is bit-exact.
+but the block size never changes the emitted sequence, and every read builds
+a fresh increment source: reading a stream again replays it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class DimensionMismatchError(ValueError):
 
 class CoordinateOverflowError(OverflowError):
     """A coordinate left the signed 64-bit range; refusing to wrap."""
-
-
-class StreamConsumedError(RuntimeError):
-    """A single-consumer stream was advanced twice."""
 
 
 def _checked_i64(value: int) -> int:
@@ -198,14 +194,15 @@ class IncrementSource(Protocol):
 
 
 class WalkStream:
-    """A single-consumer producer of positions x_0, x_1, x_2, ...
+    """The positions x_0, x_1, x_2, ... of a walk, as a replayable value.
 
     The stream is defined by its metadata plus a factory for the increment
-    source; `clone()` returns a fresh unconsumed stream that replays the
-    identical sequence.  Consumption happens through `blocks` (numpy arrays
-    whose concatenation is x_0..x_horizon) or `path_array` (one array for the
-    whole prefix).  `origin`, x_0, is an int for d = 1 or a sequence of d
-    ints, the origin of Z^d by default.
+    source, which must return a new source over the same increments on
+    every call.  Reads go through `blocks` (numpy arrays whose concatenation
+    is x_0..x_horizon) or `path_array` (one array for the whole prefix); each
+    read builds a fresh source, so reading the stream again replays the
+    identical sequence bit for bit.  `origin`, x_0, is an int for d = 1 or a
+    sequence of d ints, the origin of Z^d by default.
     """
 
     def __init__(
@@ -219,7 +216,6 @@ class WalkStream:
         self._origin = (0,) * metadata.d if origin is None else _point(origin)
         if len(self._origin) != metadata.d:
             raise DimensionMismatchError("origin dimension differs from metadata.d")
-        self._consumed = False
 
     @property
     def d(self) -> int:
@@ -233,18 +229,7 @@ class WalkStream:
     def source_factory(self) -> Callable[[], IncrementSource]:
         return self._source_factory
 
-    def clone(self) -> "WalkStream":
-        """Fresh unconsumed stream over the identical sequence."""
-        return WalkStream(self.metadata, self._source_factory, self._origin)
-
-    # -- consumption ------------------------------------------------------
-
-    def _mark_consumed(self):
-        if self._consumed:
-            raise StreamConsumedError(
-                "stream already consumed; call clone() for a fresh replay"
-            )
-        self._consumed = True
+    # -- reads ------------------------------------------------------------
 
     def blocks(self, horizon: int, block_size: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
         """Yield consecutive position blocks covering x_0 .. x_horizon.
@@ -267,7 +252,6 @@ class WalkStream:
             raise ValueError("horizon must be >= 0")
         if block_size < 2:
             raise ValueError("block_size must be >= 2")
-        self._mark_consumed()
         source = self._source_factory()
         m = self.metadata.m
         carry = np.array(self._origin if self.d > 1 else self._origin[0], dtype=np.int64)  # 0-d for d = 1

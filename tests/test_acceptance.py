@@ -169,10 +169,11 @@ def test_criterion_08_sandwich_and_oracle_equivalence(capsys):
 
 def test_criterion_09_return_ratio_zero_speed(capsys):
     horizon = 2 * 10**5
-    x = rw.gen_tau_tent("squares", horizon).path_array(horizon)
+    tent = rw.gen_tau_tent("squares", horizon)
+    x = tent.path_array(horizon)
     n = np.arange(10**4, horizon + 1)
     worst = float(np.max(np.abs(x[10**4:]) / n))
-    ratios = rw.ratio_series(rw.return_times(rw.gen_tau_tent("squares", horizon), horizon))
+    ratios = rw.ratio_series(rw.return_times(tent, horizon))
     last = float(ratios[-1])
     with capsys.disabled():
         _report(

@@ -562,5 +562,14 @@ class TestTopLevel:
     def test_unknown_subcommand(self):
         assert run(["explode"]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "analyze", "mc"])
+    def test_empty_out_is_an_io_error(self, command, capsys):
+        argv = [command, "--gen", "srw", "--p", "0.5", "--seed", "1", "--steps", "10"]
+        argv += ["--trials", "2", "--workers", "1"] if command == "mc" else []
+        assert run(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
     def test_no_subcommand(self):
         assert run([]) == 2

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rangewalk import suites
+from rangewalk.analysis import analyze_stream
 from rangewalk.core import (
     INT64_MAX,
     INT64_MIN,
     CoordinateOverflowError,
     DimensionMismatchError,
-    StreamConsumedError,
     WalkMetadata,
     WalkStream,
     at_origin,
@@ -199,12 +200,22 @@ class TestWalkStream:
             got = np.concatenate(list(gen_simple_rw(0.5, 0, 99).blocks(5000, block_size=bs)))
             assert np.array_equal(ref, got)
 
-    def test_single_consumer(self):
+    def test_second_read_replays_the_first(self):
         s = gen_simple_rw(0.5, 10, 1)
-        s.path_array(10)
-        with pytest.raises(StreamConsumedError):
-            s.path_array(10)
-        assert s.clone().path_array(10).shape == (11,)
+        first = s.path_array(10)
+        assert np.array_equal(s.path_array(10), first)
+        assert np.array_equal(np.concatenate(list(s.blocks(10, block_size=3))), first)
+
+    def test_interleaved_reads_are_independent(self):
+        # Each read builds its own source: neither an abandoned read nor one
+        # advanced in step with it moves another.
+        s = gen_simple_rw(0.5, 100, 2)
+        abandoned = s.blocks(100, block_size=5)
+        next(abandoned)
+        a, b = s.blocks(100, block_size=5), s.blocks(100, block_size=5)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        assert np.array_equal(np.concatenate(list(abandoned)), s.path_array(100)[5:])
 
     def test_blocks_cover_horizon(self):
         s = gen_spiral2d(100)
@@ -254,6 +265,52 @@ class TestWalkStream:
 
         path = WalkStream(WalkMetadata("liar", {}, None, m=1, d=d), OneJump).path_array(70_000)
         assert path[1:].tolist() == [2**50 if d == 1 else [2**50] * d] * 70_000
+
+
+_REPLAY_HORIZON = 500
+_REPLAY_PATH_1D = np.cumsum(np.random.Generator(np.random.PCG64(5)).integers(-2, 3, _REPLAY_HORIZON + 1))
+_REPLAY_PATH_2D = suites._random_unit_path_2d(np.random.Generator(np.random.PCG64(6)), _REPLAY_HORIZON)
+
+
+def _replay_streams():
+    """Every shipped generator plus stored d = 1 and d = 2 paths, each built afresh."""
+    return suites._shipped_generators(13, _REPLAY_HORIZON) + [
+        walk_from_path(_REPLAY_PATH_1D),
+        walk_from_path(_REPLAY_PATH_2D),
+    ]
+
+
+_REPLAY_IDS = [f"{i}-{s.metadata.generator_name}" for i, s in enumerate(_replay_streams())]
+
+
+def _reads(stream):
+    """One read of each kind: the whole prefix, blocks of 2 and 4096 positions, the report."""
+    h = _REPLAY_HORIZON
+    return [
+        stream.path_array(h),
+        np.concatenate(list(stream.blocks(h, block_size=2))),
+        np.concatenate(list(stream.blocks(h, block_size=4096))),
+        list(analyze_stream(stream, h).jsonl_lines()),
+    ]
+
+
+class TestReplayContract:
+    """Reading a stream again replays x_0..x_n bit for bit: every read builds a fresh source."""
+
+    @pytest.mark.parametrize("index", range(len(_REPLAY_IDS)), ids=_REPLAY_IDS)
+    def test_every_read_replays_a_fresh_stream(self, index):
+        stream = _replay_streams()[index]
+        first, second = _reads(stream), _reads(stream)
+        fresh = _reads(_replay_streams()[index])
+        for reads in (first, second, fresh):
+            assert reads[0].shape[0] == _REPLAY_HORIZON + 1
+            assert np.array_equal(reads[1], reads[0]) and np.array_equal(reads[2], reads[0])
+        for a, b, c in zip(first, second, fresh):
+            if isinstance(a, list):
+                assert a == b == c
+            else:
+                assert a.dtype == b.dtype == c.dtype == np.int64
+                assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 @lru_cache(maxsize=None)
