@@ -189,7 +189,10 @@ class WalkMetadata:
 
 class IncrementSource(Protocol):
     def take(self, k: int) -> np.ndarray:
-        """Return the next k increments, shape (k,) for d=1 else (k, d)."""
+        """Return the next k increments, shape (k,) for d=1 else (k, d).
+
+        The array may be a view that the next call overwrites.
+        """
         ...
 
 

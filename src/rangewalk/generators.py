@@ -15,11 +15,13 @@ Every stochastic law maps a uniform u to the number of its cuts that u
 reaches (u >= cut), and that count picks the label.  The cuts are the
 cumulative weights without the last, ``cumsum(w)[:-1]``, so the count is the
 clipped ``searchsorted(cumsum(w), u, side="right")``.  A Markov increment
-chain has one row of cuts per state, so each uniform becomes a map of its
-states, and `_gather_states` follows the maps in numpy, for every row of a
-batch in one call: identity maps are skipped, constant maps fix the state,
-and a two-level scan composes whatever is left, with a Python loop over one
-map per block of positions only.  The states equal the plain loop's.
+chain has one row of cuts per state; merged, they cut [0, 1) into intervals
+on each of which every state moves the same way, so each uniform picks one
+of a few maps of the states, and `_gather_states` follows the maps in
+numpy, for every row of a batch in one call: identity maps keep the state,
+constant maps fix it, and a two-level scan composes whatever is left, with
+a Python loop over one map per block of positions only.  The states equal
+the plain loop's.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import WalkMetadata, WalkStream
+from .core import DEFAULT_BLOCK, WalkMetadata, WalkStream
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -360,58 +362,107 @@ class MarkovIncrementChain:
 #: Positions per block of the sampler's two-level scan.
 _SCAN_BLOCK = 16
 
+#: Low bits of a fill key that hold the state, so a chain has at most 2^16 states.
+_STATE_BITS = 16
+_STATE_MASK = (1 << _STATE_BITS) - 1
+#: The key of a position that keeps the state before it: below every start.
+_NO_KEY = -(1 << 62)
 
-def _gather_states(nxt: np.ndarray, s0) -> np.ndarray:
-    """The states s_k = nxt[s_{k-1}, k] of a chain started at s_{-1} = s0.
 
-    `nxt` is (S, n) with an int `s0`, or (S, R, n) with one start per row for
-    R independent rows; the result is (n,) or (R, n) int64.  Column k of
-    `nxt` is the map the k-th uniform applies to the state, and the result
-    equals the plain loop over k integer for integer.
+class _Scratch:
+    """Work arrays that one read of a seeded stream reuses on every block.
 
-    Positions whose map is the identity repeat the state before them, so
-    they are dropped and filled forward at the end.  A constant map fixes
-    the state whatever came before (coalescence, as in Propp & Wilson
-    1996); the first kept map of a row is made constant by applying it to
-    the row's start.  When every kept map is constant the states are read
-    off directly.  Otherwise the kept maps are composed in blocks of
-    `_SCAN_BLOCK`, prefix by prefix for all blocks at once, a Python loop
-    carries the state across the block maps only, and one gather reads
-    every state from its block's prefix maps.
+    A fresh block-sized array page-faults anew on every block, so a drawn
+    source keeps these at a fixed number of cells and each block works in
+    views of them: the uniforms, the int64 interval ids and the bools of
+    one compare.  The fill keys of `_gather_states` reuse the uniforms'
+    memory once the ids are counted, and the increments reuse the ids'
+    memory once the states are filled.  `ramp` holds the keys' positions.
     """
-    single = nxt.ndim == 2
-    if single:
-        nxt = nxt[:, None, :]
-    n_states, rows, n = nxt.shape
-    start = np.asarray(s0, dtype=np.int64).reshape(rows)
-    maps = nxt.reshape(n_states, rows * n)
-    moves = (maps != np.arange(n_states)[:, None]).any(axis=0)
-    pos = np.flatnonzero(moves)
-    m = pos.size
-    kept = np.take(maps, pos, axis=1)
-    first = np.searchsorted(pos, np.arange(rows) * n)  # each row's first kept map
-    has = np.diff(first, append=m) > 0
-    heads = first[has]
-    kept[:, heads] = np.take(kept.ravel(), start[has] * m + heads)
-    x = kept[0]
-    if not (kept[1:] == x).all():
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self._u = np.empty(cells)
+        self._ids = np.empty(cells, dtype=np.int64)
+        self._reached = np.empty(cells, dtype=bool)
+        self._ramp = self._ids[:0]
+
+    def views(self, shape) -> tuple:
+        """(u, ids, keys, reached) of `shape`, where keys alias u as int64."""
+        n = math.prod(shape)
+        u, ids, reached = (a[:n].reshape(shape) for a in (self._u, self._ids, self._reached))
+        return u, ids, u.view(np.int64), reached
+
+    def ramp(self, rows: int, n: int) -> np.ndarray:
+        """``(k + 1) << _STATE_BITS`` for k < n; built once for every row
+        length that `rows` rows of these cells can have."""
+        if self._ramp.size < n:
+            self._ramp = np.arange(1, self.cells // rows + 1, dtype=np.int64) << _STATE_BITS
+        return self._ramp[:n]
+
+
+def _gather_states(ids: np.ndarray, table: np.ndarray, s0, scratch: Optional[_Scratch] = None):
+    """The states s_k = table[ids[r, k], s_{k-1}] of R rows, row r from s_{-1} = s0[r].
+
+    `ids` is (R, n) int64 and `table` (intervals, S): row i of the table is
+    the map that a uniform of interval i applies to the state.  Returns the
+    (R, n) int64 states, in the keys of `scratch` if one is given, equal to
+    the plain loop's integer for integer.
+
+    A position whose map is the identity keeps the state before it; every
+    other position is kept.  A constant map fixes the state whatever came
+    before (coalescence, as in Propp & Wilson 1996).  A kept state becomes
+    the key ``((k + 1) << _STATE_BITS) | state``, any other position a key
+    below every start, and one running max along each row, from the row's
+    start, fills every position with the key of the last kept state before
+    it, which the mask reads back.  When every map of the table is the
+    identity or constant, as for a two-state chain whose two switch
+    probabilities sum to at most 1, the kept states are read off the
+    table.  Otherwise the kept maps are composed in blocks of `_SCAN_BLOCK`,
+    prefix by prefix for all blocks at once, each prefix one gather from the
+    flat table; each row's first kept map is first replaced by the constant
+    map to its value at the row's start.  A Python loop carries the state
+    across the block maps only, and one gather reads every kept state from
+    its block's prefixes.
+    """
+    rows, n = ids.shape
+    n_maps, n_states = table.shape
+    start = np.asarray(s0, dtype=np.int64)
+    scratch = _Scratch(ids.size) if scratch is None else scratch
+    keys = scratch.views(ids.shape)[2]
+    identity = (table == np.arange(n_states)).all(axis=1)
+    if ((table == table[:, :1]).all(axis=1) | identity).all():
+        np.take(np.where(identity, _NO_KEY, table[:, 0]), ids, out=keys, mode="clip")
+        keys += scratch.ramp(rows, n)
+    else:
+        pos = np.flatnonzero(np.take(~identity, ids))
+        m = pos.size
         w = _SCAN_BLOCK
         nb = -(-m // w)
-        identity = np.repeat(np.arange(n_states)[:, None], nb * w - m, axis=1)
-        blocks = np.concatenate((kept, identity), axis=1).reshape(n_states, nb, w)
-        prefix = blocks.transpose(2, 0, 1).copy()
-        col = np.arange(nb)
+        # Map n_maps is the identity, which pads the last block, and map
+        # n_maps + 1 + c the constant map to c.
+        states = np.arange(n_states)
+        flat = np.vstack((table, states, np.repeat(states[:, None], n_states, axis=1))).ravel()
+        at = np.full(nb * w, n_maps)
+        at[:m] = np.take(ids, pos)
+        first = np.searchsorted(pos, np.arange(rows) * n)  # each row's first kept map
+        has = np.diff(first, append=m) > 0
+        at[first[has]] = n_maps + 1 + table[at[first[has]], start[has]]
+        at = at.reshape(nb, w).T * n_states
+        prefix = np.empty((w, n_states, nb), dtype=np.int64)  # [i, s, b]: s after maps 0..i of block b
+        np.take(flat, at[0] + states[:, None], out=prefix[0], mode="clip")
         for i in range(1, w):
-            prefix[i] = np.take(prefix[i].ravel(), prefix[i - 1] * nb + col)
+            np.take(flat, at[i] + prefix[i - 1], out=prefix[i], mode="clip")
         block_map = prefix[-1].tolist()
-        s = 0  # block 0 starts with a head, whose map is constant
+        s = 0  # block 0 starts with a row's first kept map, which is constant
         entry = [0] + [s := block_map[s][b] for b in range(nb - 1)]
-        x = np.take(prefix.reshape(w, -1), np.asarray(entry) * nb + col, axis=1).T.ravel()[:m]
-    if m < rows * n:  # each row's start, then its kept states, each repeated up to the next
-        at = np.insert(pos, first, np.arange(rows) * n)
-        x = np.repeat(np.insert(x, first, start), np.diff(at, append=rows * n))
-    states = x.reshape(rows, n)
-    return states[0] if single else states
+        x = np.take(prefix.reshape(w, -1), np.asarray(entry) * nb + np.arange(nb), axis=1)
+        keys.fill(_NO_KEY)
+        keys.reshape(-1)[pos] = (pos + 1) << _STATE_BITS | x.T.ravel()[:m]
+    np.maximum(keys[:, 0], start, out=keys[:, 0])
+    np.maximum.accumulate(keys, axis=1, out=keys)
+    keys &= _STATE_MASK
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +479,9 @@ class _UniformLaw:
     carry; `steps` maps the next k uniforms of every row to increments (it
     may write them over the uniforms) and returns the new carry.  A streamed
     walk is the one-row case of a batch of trials, so both run this one map.
+    A law holds no state of its own, because every read of a stream and
+    every batch share one; a read passes its `_Scratch` to `steps`, which
+    may then work in its views and return the increments in one.
     """
 
     head = 0
@@ -435,7 +489,7 @@ class _UniformLaw:
     def start(self, u: np.ndarray) -> np.ndarray:
         return np.zeros(u.shape[0], dtype=np.int64)
 
-    def steps(self, u: np.ndarray, carry: np.ndarray):
+    def steps(self, u: np.ndarray, carry: np.ndarray, scratch: Optional[_Scratch] = None):
         raise NotImplementedError
 
 
@@ -452,7 +506,7 @@ class _IidLaw(_UniformLaw):
         self._first = labels[0]
         self._rises = np.diff(np.array(labels, dtype=np.int8))  # int8: rise * mask is 1 B a cell
 
-    def steps(self, u, carry):
+    def steps(self, u, carry, scratch=None):
         *lower, last = self._cuts
         reached = [u >= cut for cut in lower]
         # The last compare is written over u: a fresh array this size page-faults anew.
@@ -473,13 +527,13 @@ class _ReflectedLaw(_UniformLaw):
 
     _signs = _IidLaw((0.5,), (1, -1))
 
-    def steps(self, u, carry):
+    def steps(self, u, carry, scratch=None):
         s, _ = self._signs.steps(u, carry)
         np.cumsum(s, axis=1, out=s)
         s += carry[:, None]
         last = s[:, -1].copy()
         np.abs(s, out=s)
-        out = np.empty_like(s)
+        out = np.empty_like(s) if scratch is None else scratch.views(s.shape)[1]
         out[:, 0] = s[:, 0] - np.abs(carry)
         np.subtract(s[:, 1:], s[:, :-1], out=out[:, 1:])
         return out, last
@@ -490,9 +544,12 @@ class _ChainLaw(_UniformLaw):
 
     Uniform u moves state s to the number of cuts of ``cumsum(P[s])[:-1]``
     it reaches, as `_IidLaw` counts them; the start state counts the cuts of
-    the stationary distribution's cumulative sum the same way.  `steps`
-    builds that map for every position of every row, one compare per cut
-    column for all states at once, and follows all rows in one
+    the stationary distribution's cumulative sum the same way.  Every
+    row's cuts, merged and sorted without repeats, are the chain's breaks.
+    Between two breaks every state moves the same way, so the number of
+    breaks a uniform reaches, its interval id, picks one row of the map
+    table built here.  `steps` counts the breaks of every position of every
+    row with one compare-add a break and follows all rows in one
     `_gather_states` call, each from its own carry.
     """
 
@@ -500,18 +557,28 @@ class _ChainLaw(_UniformLaw):
 
     def __init__(self, chain: MarkovIncrementChain):
         self._labels = np.asarray(chain.states, dtype=np.int64)
-        self._cuts = np.cumsum(chain.transition, axis=1)[:, :-1]
+        cuts = np.cumsum(chain.transition, axis=1)[:, :-1]
+        # A one-state chain has no cuts; a break that no uniform reaches stands in.
+        self._breaks = np.unique(cuts) if cuts.size else np.array([np.inf])
+        # Interval i is breaks[i - 1] <= u < breaks[i]: there state s reaches
+        # exactly its cuts at or below breaks[i - 1].
+        edges = np.concatenate(([-np.inf], self._breaks))
+        self._table = np.count_nonzero(cuts <= edges[:, None, None], axis=2)
         self._start_cuts = np.cumsum(chain.stationary)[:-1]
 
     def start(self, u):
         return np.count_nonzero(u[:, :1] >= self._start_cuts, axis=1)
 
-    def steps(self, u, carry):
-        nxt = np.zeros(self._cuts.shape[:1] + u.shape, dtype=np.int64)
-        for cut in self._cuts.T:
-            nxt += u >= cut[:, None, None]
-        seq = _gather_states(nxt, carry)
-        return self._labels[seq], seq[:, -1].copy()
+    def steps(self, u, carry, scratch=None):
+        scratch = _Scratch(u.size) if scratch is None else scratch
+        _, ids, _, reached = scratch.views(u.shape)
+        first, *rest = self._breaks
+        np.greater_equal(u, first, out=ids)
+        for cut in rest:
+            ids += np.greater_equal(u, cut, out=reached)
+        seq = _gather_states(ids, self._table, carry, scratch)
+        inc = np.take(self._labels, seq, out=ids, mode="clip")  # the ids are spent
+        return inc, seq[:, -1].copy()
 
 
 #: Rows per uniform drawn from which a take steps its rows in lockstep.
@@ -565,17 +632,24 @@ class _DrawnSource:
     It maps its draws through the same law as :class:`BatchSource`, from
     numpy's own ``Generator(PCG64(seed))``, which it keeps: for a single
     seed that is cheaper than `pcg64_states`, and it is the batch's oracle.
+    Each take draws into, and works in, the source's own `_Scratch` of at
+    least `DEFAULT_BLOCK` cells, so the next take overwrites the increments
+    it returns.
     """
 
     def __init__(self, law: _UniformLaw, seed: int):
         self._law = law
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._carry: Optional[np.ndarray] = None
+        self._scratch = _Scratch(0)
 
     def take(self, k: int) -> np.ndarray:
         if self._carry is None:
             self._carry = self._law.start(self._rng.random((1, self._law.head)))
-        inc, self._carry = self._law.steps(self._rng.random((1, k)), self._carry)
+        if self._scratch.cells < k:
+            self._scratch = _Scratch(max(k, DEFAULT_BLOCK))
+        u = self._rng.random(out=self._scratch.views((1, k))[0])
+        inc, self._carry = self._law.steps(u, self._carry, self._scratch)
         return inc[0]
 
 

@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -573,3 +575,38 @@ class TestTopLevel:
 
     def test_no_subcommand(self):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("command, work", [("analyze", "analyze_stream"), ("mc", "run_trials")])
+    def test_unwritable_out_fails_before_the_run(self, command, work, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was opened")
+
+        monkeypatch.setattr(cli, work, never)
+        argv = [command, "--gen", "srw", "--p", "0.5", "--seed", "1", "--steps", "10"]
+        argv += ["--trials", "2", "--workers", "1"] if command == "mc" else []
+        assert run(argv + ["--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+    def test_one_parser_per_process_matches_fresh_processes(self, tmp_path, capsys):
+        # Flags that one call sets must not leak into the next call's defaults.
+        flags = ["--gen", "srw", "--p", "0.7", "--steps", "300", "--seed", "1"]
+        mc = ["mc", "--steps", "200", "--trials", "20", "--seed", "3", "--workers", "1"]
+        calls = [
+            ["analyze", *flags, "--checkpoints", "arith:7", "--plot-data"],
+            ["analyze", *flags],
+            [*mc, "--gen", "ergodic", "--preset", "switch:0.1,0.3", "--metric", "range_speed", "--json"],
+            [*mc, "--gen", "srw", "--p", "0.6"],
+            ["generate", "--gen", "zigzag", "--ell", "0.5", "--steps", "40"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = [
+            subprocess.run([sys.executable, "-m", "rangewalk.cli", *argv], capture_output=True, text=True)
+            for argv in calls
+        ]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rangewalk import suites
 from rangewalk.analysis import analyze_stream
 from rangewalk.core import (
+    DEFAULT_BLOCK,
     INT64_MAX,
     INT64_MIN,
     CoordinateOverflowError,
@@ -25,7 +26,7 @@ from rangewalk.core import (
     validate_increment_bound,
     walk_from_path,
 )
-from rangewalk.generators import gen_simple_rw, gen_spiral2d
+from rangewalk.generators import gen_simple_rw, gen_spiral2d, make_walk
 
 
 class TestPathPoints:
@@ -311,6 +312,25 @@ class TestReplayContract:
             else:
                 assert a.dtype == b.dtype == c.dtype == np.int64
                 assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    # A drawn source reuses its block-sized work arrays: reads must not share them.
+    @pytest.mark.parametrize(
+        "config",
+        [{"gen": "srw", "p": 0.7}, {"gen": "ergodic", "preset": "switch:0.1,0.3"}, {"gen": "ergodic", "preset": "switch:0.9,0.8"}],
+        ids=lambda c: c.get("preset", "srw"),
+    )
+    def test_lockstep_reads_of_a_drawn_stream(self, config):
+        h = 3 * DEFAULT_BLOCK + 10
+        stream = make_walk(dict(config, steps=h, seed=17))
+        whole = stream.path_array(h)
+        pairs = list(zip(stream.blocks(h), stream.blocks(h)))
+        assert len(pairs) == 4
+        for a, b in pairs:
+            assert np.array_equal(a, b)
+        assert np.array_equal(np.concatenate([a for a, _ in pairs]), whole)
+        blocks = [block for pair in pairs for block in pair] + list(stream.blocks(h))
+        for a, b in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(a, b)
 
 
 @lru_cache(maxsize=None)

@@ -488,6 +488,15 @@ class TestChunkedTrials:
         assert len(made) == 50
         assert len({id(batch._bitgen) for batch in made}) == 50
 
+    def test_ergodic_run_in_criterion_11_shape_matches_its_streams(self):
+        # Criterion 11 runs switch:0.1,0.3 trials longer than a chunk on a
+        # pool of threads that share one law; here 6 trials of two chunks.
+        horizon = E.CHUNK_CELLS + 1000
+        config = {"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": horizon}
+        spec = TrialSpec(config=config, horizon=horizon, trials=6, master_seed=42)
+        report = run_trials(spec, workers=4, keep_trials=True)
+        assert report.per_trial == _oracle_per_trial(config, horizon, 6, 42)[0]
+
     @pytest.mark.parametrize("m", [1, 2])  # the extent path, then set mode
     def test_deterministic_start_is_not_a_return(self, m):
         config = {"gen": "linear-drift", "m": m, "pattern": [m], "steps": 5}

@@ -21,6 +21,7 @@ from rangewalk.generators import (
     _advance_states,
     _ChainLaw,
     _gather_states,
+    _Scratch,
     _pcg64_state,
     compute_n0,
     gen_birth_death,
@@ -309,42 +310,70 @@ class TestErgodicWalk:
     def test_gather_fallback_is_bit_identical(self, monkeypatch):
         import rangewalk.generators as G
 
-        chain = MarkovIncrementChain.two_state(0.1, 0.3)
-        sampled = gen_ergodic_walk(chain, 0, 5).path_array(5000)
-        monkeypatch.setattr(G, "_gather_states", _loop_states)
-        looped = gen_ergodic_walk(chain, 0, 5).path_array(5000)
-        assert np.array_equal(sampled, looped)
+        # One chain whose maps all coalesce or keep the state, and one that swaps.
+        chains = [MarkovIncrementChain.two_state(0.1, 0.3), MarkovIncrementChain.two_state(0.9, 0.8)]
+        sampled = [gen_ergodic_walk(chain, 0, 5).path_array(70_000) for chain in chains]
+        called = []
+
+        def loop(ids, table, s0, scratch=None):
+            called.append(ids.shape)
+            return _loop_states(ids, table, s0)
+
+        monkeypatch.setattr(G, "_gather_states", loop)
+        looped = [gen_ergodic_walk(chain, 0, 5).path_array(70_000) for chain in chains]
+        assert called == [(1, 2**16 - 1), (1, 70_000 - 2**16 + 1)] * 2
+        for a, b in zip(sampled, looped):
+            assert np.array_equal(a, b)
 
 
-def _loop_states(nxt, s0):
-    """Plain-loop oracle of `_gather_states`: s_k = nxt[s_{k-1}, k], row by row."""
-    if nxt.ndim == 2:
-        return _loop_states(nxt[:, None], [s0])[0]
-    out = []
-    for r, s in enumerate(np.asarray(s0).tolist()):
-        maps, row = nxt[:, r].tolist(), []
-        for k in range(nxt.shape[2]):
-            s = maps[s][k]
-            row.append(s)
-        out.append(row)
-    return np.array(out, dtype=np.int64).reshape(nxt.shape[1:])
+def _loop_states(ids, table, s0):
+    """Plain-loop oracle of `_gather_states`: s_k = table[ids[r, k], s_{k-1}], row by row."""
+    maps, out = table.tolist(), []
+    for row, s in zip(ids.tolist(), np.asarray(s0).tolist()):
+        states = []
+        for i in row:
+            s = maps[i][s]
+            states.append(s)
+        out.append(states)
+    return np.array(out, dtype=np.int64).reshape(ids.shape)
 
 
-def _maps(transition, u):
-    """nxt[s, ..., k]: the state the k-th uniform moves state s to, as _ChainLaw draws it."""
+def _reference_states(transition, u, s0):
+    """The states from s0 under the uniforms `u` (R, n), each state's move the
+    clipped searchsorted of its row's cumsum: the plain loop over a table
+    with one map a position, which no break or interval enters."""
     cum = np.cumsum(transition, axis=1)
     n_states = cum.shape[0]
-    nxt = np.stack([np.searchsorted(cum[s], u, side="right") for s in range(n_states)])
-    return np.minimum(nxt, n_states - 1)
+    nxt = [np.minimum(np.searchsorted(cum[s], u.ravel(), side="right"), n_states - 1) for s in range(n_states)]
+    return _loop_states(np.arange(u.size).reshape(u.shape), np.stack(nxt, axis=1), s0)
+
+
+def _chain_law(transition, pi=None, labels=None):
+    """A `_ChainLaw` of any square row-stochastic matrix, irreducible or not."""
+    n_states = transition.shape[0]
+    pi = np.full(n_states, 1.0 / n_states) if pi is None else pi
+    labels = np.ones(n_states, dtype=np.int64) if labels is None else labels
+    return _ChainLaw(SimpleNamespace(states=tuple(labels), transition=transition, stationary=pi))
+
+
+def _interval_ids(law, u):
+    """The number of the law's breaks that each uniform reaches."""
+    return np.searchsorted(law._breaks, u, side="right")
+
+
+def _coalesces(table):
+    """Every map of the table keeps the state or is constant."""
+    keeps = (table == np.arange(table.shape[1])).all(axis=1)
+    return bool(((table == table[:, :1]).all(axis=1) | keeps).all())
 
 
 _KINDS = ("sticky", "switching", "iid", "permutation", "cycle", "near-deterministic", "zeros")
 
 
 @st.composite
-def _transitions(draw):
-    """A 1-5 state transition matrix of one of the kinds in _KINDS."""
-    n = draw(st.integers(1, 5))
+def _transitions(draw, max_states=5):
+    """A 1 to `max_states` state transition matrix of one of the kinds in _KINDS."""
+    n = draw(st.integers(1, max_states))
     kind = draw(st.sampled_from(_KINDS))
     weights = st.floats(0.0, 1.0, allow_nan=False)
     noise = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
@@ -373,6 +402,22 @@ def _transitions(draw):
     return p
 
 
+@st.composite
+def _small_chains(draw):
+    """(kind, transition): a two-state chain whose maps all coalesce or keep
+    the state (switch probabilities a + b <= 1), one that can swap (a + b > 1),
+    or any 1-3 state matrix of `_transitions`."""
+    kind = draw(st.sampled_from(["coalescing", "swapping", "any"]))
+    if kind == "any":
+        return kind, draw(_transitions(max_states=3))
+    a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if (a + b > 1.0) != (kind == "swapping"):
+        a, b = 1.0 - a, 1.0 - b
+    if kind == "swapping" and not a + b > 1.0:  # a + b == 1 both ways
+        a, b = 0.75, 0.75
+    return kind, np.array([[1.0 - a, a], [b, 1.0 - b]])
+
+
 class TestMarkovSampler:
     """`_gather_states` against the plain loop it replaces."""
 
@@ -385,19 +430,59 @@ class TestMarkovSampler:
     def test_matches_the_loop_from_every_state(self, transition, length, seed):
         n_states = transition.shape[0]
         rng = np.random.default_rng(seed)
-        nxt = _maps(transition, rng.random(length))
-        for s0 in range(n_states):
-            assert np.array_equal(_gather_states(nxt, s0), _loop_states(nxt, s0))
-        # one row per start state, each over its own uniforms
-        rows = _maps(transition, rng.random((n_states, length)))
+        law = _chain_law(transition)
+        u = np.repeat(rng.random((1, length)), n_states, axis=0)
         starts = np.arange(n_states)
-        assert np.array_equal(_gather_states(rows, starts), _loop_states(rows, starts))
+        ids = _interval_ids(law, u)
+        assert np.array_equal(_gather_states(ids, law._table, starts), _reference_states(transition, u, starts))
+        # one row per start state, each over its own uniforms
+        u = rng.random((n_states, length))
+        ids = _interval_ids(law, u)
+        assert np.array_equal(_gather_states(ids, law._table, starts), _reference_states(transition, u, starts))
+
+    @settings(deadline=None)
+    @given(_small_chains(), st.integers(1, 5), st.integers(1, 80), st.integers(0, 2**32), st.data())
+    def test_small_chains_rows_and_breaks(self, chain, rows, k, seed, data):
+        # Every row from its own start; a fifth of the uniforms exactly on a
+        # break, 0 or the largest uniform; and, where the chain has a map that
+        # keeps every state, rows whose every uniform picks one, sometimes on
+        # its lower break.
+        kind, transition = chain
+        n_states = transition.shape[0]
+        rng = np.random.default_rng(seed)
+        law = _chain_law(transition)
+        assert kind == "any" or _coalesces(law._table) == (kind == "coalescing")
+        breaks = law._breaks[law._breaks < 1.0]  # a one-state chain's break is inf
+        u = _with_cuts(rng.random((rows, k)), breaks, rng)
+        lower = np.concatenate(([0.0], breaks))
+        upper = np.concatenate((breaks, [1.0]))
+        keeps = np.flatnonzero((law._table[: len(lower)] == np.arange(n_states)).all(axis=1))
+        for r in range(rows):
+            if keeps.size and data.draw(st.booleans()):
+                i = rng.choice(keeps, k)
+                on_break = rng.random(k) < 0.5
+                u[r] = np.where(on_break, lower[i], (lower[i] + upper[i]) / 2)
+        starts = np.array(data.draw(st.lists(st.integers(0, n_states - 1), min_size=rows, max_size=rows)))
+        ids = _interval_ids(law, u)
+        want = _reference_states(transition, u, starts)
+        assert np.array_equal(_loop_states(ids, law._table, starts), want)
+        assert np.array_equal(_gather_states(ids, law._table, starts), want)
+        # the same through the law and a scratch of more cells than the block
+        labels = np.arange(n_states) * 7 - 3
+        law = _chain_law(transition, labels=labels)
+        scratch = _Scratch(rows * k + 5)
+        block = scratch.views((rows, k))[0]
+        block[...] = u
+        inc, last = law.steps(block, starts, scratch)
+        assert np.array_equal(inc, labels[want]) and np.array_equal(last, want[:, -1])
 
     def test_many_states(self):
         rng = np.random.default_rng(3)
-        nxt = rng.integers(0, 300, size=(300, 5000))
-        nxt[:, ::3] = np.arange(300)[:, None]  # identity maps among them
-        assert np.array_equal(_gather_states(nxt, 299), _loop_states(nxt, 299))
+        table = rng.integers(0, 300, size=(50, 300))
+        table[::3] = np.arange(300)  # identity maps among them
+        ids = rng.integers(0, 50, size=(2, 5000))
+        starts = [299, 0]
+        assert np.array_equal(_gather_states(ids, table, starts), _loop_states(ids, table, starts))
 
     def test_chain_law_rows_match_row_by_row(self):
         chain = MarkovIncrementChain(
@@ -412,7 +497,7 @@ class TestMarkovSampler:
             row_inc, row_last = law.steps(u[r : r + 1], carry[r : r + 1])
             assert np.array_equal(inc[r], row_inc[0])
             assert last[r] == row_last[0]
-        looped = _loop_states(_maps(chain.transition, u), carry)
+        looped = _reference_states(chain.transition, u, carry)
         assert np.array_equal(inc, np.asarray(chain.states)[looped])
 
 
@@ -447,7 +532,7 @@ class TestCutRule:
         u = _with_cuts(rng.random((rows, 1 + k)), cuts, rng)
         assert np.array_equal(law.start(u[:, :1]), _start_ref(pi, u[:, 0]))
         carry = rng.integers(0, n_states, rows)
-        looped = _loop_states(_maps(transition, u[:, 1:]), carry)
+        looped = _reference_states(transition, u[:, 1:], carry)
         inc, last = law.steps(u[:, 1:].copy(), carry)
         assert np.array_equal(inc, labels[looped])
         assert np.array_equal(last, looped[:, -1])
@@ -463,7 +548,7 @@ class TestCutRule:
         cell = np.array([[u]])
         assert law.start(cell).tolist() == _start_ref(pi, cell[:, 0]).tolist()
         carry = np.array([0, 1])
-        looped = _loop_states(_maps(transition, np.repeat(cell, 2, axis=0)), carry)
+        looped = _reference_states(transition, np.repeat(cell, 2, axis=0), carry)
         inc, last = law.steps(np.repeat(cell, 2, axis=0), carry)
         assert inc.tolist() == np.array([1, -1])[looped].tolist()
         assert last.tolist() == looped[:, -1].tolist()
