@@ -5,9 +5,10 @@ blocks of B positions.  A unit-step 1-D walk's range and extrema are read
 off its running extent in O(B) per block, with nothing block-sized written;
 every other walk's range is counted in a set, in O(B) per block while its
 dense first-visit box lasts, then in O(B log R) plus one copy of its R
-stored keys.  Each step is tested against m once, where the stream builds
-its block.  Every check runs in exact integer arithmetic (squared norms for
-d >= 2); no float rounding can flip a verdict.
+stored keys, and a block's maximal-range check is settled by one bound
+where it can be.  Each step is tested against m at most once, where the
+stream builds its block.  Every check runs in exact integer arithmetic
+(squared norms for d >= 2); no float rounding can flip a verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, INT64_MIN, WalkStream, at_origin, squared_distances
+from .core import INT64_MAX, INT64_MIN, WalkStream, _spans, at_origin, squared_distances
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -115,26 +116,34 @@ class RangeTracker:
 
     def update(self, block: np.ndarray) -> np.ndarray:
         """Consume the next positions; return r at each of them (int64)."""
+        return self._count + np.cumsum(self.mark(block), dtype=np.int64)  # the count before
+
+    def mark(self, block: np.ndarray, spans: Optional[list] = None) -> np.ndarray:
+        """Consume the next positions; return the mask of the first visits among them.
+
+        `spans`, each column's (min, max) over the block, is computed unless
+        the caller has it.
+        """
         if block.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.zeros(0, dtype=bool)
         cols = [block] if block.ndim == 1 else [block[:, j] for j in range(block.shape[1])]
+        spans = _spans(block) if spans is None else spans
         if self._origin is None:  # 0, or x_0 on an axis where |x_0| >= 2^31
             self._origin = [c if abs(c) >= 2**31 else 0 for c in (int(col[0]) for col in cols)]
-        if self._known is None and self._cover(cols):
-            return self._update_box(cols)
+        if self._known is None and self._cover(cols, spans):
+            return self._mark_box(cols)
         keys = _pack_keys(cols, self._origin)
         if self._known is None:  # the one switch; row-major cells are in key order
             self._known = keys[:0] if self._box is None else self._box_keys()
             self._box = None
-        return self._update_keys(keys)
+        return self._mark_keys(keys)
 
-    def _cover(self, cols: list) -> bool:
-        """Grow the box over the block; False if it cannot stay dense.
+    def _cover(self, cols: list, need: list) -> bool:
+        """Grow the box over the block, whose spans are `need`; False if it cannot stay dense.
 
         A side that grows gains at least half its axis (copies cost amortised
         O(1) a cell), unless that padding alone would break the bound.
         """
-        need = [(int(col.min()), int(col.max())) for col in cols]
         old = self._spans or need
         if self._spans and all(a <= l and h <= b for (a, b), (l, h) in zip(old, need)):
             return True
@@ -160,7 +169,7 @@ class RangeTracker:
         at = np.unravel_index(np.flatnonzero(self._box.ravel() < 0), self._box.shape)
         return _pack_keys([a + c for a, (c, _) in zip(at, self._spans)], self._origin)
 
-    def _update_box(self, cols: list) -> np.ndarray:
+    def _mark_box(self, cols: list) -> np.ndarray:
         flat = self._box.ravel()  # a view: the box is C-contiguous
         idx = cols[0] - self._spans[0][0]
         for col, (c, _), n in zip(cols[1:], self._spans[1:], self._box.shape[1:]):
@@ -170,9 +179,9 @@ class RangeTracker:
         np.minimum.at(flat, idx, order)  # each cell keeps its first visit in the block
         new = flat[idx] == order
         flat[idx] = -1
-        return self._advance(new)
+        return self._admit(new)
 
-    def _update_keys(self, keys: np.ndarray) -> np.ndarray:
+    def _mark_keys(self, keys: np.ndarray) -> np.ndarray:
         order = np.argsort(keys, kind="stable")  # each key's first visit leads its run
         sk = keys[order]
         uniq = np.empty(len(keys), dtype=bool)
@@ -185,54 +194,33 @@ class RangeTracker:
         seen[seen] = known[at[seen]] == fresh[seen]
         new = np.zeros(len(keys), dtype=bool)
         new[order[uniq][~seen]] = True
-        r = self._advance(new)
+        self._admit(new)
         self._known = np.insert(known, at[~seen], fresh[~seen])
-        return r
+        return new
 
-    def _advance(self, new: np.ndarray) -> np.ndarray:
-        """r at each position of the block from its first-visit mask; enforces the cap."""
-        r = self._count + np.cumsum(new, dtype=np.int64)
-        self._count = int(r[-1])
+    def _admit(self, new: np.ndarray) -> np.ndarray:
+        """Count the block's first visits, from their mask; enforces the cap."""
+        self._count += int(np.count_nonzero(new))
         if self._count > self._cap:
             raise MemoryGuardError(
                 f"range tracker exceeded its cap of {self._cap} stored points"
             )
-        return r
+        return new
 
 
-class _ExtremaTracker:
-    """Running M_n = max_{k<=n} ||x_k - x_0||; exact ints (squared for d >= 2).
-
-    `x0` and `best` seed a tracker that takes over mid-stream: x_0 (an int
-    for d = 1) and the M so far.
-    """
-
-    def __init__(self, x0=None, best: int = 0):
-        self._x0 = x0  # an int for d = 1, an int64 row otherwise
-        self._best = best  # |x-x0| for d=1, squared norm otherwise
-
-    def update(self, block: np.ndarray) -> np.ndarray:
-        """Return per-position running max (|disp| for d=1, disp^2 otherwise).
-
-        The values are Python ints (object dtype) once they outgrow int64.
-        """
-        if self._x0 is None:
-            self._x0 = block[0].copy() if block.ndim > 1 else int(block[0])
-        if block.ndim == 1:
-            # Exact ints decide whether |x - x0| fits int64; for x0 = 0 it
-            # does not at x = -2^63.
-            x0 = self._x0
-            far = max(x0 - int(block.min()), int(block.max()) - x0)
-            disp = np.abs(block - x0 if far <= INT64_MAX else block.astype(object) - x0)
-        else:
-            disp = squared_distances(block, self._x0)
-        if self._best > INT64_MAX:  # an earlier block outgrew int64
-            disp = disp.astype(object)
-        run = np.maximum.accumulate(disp)
-        if self._best:
-            np.maximum(run, self._best, out=run)
-        self._best = int(run[-1])
-        return run
+def _distances(block: np.ndarray, x0, spans: list, best: int) -> np.ndarray:
+    """|x_n - x_0| at each position of a block, squared for d >= 2, from the
+    block's per-column (min, max) `spans`; exact: Python ints (object dtype)
+    once they, or `best`, the M before the block, outgrow int64."""
+    if block.ndim == 1:
+        # Exact ints decide whether |x - x0| fits int64; for x0 = 0 it
+        # does not at x = -2^63.
+        [(low, high)] = spans
+        far = max(x0 - low, high - x0)
+        disp = np.abs(block - x0 if far <= INT64_MAX else block.astype(object) - x0)
+    else:
+        disp = squared_distances(block, x0, max(max(h - c, c - l) for (l, h), c in zip(spans, x0)))
+    return disp.astype(object) if best > INT64_MAX else disp
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +286,24 @@ def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
     return cps
 
 
-def _extent_at(block: np.ndarray, at: np.ndarray, lo: int, hi: int):
-    """The running min and max of a 1-D stream at the offsets `at` of a block.
+def _running_at(values: np.ndarray, at: np.ndarray, ufunc, dtype=None):
+    """`ufunc`'s running reduction of a block's `values` at its offsets `at`, and over it all.
 
-    `lo` and `hi` are the min and max before the block.  One reduction runs
-    over each segment that ends at an offset or at the block's last position,
-    and a running min and max over those few values; nothing block-sized is
-    written.  Returns the mins and maxs at `at` as Python ints and the new
-    `lo` and `hi`.
+    One reduction runs over each segment that ends at an offset or at the
+    block's last position, and a running one over those few values; nothing
+    block-sized is written.
     """
-    starts = np.concatenate(([0], at[at < block.shape[0] - 1] + 1))
-    lows = np.minimum(np.minimum.accumulate(np.minimum.reduceat(block, starts)), lo)
-    highs = np.maximum(np.maximum.accumulate(np.maximum.reduceat(block, starts)), hi)
-    k = at.size
-    return lows[:k].tolist(), highs[:k].tolist(), int(lows[-1]), int(highs[-1])
+    starts = np.concatenate(([0], at[at < values.shape[0] - 1] + 1))
+    run = ufunc.accumulate(ufunc.reduceat(values, starts, dtype=dtype))
+    return run[: at.size], run[-1]
+
+
+def _extent_at(block: np.ndarray, at: np.ndarray, lo: int, hi: int):
+    """The running min and max of a 1-D stream at the offsets `at` of a block,
+    from `lo` and `hi` before it, as Python ints; and the block's min and max."""
+    lows, low = _running_at(block, at, np.minimum)
+    highs, high = _running_at(block, at, np.maximum)
+    return np.minimum(lows, lo).tolist(), np.maximum(highs, hi).tolist(), int(low), int(high)
 
 
 def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: bool):
@@ -333,7 +325,13 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
     the checkpoints only; both inline checks are identities there.  From the
     block of the first step longer than m on, a set tracker seeded with
     [min, max] counts r_n, so it stays the true count.  Every other walk is
-    counted by a set tracker throughout.
+    counted by a set tracker throughout; r_n and M_n at the checkpoints are
+    segment reductions of its first-visit mask and of |x_n - x_0|.  While
+    the maximal-range inequality holds, it holds through a block whose last
+    M_n is at most m r, r the count before it (squared for d >= 2): M_n
+    grows only at a first visit, after which r_n - 1 >= r.  Only the other
+    blocks, and the sandwich, get r_n and M_n at every position.  A block
+    that excludes 0 on some axis has no zero hit.
 
     Returns (samples, x_0, first): exact ints per checkpoint under "x",
     "r", "disp", "tau_count" and "last_tau", x_0 as an int (d = 1) or a
@@ -343,13 +341,12 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
     cps = np.asarray(cps, dtype=np.int64)
     extent = d == 1 and (m == 1 or not count_range)
     tracker = RangeTracker(d) if count_range and not extent else None
-    extremes = _ExtremaTracker() if extrema and not extent else None
     both = count_range and extrema
     samples = {key: [] for key in ("x", "r", "disp", "tau_count", "last_tau")}
     first: dict = {}
     checks: tuple = ()
     zeros, last_zero = 0, None
-    ptr = done = 0
+    ptr = done = best = 0  # best: M_n before the block, off the extent path
     for block, jump in stream._checked_blocks(horizon):
         if done == 0:
             x0 = lo = hi = block[0].tolist()
@@ -365,23 +362,33 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
             if extent:  # so far the visited set is [lo, hi]
                 extent = False
                 tracker = RangeTracker()
-                tracker.update(np.arange(lo, hi + 1, dtype=np.int64))
-                extremes = _ExtremaTracker(x0, max(hi - x0, x0 - lo)) if extrema else None
+                tracker.mark(np.arange(lo, hi + 1, dtype=np.int64))
+                best = max(hi - x0, x0 - lo)
         if extent:
-            lows, highs, lo, hi = _extent_at(block, at, lo, hi)
+            lows, highs, low, high = _extent_at(block, at, lo, hi)
+            lo, hi, spans = min(lo, low), max(hi, high), [(low, high)]
             if count_range:
                 samples["r"] += [h - l + 1 for l, h in zip(lows, highs)]
             if extrema:
                 samples["disp"] += [max(h - x0, x0 - l) for l, h in zip(lows, highs)]
         else:
+            spans = _spans(block)
             if count_range:
-                r = tracker.update(block)
-                samples["r"] += r[at].tolist()
+                before = tracker.count
+                new = tracker.mark(block, spans)
+                samples["r"] += (before + _running_at(new, at, np.add, np.int64)[0]).tolist()
             if extrema:
-                disp = extremes.update(block)
-                samples["disp"] += disp[at].tolist()
-            for name in checks[1:]:  # checks[0], the step test, ran above
-                if name not in first:
+                disp = _distances(block, x0, spans, best)
+                run, top = _running_at(disp, at, np.maximum)
+                samples["disp"] += np.maximum(run, best).tolist()
+                was, best = best, max(best, int(top))
+            pending = [name for name in checks[1:] if name not in first]  # checks[0] ran above
+            if "maximal_range" in pending and best <= (m * before) ** (1 if d == 1 else 2):
+                pending.remove("maximal_range")  # settled for the whole block, see above
+            if pending:
+                r = before + np.cumsum(new, dtype=np.int64)
+                disp = np.maximum(np.maximum.accumulate(disp), was)
+                for name in pending:
                     if name == "maximal_range":
                         bad = _maximal_range_violated(disp, r, m, d)
                     else:
@@ -389,7 +396,7 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
                     if bad.any():
                         first[name] = done + int(np.argmax(bad))
         if both and ptr < cps.size:  # zero hits matter only up to a checkpoint
-            hits = np.flatnonzero(at_origin(block))
+            hits = np.flatnonzero(at_origin(block)) if all(l <= 0 <= h for l, h in spans) else at[:0]
             upto = np.searchsorted(hits, at, side="right")
             samples["tau_count"] += (zeros + upto).tolist()
             samples["last_tau"] += [

@@ -53,20 +53,27 @@ def write_trajectory_csv(stream: WalkStream, horizon: int, fh: TextIO) -> None:
 def _ascii_rows(table: np.ndarray) -> str:
     """An int64 table as `,`-separated rows ending in LF, each entry as `str(int)` spells it.
 
-    A (width, entries) uint8 buffer holds the sign, one digit of |v| a row (one
-    division pass per digit of the largest |v|) and the separator; leading zeros
-    and the sign of v >= 0 stay 0 bytes, dropped at the end."""
+    A (width, entries) uint8 buffer holds the sign, one digit of |v| a row and
+    the separator; leading zeros and the sign of v >= 0 stay 0 bytes, dropped
+    at the end.  |v| is cut into uint32 pieces of 9 digits (two uint64
+    divisions by 10^9 at most), and each digit is one uint32 division pass.
+    A piece below a nonzero one carries 10^9, so its leading zeros show."""
     values = table.ravel()
     mag = np.abs(values).view(np.uint64)  # abs leaves -2^63 as is: 2^63 as uint64
-    top = int(mag.max())
-    mag = mag.astype(np.uint32) if top < 2**32 else mag  # uint32 divides faster
-    width = len(str(top)) + 2
+    width = len(str(int(mag.max()))) + 2
     buf = np.empty((width, values.size), dtype=np.uint8)
     np.multiply(values < 0, np.uint8(ord("-")), out=buf[0])
     buf[-1] = ord(",")
     buf[-1, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
-    quot, rem, shown = np.empty_like(mag), np.empty_like(mag), np.empty(values.size, bool)
+    pieces = [mag]  # lowest first
+    for _ in range((width - 3) // 9):
+        rest = pieces[-1] // np.uint64(10**9)
+        pieces[-1] = pieces[-1] - rest * np.uint64(10**9) + np.uint64(10**9) * (rest != 0)
+        pieces.append(rest)
+    (quot, rem), shown = np.empty((2, values.size), np.uint32), np.empty(values.size, bool)
     for place in range(width - 2, 0, -1):
+        if (width - 2 - place) % 9 == 0:
+            mag = pieces.pop(0).astype(np.uint32)
         row = buf[place]
         np.floor_divide(mag, 10, out=quot)
         np.multiply(quot, 10, out=rem)

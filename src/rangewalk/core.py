@@ -87,15 +87,18 @@ def _increments(arr: np.ndarray) -> np.ndarray:
     return diffs
 
 
-def squared_distances(rows: np.ndarray, origin) -> np.ndarray:
+def squared_distances(rows: np.ndarray, origin, peak: Optional[int] = None) -> np.ndarray:
     """Exact ||row - origin||^2 for each row of an (N, d) int64 array.
 
-    int64 while d * max|row - origin|^2 fits, Python ints (object dtype)
-    beyond, so neither the difference nor the sum can wrap.  Works column
-    by column: numpy reduces along a short axis far more slowly.
+    int64 while d * peak^2 fits, Python ints (object dtype) beyond, so
+    neither the difference nor the sum can wrap; `peak`, at least the
+    largest |coordinate of row - origin|, is computed unless the caller has
+    it.  Works column by column: numpy reduces along a short axis far more
+    slowly.
     """
     cols = [(rows[:, j], int(c)) for j, c in enumerate(origin)]
-    peak = max(max(int(col.max()) - c, c - int(col.min())) for col, c in cols)
+    if peak is None:
+        peak = max(max(h - c, c - l) for (l, h), (_, c) in zip(_spans(rows), cols))
     exact = len(cols) * peak * peak > INT64_MAX
     total = None
     for col, c in cols:
@@ -119,10 +122,14 @@ def at_origin(block: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _spans(arr: np.ndarray) -> list:
+    """Each column's (min, max) of an (N,) or (N, d) int64 array with N >= 1, as exact ints."""
+    return [(int(c.min()), int(c.max())) for c in ([arr] if arr.ndim == 1 else arr.T)]
+
+
 def _peak(diffs: np.ndarray) -> int:
     """The largest |coordinate| of an (N,) or (N, d) int64 array, 0 if N = 0 (exact int)."""
-    cols = [diffs] if diffs.ndim == 1 else [diffs[:, j] for j in range(diffs.shape[1])]
-    return max((max(int(c.max()), -int(c.min())) for c in cols if c.size), default=0)
+    return max(max(h, -l) for l, h in _spans(diffs)) if diffs.size else 0
 
 
 def _first_long_step(diffs: np.ndarray, m: int, peak: Optional[int] = None) -> Optional[int]:
@@ -136,7 +143,7 @@ def _first_long_step(diffs: np.ndarray, m: int, peak: Optional[int] = None) -> O
     peak = _peak(diffs) if peak is None else peak
     if d * peak * peak <= m * m:
         return None
-    bad = (diffs > m) | (diffs < -m) if d == 1 else squared_distances(diffs, (0,) * d) > m * m
+    bad = (diffs > m) | (diffs < -m) if d == 1 else squared_distances(diffs, (0,) * d, peak) > m * m
     k = int(np.argmax(bad))
     return k if bad[k] else None
 
@@ -188,6 +195,11 @@ class WalkMetadata:
 
 
 class IncrementSource(Protocol):
+    """A walk's increments.  A source whose steps come from a fixed table may
+    state two exact facts: `peak`, at least the largest |coordinate| of a
+    step, and `bound`, an integer no step's norm exceeds.  `WalkStream` then
+    computes no block's peak, and tests no step against an m >= `bound`."""
+
     def take(self, k: int) -> np.ndarray:
         """Return the next k increments, shape (k,) for d=1 else (k, d).
 
@@ -249,7 +261,8 @@ class WalkStream:
         position reached by a step longer than m, or None.
 
         Every step is tested here, once, with the largest coordinate step
-        that the overflow guard computes, so a d = 1 block pays nothing more.
+        that the overflow guard computes, so a d = 1 block pays nothing more;
+        a source that states its `peak` and a `bound` <= m pays neither.
         """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
@@ -257,6 +270,8 @@ class WalkStream:
             raise ValueError("block_size must be >= 2")
         source = self._source_factory()
         m = self.metadata.m
+        stated = getattr(source, "peak", None)
+        honest = getattr(source, "bound", m + 1) <= m
         carry = np.array(self._origin if self.d > 1 else self._origin[0], dtype=np.int64)  # 0-d for d = 1
         first = True
         remaining = horizon
@@ -272,7 +287,7 @@ class WalkStream:
                 # itself.  Only when this cheap bound trips are the positions
                 # summed exactly, so no walk that stays in range is refused
                 # (the int64 sums below wrap mod 2^64, so they are exact then).
-                peak = _peak(inc)
+                peak = _peak(inc) if stated is None else stated
                 extent = max(abs(int(c)) for c in np.atleast_1d(carry))
                 if extent + n_inc * max(m, peak) > INT64_MAX:
                     exact = np.cumsum(inc.astype(object), axis=0) + carry.astype(object)
@@ -280,7 +295,7 @@ class WalkStream:
                         raise CoordinateOverflowError(
                             "walk left the signed 64-bit coordinate range"
                         )
-                jump = _first_long_step(inc, m, peak)
+                jump = None if honest else _first_long_step(inc, m, peak)
                 pos = np.cumsum(inc, axis=0)
                 pos += carry
             else:
@@ -305,9 +320,10 @@ class WalkStream:
 
 
 class _ArraySource:
-    def __init__(self, diffs: np.ndarray):
+    def __init__(self, diffs: np.ndarray, peak: int, bound: int):
         self._diffs = diffs
         self._at = 0
+        self.peak, self.bound = peak, bound  # facts `walk_from_path` checked on the diffs
 
     def take(self, k: int) -> np.ndarray:
         if self._at + k > self._diffs.shape[0]:
@@ -335,6 +351,7 @@ def walk_from_path(
         raise ValueError("empty path")
     d = 1 if arr.ndim == 1 else arr.shape[1]
     diffs = _increments(arr)
+    peak = _peak(diffs)
     bound = m
     if metadata is not None:
         if m is not None and m != metadata.m:
@@ -345,13 +362,13 @@ def walk_from_path(
                 f"metadata declares d={metadata.d} but the path has d={d}"
             )
     if bound is None:  # the smallest integer bound the data satisfies, at least 1
-        worst = _peak(diffs) ** 2
+        worst = peak**2
         if d > 1 and worst:
-            worst = int(np.max(squared_distances(diffs, (0,) * d)))
+            worst = int(np.max(squared_distances(diffs, (0,) * d, peak)))
         bound = math.isqrt(worst - 1) + 1 if worst > 1 else 1  # ceil(sqrt(worst))
     elif bound < 1:
         raise ValueError("increment bound m must be >= 1")
-    elif (violation := _first_long_step(diffs, bound)) is not None:
+    elif (violation := _first_long_step(diffs, bound, peak)) is not None:
         raise ValueError(
             f"stored path violates declared increment bound m={bound} at step {violation}"
         )
@@ -362,4 +379,4 @@ def walk_from_path(
         m=bound,
         d=d,
     )
-    return WalkStream(meta, lambda: _ArraySource(diffs), origin=arr[0].tolist())
+    return WalkStream(meta, lambda: _ArraySource(diffs, peak, bound), origin=arr[0].tolist())

@@ -481,10 +481,12 @@ class _UniformLaw:
     walk is the one-row case of a batch of trials, so both run this one map.
     A law holds no state of its own, because every read of a stream and
     every batch share one; a read passes its `_Scratch` to `steps`, which
-    may then work in its views and return the increments in one.
+    may then work in its views and return the increments in one.  `peak` is
+    the largest |increment| the law can map a uniform to.
     """
 
     head = 0
+    peak = 1
 
     def start(self, u: np.ndarray) -> np.ndarray:
         return np.zeros(u.shape[0], dtype=np.int64)
@@ -504,6 +506,7 @@ class _IidLaw(_UniformLaw):
     def __init__(self, cuts: Sequence[float], labels: Sequence[int]):
         self._cuts = tuple(cuts)
         self._first = labels[0]
+        self.peak = max(map(abs, labels))
         self._rises = np.diff(np.array(labels, dtype=np.int8))  # int8: rise * mask is 1 B a cell
 
     def steps(self, u, carry, scratch=None):
@@ -557,6 +560,7 @@ class _ChainLaw(_UniformLaw):
 
     def __init__(self, chain: MarkovIncrementChain):
         self._labels = np.asarray(chain.states, dtype=np.int64)
+        self.peak = max(map(abs, chain.states))
         cuts = np.cumsum(chain.transition, axis=1)[:, :-1]
         # A one-state chain has no cuts; a break that no uniform reaches stands in.
         self._breaks = np.unique(cuts) if cuts.size else np.array([np.inf])
@@ -639,6 +643,7 @@ class _DrawnSource:
 
     def __init__(self, law: _UniformLaw, seed: int):
         self._law = law
+        self.peak = self.bound = law.peak  # d = 1: a step's norm is its |value|
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._carry: Optional[np.ndarray] = None
         self._scratch = _Scratch(0)
@@ -714,24 +719,25 @@ class _TentSource:
 
 class _SpiralSource:
     _DIRS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
+    peak = bound = 1
 
     def __init__(self):
         self._leg = 0          # counts completed legs; run length = leg // 2 + 1
         self._done_in_leg = 0
 
     def take(self, k: int) -> np.ndarray:
-        out = np.empty((k, 2), dtype=np.int64)
-        filled = 0
-        while filled < k:
-            run = self._leg // 2 + 1
-            n = min(k - filled, run - self._done_in_leg)
-            out[filled : filled + n] = self._DIRS[self._leg % 4]
-            self._done_in_leg += n
-            filled += n
-            if self._done_in_leg == run:
-                self._leg += 1
-                self._done_in_leg = 0
-        return out
+        # The rest of this leg and 2 sqrt(k) + 1 whole legs: more than k steps.
+        legs = np.arange(self._leg, self._leg + math.isqrt(4 * k) + 2)
+        runs = legs // 2 + 1
+        runs[0] -= self._done_in_leg
+        last = int(np.searchsorted(np.cumsum(runs), k))  # the leg of the k-th step
+        runs = runs[: last + 1]
+        runs[-1] -= int(runs.sum()) - k
+        self._done_in_leg = (0 if last else self._done_in_leg) + int(runs[-1])
+        self._leg += last
+        if self._done_in_leg == self._leg // 2 + 1:
+            self._leg, self._done_in_leg = self._leg + 1, 0
+        return np.repeat(self._DIRS[legs[: last + 1] % 4], runs, axis=0)
 
 
 class _CycleSource:

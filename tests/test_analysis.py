@@ -1,6 +1,7 @@
 """Trackers, checkers, tail estimates, and the JSONL analysis report."""
 
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -554,16 +555,16 @@ def _liar(steps, m, block_size, origin=None):
     return stream
 
 
-def _contract_oracle(steps, m):
+def _contract_oracle(steps, m, origin=None):
     """First n of each failed check, from Python ints and a Python set."""
     d = 1 if steps.ndim == 1 else steps.shape[1]
-    x = (0,) * d
+    x = x0 = tuple(origin or (0,) * d)
     seen, far, first = {x}, 0, {}
     for n, step in enumerate(steps.tolist(), start=1):
         step = (step,) if d == 1 else tuple(step)
         x = tuple(a + b for a, b in zip(x, step))
         seen.add(x)
-        far = max(far, sum(c * c for c in x))
+        far = max(far, sum((c - c0) ** 2 for c, c0 in zip(x, x0)))
         r = len(seen)
         bad = {
             "increment_bound": sum(c * c for c in step) > m * m,
@@ -576,6 +577,43 @@ def _contract_oracle(steps, m):
             if failed:
                 first.setdefault(name, n)
     return first
+
+
+def _assert_contract(steps, m, block_size, origin=None):
+    """Every inline check, r_n and the zero hits at every n match `_contract_oracle`
+    and Python sets and lists."""
+    n = len(steps)
+    want = _contract_oracle(steps, m, origin)
+    report = analyze_stream(_liar(steps, m, block_size, origin), n, checkpoints=list(range(n + 1)))
+    got = {v["check"]: v["n"] for row in report.rows for v in row["violations"]}
+    assert got == want
+    assert check_maximal_range(_liar(steps, m, block_size, origin), m, n) == want.get("maximal_range")
+    _, r = track_range(_liar(steps, m, block_size, origin), n, checkpoints=list(range(n + 1)))
+    start = np.array(origin or (0,) * (1 if steps.ndim == 1 else steps.shape[1]), dtype=np.int64)
+    path = np.concatenate([start.reshape((1,) + steps.shape[1:]), start + np.cumsum(steps, axis=0)])
+    assert r.tolist() == _brute_force_range(path).tolist()
+    zeros = [k for k, x in enumerate(path.reshape(n + 1, -1).tolist()) if not any(x)]
+    assert [(row["tau_count"], row["last_tau"]) for row in report.rows] == [
+        (len(upto), upto[-1] if upto else None) for upto in ([t for t in zeros if t <= k] for k in range(n + 1))
+    ]
+    return want
+
+
+def _late_jump(d, m, lead, pairs, tail, unit=1):
+    """Steps that break the maximal-range inequality by the least amount, late.
+
+    `lead` steps of `unit` along the first axis, `pairs` steps back and
+    forth over visited points, then a jump to a new point x_n with
+    ||x_n - x_0||^2 = (m (r_n - 1))^2 + 1, and `tail` steps of -`unit` along
+    the first axis through new points, which leave M where the jump put it.
+    """
+    e = np.zeros(d, dtype=np.int64)
+    e[0] = unit
+    jump = -lead * e
+    jump[0] += m * (lead + 1)  # r_n = lead + 2 at the jump
+    jump[-1] += 1
+    steps = np.array([e] * lead + [-e, e] * pairs + [jump] + [-e] * tail)
+    return steps[:, 0] if d == 1 else steps
 
 
 class TestStepContract:
@@ -610,18 +648,18 @@ class TestStepContract:
 
     def test_scan_reads_the_small_blocks(self):
         seen = []
-        extent_at, update = analysis._extent_at, RangeTracker.update
+        extent_at, mark = analysis._extent_at, RangeTracker.mark
 
         def on_extent(block, *rest):
             seen.append(block.shape[0])
             return extent_at(block, *rest)
 
-        def on_update(tracker, block):
+        def on_mark(tracker, block, *rest):
             seen.append(block.shape[0])
-            return update(tracker, block)
+            return mark(tracker, block, *rest)
 
         with mock.patch.object(analysis, "_extent_at", on_extent), \
-                mock.patch.object(RangeTracker, "update", on_update):
+                mock.patch.object(RangeTracker, "mark", on_mark):
             for m in (1, 2):  # the extent path, then set mode
                 analysis._scan(_liar(np.ones(20, np.int64), m, 3), 20, [20], True, True)
         assert seen == [3] * 14  # 21 positions, 7 blocks of 3 on each path
@@ -632,7 +670,7 @@ class TestStepContract:
 
     @settings(max_examples=settings.default.max_examples, deadline=None)
     @given(
-        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]),
         st.integers(2, 9),
         st.data(),
     )
@@ -643,19 +681,45 @@ class TestStepContract:
         if d == 1:
             honest, big = st.integers(-m, m), st.sampled_from(ks)
         else:
-            honest = st.sampled_from([(a, b) for a in ks for b in ks if a * a + b * b <= m * m])
-            big = st.tuples(st.sampled_from(ks), st.sampled_from(ks))
+            steps = list(itertools.product(ks, repeat=d))
+            honest = st.sampled_from([s for s in steps if sum(c * c for c in s) <= m * m])
+            big = st.sampled_from(steps)
         pick = st.one_of(honest, honest, honest, big)  # mostly honest, a few oversized
         steps = np.array(data.draw(st.lists(pick, min_size=n, max_size=n)), dtype=np.int64)
-        want = _contract_oracle(steps, m)
-        report = analyze_stream(_liar(steps, m, block_size), n, checkpoints=list(range(n + 1)))
-        got = {v["check"]: v["n"] for row in report.rows for v in row["violations"]}
-        assert got == want
-        assert check_maximal_range(_liar(steps, m, block_size), m, n) == want.get("maximal_range")
-        _, r = track_range(_liar(steps, m, block_size), n, checkpoints=list(range(n + 1)))
-        origin = np.zeros((1,) + steps.shape[1:], np.int64)
-        path = np.concatenate([origin, np.cumsum(steps, axis=0)])
-        assert r.tolist() == _brute_force_range(path).tolist()
+        _assert_contract(steps, m, block_size)
+
+    # (d, m, lead, pairs, tail, unit, origin).  Each jump lands where a
+    # settle bound one looser than m r (for example m (r + 1), or the count
+    # after the block in place of r) would skip the block that breaks the
+    # inequality; the lead settles the blocks before it.
+    LATE_JUMPS = [
+        (1, 2, 11, 0, 0, 1, None),  # the jump opens a block after the first
+        (1, 2, 13, 1, 3, 1, None),  # an honest run, then a jump inside a late block
+        (1, 3, 20, 2, 6, 1, (-5,)),
+        (2, 1, 11, 0, 0, 1, None),
+        (2, 2, 13, 1, 3, 1, None),
+        (3, 1, 13, 1, 3, 1, None),
+        (3, 2, 11, 2, 5, 1, None),
+        # Near 2^62, with displacements past 2^31: their squares take the object-dtype path.
+        (2, 2**28, 13, 1, 3, 3 * 2**26, (-(2**31) + 10, 2**62)),
+    ]
+
+    @pytest.mark.parametrize("block_size", range(2, 10))
+    @pytest.mark.parametrize("case", LATE_JUMPS)
+    def test_settle_rule_matches_the_oracle(self, case, block_size):
+        d, m, lead, pairs, tail, unit, origin = case
+        steps = _late_jump(d, m, lead, pairs, tail, unit)
+        want = _assert_contract(steps, m, block_size, origin)
+        assert want["maximal_range"] == lead + 2 * pairs + 1  # at the jump
+
+    @pytest.mark.parametrize("block_size", range(2, 10))
+    @pytest.mark.parametrize("dm", [(1, 2), (2, 1), (3, 2)])
+    def test_settle_rule_in_a_one_position_final_block(self, dm, block_size):
+        # n = 3 B: blocks x_0..x_{B-1}, two of B positions, then x_n alone.
+        d, m = dm
+        steps = _late_jump(d, m, 3 * block_size - 1, 0, 0)
+        want = _assert_contract(steps, m, block_size)
+        assert want["maximal_range"] == len(steps)
 
 
     @settings(deadline=None)

@@ -389,6 +389,15 @@ class TestWalkFromPath:
         assert s.m == 3
         assert s.d == 1
 
+    @pytest.mark.parametrize(
+        "path, m, peak",
+        [([0, 2, 4, 1], None, 3), ([0, 2, 4, 1], 5, 3), ([(0, 0), (2, 1), (0, 0)], None, 2)],
+    )
+    def test_source_states_the_checked_facts(self, path, m, peak):
+        s = walk_from_path(path, m=m)
+        source = s.source_factory()
+        assert (source.peak, source.bound) == (peak, s.m)
+
     def test_declared_bound_validated(self):
         with pytest.raises(ValueError, match="step 1"):
             walk_from_path([0, 1, 5], m=1)

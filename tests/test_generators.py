@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangewalk.core import validate_increment_bound
+from rangewalk.suites import _shipped_generators
 from rangewalk.generators import (
     LOCKSTEP_ROWS_PER_DRAW,
     _PCG64_MULT,
@@ -763,6 +764,39 @@ class TestSpiral:
         path = gen_spiral2d(5_000).path_array(5_000)
         d = np.diff(path, axis=0)
         assert ((d * d).sum(axis=1) == 1).all()
+
+    @pytest.mark.parametrize(
+        "block_size, steps", [(2, 5_000), (3, 20_000), (7, 3 * 2**16), (2**16, 3 * 2**16)]
+    )
+    def test_blocks_match_a_per_leg_oracle(self, block_size, steps):
+        # Legs grow by one every second turn, so most of them straddle a block edge.
+        dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        path, leg = [[0, 0]], 0
+        while len(path) <= steps:
+            dx, dy = dirs[leg % 4]
+            for _ in range(leg // 2 + 1):
+                path.append([path[-1][0] + dx, path[-1][1] + dy])
+            leg += 1
+        blocks = list(gen_spiral2d(steps)._checked_blocks(steps, block_size))
+        assert all(jump is None for _, jump in blocks)
+        assert np.concatenate([block for block, _ in blocks]).tolist() == path[: steps + 1]
+
+
+class TestStatedFacts:
+    """A source that states `peak` and `bound` keeps to them."""
+
+    def test_shipped_sources_keep_their_facts(self):
+        stated = []
+        for stream in _shipped_generators(3, 2**17):
+            source = stream.source_factory()
+            if not hasattr(source, "peak"):
+                continue
+            stated.append(stream.metadata.generator_name)
+            inc = source.take(2**17).reshape(2**17, -1)
+            assert int(np.abs(inc).max()) <= source.peak
+            assert int((inc * inc).sum(axis=1).max()) <= source.bound**2
+            assert source.bound <= stream.m  # so no block of it is tested again
+        assert set(stated) == {"srw", "ergodic", "birth-death", "spiral2d"}
 
 
 class TestLinearDrift:
