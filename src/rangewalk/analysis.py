@@ -72,21 +72,21 @@ def arith_checkpoints(horizon: int, step: int) -> np.ndarray:
 BOX_CELLS_PER_POINT = 4
 
 
-def _pack_keys(cols: list, origin: list) -> np.ndarray:
+def _pack_keys(cols: list, origin: list, spans: Optional[list] = None) -> np.ndarray:
     """Pack coordinate columns into sortable scalar keys.
 
     d = 2 packs x - `origin` into one uint64 (fast path), which needs
-    |x - origin| < 2^31 on each axis; higher d falls back to a structured
-    row view, which numpy sorts and searches lexicographically.
+    |x - origin| < 2^31 on each axis, read off `spans`, each column's (min,
+    max), computed unless the caller has it; higher d falls back to a
+    structured row view, which numpy sorts and searches lexicographically.
     """
     if len(cols) == 1:
         return cols[0]
     if len(cols) == 2:
-        packed = []
-        for col, c in zip(cols, origin):
-            if int(col.min()) - c <= -(2**31) or int(col.max()) - c >= 2**31:  # exact ints
-                raise ValueError("set mode packs d = 2 points within +-2^31 of their key origin")
-            packed.append((col - c + 2**31).astype(np.uint64))
+        spans = spans or [(int(col.min()), int(col.max())) for col in cols]
+        if any(l - c <= -(2**31) or h - c >= 2**31 for (l, h), c in zip(spans, origin)):  # exact ints
+            raise ValueError("set mode packs d = 2 points within +-2^31 of their key origin")
+        packed = [(col - c + 2**31).astype(np.uint64) for col, c in zip(cols, origin)]
         return (packed[0] << np.uint64(32)) | packed[1]
     rows = np.stack(cols, axis=1)
     return rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
@@ -132,7 +132,7 @@ class RangeTracker:
             self._origin = [c if abs(c) >= 2**31 else 0 for c in (int(col[0]) for col in cols)]
         if self._known is None and self._cover(cols, spans):
             return self._mark_box(cols)
-        keys = _pack_keys(cols, self._origin)
+        keys = _pack_keys(cols, self._origin, spans)
         if self._known is None:  # the one switch; row-major cells are in key order
             self._known = keys[:0] if self._box is None else self._box_keys()
             self._box = None
@@ -347,7 +347,7 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
     checks: tuple = ()
     zeros, last_zero = 0, None
     ptr = done = best = 0  # best: M_n before the block, off the extent path
-    for block, jump in stream._checked_blocks(horizon):
+    for block, jump in stream._checked_blocks(horizon):  # views: none is kept past its iteration
         if done == 0:
             x0 = lo = hi = block[0].tolist()
             if both:

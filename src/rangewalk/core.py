@@ -251,14 +251,24 @@ class WalkStream:
 
         The first block starts with x_0; concatenating all yielded arrays
         gives the full prefix of horizon + 1 positions.  Block size does not
-        affect the values produced.  Each block's steps are tested against m
-        as it is built; `_checked_blocks` yields the verdict, this drops it.
+        affect the values produced.  Each block is a fresh array, (N,) for
+        d = 1 and row-major (N, d) otherwise.  Its steps are tested against
+        m as it is built; `_checked_blocks` yields the verdict, this drops it.
         """
-        return (pos for pos, _ in self._checked_blocks(horizon, block_size))
+        return (pos.copy() for pos, _ in self._checked_blocks(horizon, block_size))
 
     def _checked_blocks(self, horizon: int, block_size: int = DEFAULT_BLOCK):
-        """Yield each block of `blocks` with the offset in it of the first
-        position reached by a step longer than m, or None.
+        """Yield each block of `blocks` as a view that the next block
+        overwrites, with the offset in it of the first position reached by a
+        step longer than m, or None.
+
+        The read allocates a staging row and a positions buffer of d rows
+        once.  On each axis, a block writes the carry, then its steps, back
+        to front into the staging row, and one prefix sum runs from that
+        reversed view into the axis's positions: numpy's cumsum is several
+        times faster from a reversed view than between contiguous arrays.  A
+        d >= 2 block is the positions transposed, (N, d) with contiguous
+        columns.
 
         Every step is tested here, once, with the largest coordinate step
         that the overflow guard computes, so a d = 1 block pays nothing more;
@@ -269,15 +279,16 @@ class WalkStream:
         if block_size < 2:
             raise ValueError("block_size must be >= 2")
         source = self._source_factory()
-        m = self.metadata.m
+        d, m = self.d, self.metadata.m
         stated = getattr(source, "peak", None)
         honest = getattr(source, "bound", m + 1) <= m
-        carry = np.array(self._origin if self.d > 1 else self._origin[0], dtype=np.int64)  # 0-d for d = 1
-        first = True
+        stage = np.empty(min(horizon, block_size) + 1, dtype=np.int64)
+        pos = np.empty((d, stage.size), dtype=np.int64)
+        carry = np.array(self._origin, dtype=np.int64)
+        lead, n_inc = 0, min(horizon, block_size - 1)  # the first block keeps x_0
         remaining = horizon
-        while first or remaining > 0:
-            n_inc = min(remaining, block_size - 1 if first else block_size)
-            jump = None
+        while True:
+            jump, cols = None, np.empty((d, 0), dtype=np.int64)  # horizon 0 takes no step
             if n_inc > 0:
                 inc = source.take(n_inc)
                 # Overflow guard: no coordinate of the block can move farther
@@ -288,7 +299,7 @@ class WalkStream:
                 # summed exactly, so no walk that stays in range is refused
                 # (the int64 sums below wrap mod 2^64, so they are exact then).
                 peak = _peak(inc) if stated is None else stated
-                extent = max(abs(int(c)) for c in np.atleast_1d(carry))
+                extent = max(abs(c) for c in carry.tolist())
                 if extent + n_inc * max(m, peak) > INT64_MAX:
                     exact = np.cumsum(inc.astype(object), axis=0) + carry.astype(object)
                     if exact.min() < INT64_MIN or exact.max() > INT64_MAX:
@@ -296,22 +307,28 @@ class WalkStream:
                             "walk left the signed 64-bit coordinate range"
                         )
                 jump = None if honest else _first_long_step(inc, m, peak)
-                pos = np.cumsum(inc, axis=0)
-                pos += carry
-            else:
-                pos = np.empty((0,) + carry.shape, dtype=np.int64)
-            if first:  # the block starts with x_0, so a step reaches one further
-                pos = np.concatenate((carry[None], pos))
-                jump = None if jump is None else jump + 1
-                first = False
-            carry = pos[-1].copy()
+                cols = inc.reshape(n_inc, d).T
+            staged = stage[n_inc::-1]
+            for axis, col in enumerate(cols):
+                staged[0], staged[1:] = carry[axis], col
+                np.cumsum(staged, out=pos[axis, : n_inc + 1])
+            carry = pos[:, n_inc].copy()
+            block = pos[:, lead : n_inc + 1]
+            yield block[0] if d == 1 else block.T, None if jump is None else jump + 1 - lead
             remaining -= n_inc
-            yield pos, jump
+            if remaining == 0:
+                return
+            lead, n_inc = 1, min(remaining, block_size)
 
     def path_array(self, horizon: int) -> np.ndarray:
-        """Materialize x_0..x_horizon as one int64 array."""
-        parts = list(self.blocks(horizon))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        """Materialize x_0..x_horizon as one int64 array, (N,) for d = 1 else (N, d)."""
+        # max(): `_checked_blocks` refuses a negative horizon with its own message.
+        path = np.empty((max(horizon, -1) + 1,) + ((self.d,) if self.d > 1 else ()), dtype=np.int64)
+        done = 0
+        for block, _ in self._checked_blocks(horizon):
+            path[done : done + block.shape[0]] = block
+            done += block.shape[0]
+        return path
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,8 @@ class _TentSource:
     at 0 exactly at each scheduled time.
     """
 
+    peak = bound = 1
+
     def __init__(self, zero_time):
         self._zero_time = zero_time
         self._pos = 0
@@ -741,14 +743,23 @@ class _SpiralSource:
 
 
 class _CycleSource:
+    """The pattern's steps, cyclically.  A take is a view of the pattern tiled
+    once per source, from the phase: nothing is computed per step."""
+
     def __init__(self, pattern: np.ndarray):
         self._pattern = pattern
         self._phase = 0
+        self._tiled = pattern[:0]
+        self.peak = self.bound = max(abs(v) for v in pattern.tolist())  # d = 1
 
     def take(self, k: int) -> np.ndarray:
-        idx = (self._phase + np.arange(k)) % len(self._pattern)
-        self._phase = (self._phase + k) % len(self._pattern)
-        return self._pattern[idx]
+        period = len(self._pattern)
+        if self._tiled.size < self._phase + k:
+            self._tiled = np.tile(self._pattern, -(-(k + period - 1) // period))
+            self._tiled.flags.writeable = False  # every take shares it
+        out = self._tiled[self._phase : self._phase + k]
+        self._phase = (self._phase + k) % period
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ class TestCheckedBlocks:
             assert jump == (inside[0] if inside else None)
             if jump is not None:
                 firsts.append(done + jump)
-            parts.append(block)
+            parts.append(block.copy())
             done += block.shape[0]
         assert np.array_equal(np.concatenate(parts), path)
         k = validate_increment_bound(path, m)
@@ -381,6 +381,94 @@ class TestCheckedBlocks:
         stream = WalkStream(WalkMetadata("huge", {}, None, m=1, d=d), Huge)
         [(block, jump)] = stream._checked_blocks(0)
         assert block.tolist() == ([0] if d == 1 else [[0] * d]) and jump is None
+
+
+def _stream_over(steps: np.ndarray, origin, m: int) -> WalkStream:
+    """A stream whose increments are the rows of `steps`, from a fresh source each read."""
+
+    class Steps:
+        def __init__(self):
+            self._at = 0
+
+        def take(self, k):
+            self._at += k
+            return steps[self._at - k : self._at]
+
+    d = 1 if steps.ndim == 1 else steps.shape[1]
+    return WalkStream(WalkMetadata("steps", {}, None, m=m, d=d), Steps, origin=origin)
+
+
+class TestBlockBuild:
+    """The staged prefix sum of `_checked_blocks`, and the reads built on it."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(2, 9), st.integers(0, 30), st.data())
+    def test_reads_match_a_python_int_running_sum(self, d, block_size, horizon, data):
+        # Origins within a few steps of either end of int64: the walk may
+        # leave the range, stay at its edge or step back into it.
+        near = st.one_of(
+            st.integers(INT64_MAX - 12, INT64_MAX), st.integers(INT64_MIN, INT64_MIN + 12), st.integers(-3, 3)
+        )
+        origin = [data.draw(near) for _ in range(d)]
+        row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        rows = data.draw(st.lists(row, min_size=horizon, max_size=horizon))
+        m = data.draw(st.sampled_from([1, 2, 6]))
+        path = [origin]
+        for row in rows:
+            path.append([a + b for a, b in zip(path[-1], row)])
+        out = next((n for n, x in enumerate(path) if not all(INT64_MIN <= c <= INT64_MAX for c in x)), None)
+        reached = [n + 1 for n, row in enumerate(rows) if sum(c * c for c in row) > m * m]
+        if d == 1:
+            path, origin = [x for [x] in path], origin[0]
+        steps = np.array(rows, dtype=np.int64).reshape((horizon,) if d == 1 else (horizon, d))
+        stream = _stream_over(steps, origin, m)
+
+        def read(blocks, checked):
+            got, jumps, done = [], [], 0
+            try:
+                for item in blocks:
+                    block, jump = item if checked else (item, None)
+                    if checked and jump is not None:
+                        jumps.append(done + jump)
+                    got += block.tolist()
+                    done += block.shape[0]
+            except CoordinateOverflowError:
+                assert out is not None and done % block_size == 0 and done <= out < done + block_size
+            else:
+                assert out is None
+            assert got == path[:done]
+            return jumps, done
+
+        jumps, done = read(stream._checked_blocks(horizon, block_size), True)
+        assert jumps[:1] == [n for n in reached if n < done][:1]
+        read(stream.blocks(horizon, block_size), False)
+        if out is None:
+            assert stream.path_array(horizon).tolist() == path
+        else:
+            with pytest.raises(CoordinateOverflowError):
+                stream.path_array(horizon)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_are_independent_fresh_arrays(self, d):
+        rng = np.random.Generator(np.random.PCG64(d))
+        path = np.cumsum(rng.integers(-1, 2, (50, d)), axis=0)
+        stream = walk_from_path(path if d > 1 else path[:, 0])
+        blocks = list(stream.blocks(49, block_size=7))
+        assert len(blocks) == 8
+        for a, b in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(a, b)
+        for block in blocks:
+            assert block.flags.c_contiguous and block.flags.owndata
+        assert np.array_equal(np.concatenate(blocks), stream.path_array(49))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("block_size", [2, 7, DEFAULT_BLOCK])
+    def test_checked_blocks_have_contiguous_columns(self, d, block_size):
+        rng = np.random.Generator(np.random.PCG64(d))
+        stream = walk_from_path(np.cumsum(rng.integers(-1, 2, (100, d)), axis=0))
+        for block, _ in stream._checked_blocks(99, block_size):
+            assert block.shape[1] == d
+            assert all(block[:, j].flags.c_contiguous for j in range(d))
 
 
 class TestWalkFromPath:

@@ -777,7 +777,8 @@ class TestSpiral:
             for _ in range(leg // 2 + 1):
                 path.append([path[-1][0] + dx, path[-1][1] + dy])
             leg += 1
-        blocks = list(gen_spiral2d(steps)._checked_blocks(steps, block_size))
+        reads = gen_spiral2d(steps)._checked_blocks(steps, block_size)
+        blocks = [(block.copy(), jump) for block, jump in reads]
         assert all(jump is None for _, jump in blocks)
         assert np.concatenate([block for block, _ in blocks]).tolist() == path[: steps + 1]
 
@@ -796,7 +797,22 @@ class TestStatedFacts:
             assert int(np.abs(inc).max()) <= source.peak
             assert int((inc * inc).sum(axis=1).max()) <= source.bound**2
             assert source.bound <= stream.m  # so no block of it is tested again
-        assert set(stated) == {"srw", "ergodic", "birth-death", "spiral2d"}
+        assert set(stated) == {
+            "srw", "ergodic", "birth-death", "zigzag", "tau-tent", "linear-drift", "spiral2d"
+        }
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_every_take_keeps_the_facts(self, index):
+        # Short takes straddle a cycle's phase, a tent's turns and a spiral's legs.
+        stream = _shipped_generators(3, 2**17)[index]
+        sizes = [1, 2, 3, 4, 5, 7, 2**16 - 1, 2**16, 9]
+        source = stream.source_factory()
+        takes = [source.take(k).reshape(k, -1).copy() for k in sizes]
+        for inc in takes:
+            assert int(np.abs(inc).max()) <= source.peak
+            assert int((inc * inc).sum(axis=1).max()) <= source.bound**2
+        whole = stream.source_factory().take(sum(sizes)).reshape(sum(sizes), -1)
+        assert np.array_equal(np.concatenate(takes), whole)
 
 
 class TestLinearDrift:
@@ -809,6 +825,14 @@ class TestLinearDrift:
         w = gen_linear_drift(1, [1, -1], 10)
         assert w.path_array(4).tolist() == [0, 1, 0, 1, 0]
         assert w.metadata.theoretical_drift == 0.0
+
+    def test_takes_follow_the_phase(self):
+        pattern = np.array([2, -1, 1, 0, -2], dtype=np.int64)
+        source = gen_linear_drift(2, pattern.tolist(), 10).source_factory()
+        phase = 0
+        for k in (1, 2, 3, 4, 5, 6, 11, 2**16, 7):
+            assert source.take(k).tolist() == pattern[(phase + np.arange(k)) % 5].tolist()
+            phase += k
 
     def test_mean_of_pattern(self):
         assert gen_linear_drift(3, [3, 0, 0], 10).metadata.theoretical_drift == 1.0
