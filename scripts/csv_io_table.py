@@ -8,9 +8,10 @@ path shifted by 2^62 (19-digit coordinates, the reader's widest fields) and
 `spiral2d` (d = 2).  Each cell runs in a fresh Python process: it draws the
 path once, then times `write_trajectory_csv` from `walk_from_path` (its
 block pass included) to a file and `read_trajectory_csv` back, the best of
-`repeats` each, and reads its peak RSS (ru_maxrss) after the timings.  Only
-then does it check that the file is byte for byte the `str(int)` rows and
-that the reader gives the path back.  Prints a Markdown table.
+`repeats` each, with the minor page faults (`ru_minflt`) per call of each,
+and reads its peak RSS (ru_maxrss) after the timings.  Only then does it
+check that the file is byte for byte the `str(int)` rows and that the reader
+gives the path back.  Prints a Markdown table.
 """
 
 from __future__ import annotations
@@ -46,23 +47,30 @@ def str_int_rows(path: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cell(walk: str, rows: int, repeats: int) -> dict:
     horizon = rows - 1
     config, shift = WALKS[walk]
     path = make_walk({**config, "steps": max(horizon, 1)}).path_array(horizon) + shift
     best_write = best_read = float("inf")
+    write_faults = read_faults = 0
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "t.csv")
         for _ in range(repeats):
             stream = walk_from_path(path)
             with open(csv, "w", newline="\n") as fh:
-                t = time.perf_counter()
+                before, t = minor_faults(), time.perf_counter()
                 write_trajectory_csv(stream, horizon, fh)
                 best_write = min(best_write, time.perf_counter() - t)
+                write_faults += minor_faults() - before
             with open(csv, "r") as fh:
-                t = time.perf_counter()
+                before, t = minor_faults(), time.perf_counter()
                 back = read_trajectory_csv(fh)
                 best_read = min(best_read, time.perf_counter() - t)
+                read_faults += minor_faults() - before
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         with open(csv, "r", newline="") as fh:
             text = fh.read()
@@ -73,6 +81,8 @@ def cell(walk: str, rows: int, repeats: int) -> dict:
     return {
         "write_ns": best_write / rows * 1e9,
         "read_ns": best_read / rows * 1e9,
+        "write_faults": write_faults / repeats,
+        "read_faults": read_faults / repeats,
         "bytes_per_row": len(text.encode("ascii")) / rows,
         "rss_mb": rss_mb,
     }
@@ -87,13 +97,14 @@ def main() -> None:
     if args.cell:
         print(json.dumps(cell(args.cell[0], int(args.cell[1]), args.repeats)))
         return
-    print("| walk | rows | write ns/row | read ns/row | bytes/row | peak RSS |")
-    print("|---|---|---|---|---|---|")
+    print("| walk | rows | write ns/row | read ns/row | faults per write | faults per read | bytes/row | peak RSS |")
+    print("|---|---|---|---|---|---|---|---|")
     for walk in WALKS:
         for rows in args.rows:
             argv = [sys.executable, __file__, "--repeats", str(args.repeats), "--cell", walk, str(rows)]
             res = json.loads(subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True).stdout)
             print(f"| {walk} | {rows} | {res['write_ns']:.0f} | {res['read_ns']:.0f} | "
+                  f"{res['write_faults']:.0f} | {res['read_faults']:.0f} | "
                   f"{res['bytes_per_row']:.2f} | {res['rss_mb']:.0f} MB |")
 
 

@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 a verified property or tolerance check failed,
 2 usage, I/O or limit error (a coordinate beyond int64, the set-mode point
 cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
 JSON lines, experiment reports as a single JSON document.  CSV rows are
-spelled in numpy, byte for byte as `str(int)`, and read back in numpy, chunk
-by chunk, when every field is an optional sign and at most 19 ASCII digits;
-other spellings that `int()` accepts (`1_000`, Unicode digits, padding
-whitespace, 20 or more digits) are read line by line.
+streamed both ways, CHUNK_BYTES of text at a time: spelled in numpy, byte for
+byte as `str(int)`, and read back in numpy while every field is an optional
+sign and at most 19 ASCII digits; from the first chunk with another spelling
+that `int()` accepts (`1_000`, Unicode digits, padding whitespace, 20 or more
+digits) on, the rest of the file is read line by line.
 """
 
 from __future__ import annotations
@@ -38,15 +39,37 @@ class CsvFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# The reader reads this many characters at a time, and the writer spells this
+# many bytes of its int64 table at a time, so that their arrays (a few 8-byte
+# entries a field), bytes and strings stay small enough for the heap to reuse:
+# a freshly mapped page costs a fault.
+CHUNK_BYTES = 1 << 16
+
+
 def write_trajectory_csv(stream: WalkStream, horizon: int, fh: TextIO) -> None:
-    """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings, a block at a time (`_ascii_rows`)."""
+    """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings.
+
+    Each block is copied beside its `n` column into one int64 table that the
+    write reuses, then spelled (`_ascii_rows`) and written in pieces of at
+    most CHUNK_BYTES of that table.  A piece's text takes at most 21 bytes
+    an entry (19 digits, sign, separator), and its work arrays and text stay
+    small enough for the heap to reuse.
+    """
     d = stream.d
     fh.write("n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
+    table = np.empty((0, d + 1), dtype=np.int64)
+    step = max(1, CHUNK_BYTES // (8 * (d + 1)))  # table rows a piece
     n = 0
-    for block in stream.blocks(horizon):
+    for block, _ in stream._checked_blocks(horizon):
         k = block.shape[0]
-        table = np.column_stack((np.arange(n, n + k, dtype=np.int64), block))
-        fh.write(_ascii_rows(table))
+        if table.shape[0] < k:
+            table = np.empty((k, d + 1), dtype=np.int64)
+            table[:, 0] = np.arange(n, n + k)
+        rows = table[:k]
+        rows[:, 1:] = block.reshape(k, d)  # the next block overwrites `block`
+        for start in range(0, k, step):
+            fh.write(_ascii_rows(rows[start : start + step]))
+        table[:, 0] += k
         n += k
 
 
@@ -87,11 +110,6 @@ def _ascii_rows(table: np.ndarray) -> str:
     return buf.tobytes(order="F").translate(None, b"\0").decode("ascii")
 
 
-# The numpy reader parses this many bytes of rows at a time, cut after an LF
-# (a longer line is a chunk of its own), so that its arrays, a few 8-byte
-# entries a field, stay small enough for the heap to reuse: a freshly mapped
-# page costs a fault.
-CHUNK_BYTES = 1 << 16
 # Bytes kept before a chunk in the parse buffer: a 19-digit field that opens
 # the chunk takes its top digits from the 8 bytes 24 to 17 before its end.
 _PAD = 24
@@ -105,12 +123,14 @@ _DIGIT_MASKS = np.array(
 def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     """Parse a trajectory CSV; malformed rows report their line number.
 
-    Data rows spelled with ASCII digits, `+`, `-`, `,` and LF only, each
-    field at most 19 digits after its sign, are parsed in numpy
-    (`_parse_rows_numpy`), chunk by chunk.  Any other character (a CR that
-    `fh` did not translate, other whitespace, `_`, non-ASCII digits), and
-    every file that parser does not accept, goes through the line loop, which
-    accepts what `int()` accepts and names the line of the first error.
+    The rows are read CHUNK_BYTES characters at a time; the start of a line
+    that a read cuts off opens the next chunk.  Each chunk of whole lines is
+    parsed in numpy (`_ChunkParser`).  The first chunk it does not accept
+    (a CR that `fh` did not translate, other whitespace, `_`, non-ASCII
+    digits, a value beyond int64, a wrong field count or step index) goes to
+    the line loop with the rest of the file, from its own line and step
+    index.  The loop accepts what `int()` accepts and names the line of the
+    first error.
     """
     header = fh.readline()
     if not header:
@@ -119,48 +139,74 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     if len(cols) < 2 or cols[0] != "n" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
         raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
     d = len(cols) - 1
-    text = fh.read()
-    arr = _parse_rows_numpy(text, d)
-    if arr is None:
-        arr = _parse_rows_loop(text, d)
+    parser, parts, line, rows = _ChunkParser(d), [], 2, 0
+    tail, rest = [], None  # the reads since the last LF; the loop's text
+    while True:
+        text = fh.read(CHUNK_BYTES)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            tail.append(text)
+            continue
+        chunk, tail = "".join(tail) + text[:cut], [text[cut:]]
+        parsed = parser.parse(chunk, rows)
+        if parsed is None:
+            rest = chunk + tail[0] + fh.read()
+            break
+        coords, lines = parsed
+        parts.append(coords.copy())  # without the `n` column
+        rows += coords.shape[0]
+        line += lines
+        if not text:
+            break
+    if rest is not None or not rows:  # with no rows, the loop gives its error
+        parts.append(_parse_rows_loop(rest or "", d, line, rows))
+    arr = np.concatenate(parts)
     return arr[:, 0] if d == 1 else arr
 
 
-def _parse_rows_numpy(text: str, d: int) -> Optional[np.ndarray]:
-    """The (N, d) coordinates of plainly spelled rows, or None to use the loop.
+class _ChunkParser:
+    """The numpy parser of one file's chunks, with the buffers it reuses.
 
     A row is d + 1 fields separated by `,` and ended by LF; a field is an
-    optional sign and 1-19 ASCII digits.  LF-only lines are skipped and a
-    missing final LF is supplied, as the loop does.  Anything else, a value
-    beyond int64 or an `n` column other than 0, 1, 2, ... returns None.
+    optional sign and 1-19 ASCII digits.  LF-only lines are skipped, and a
+    chunk with no final LF (the file's last) gets one, as the loop does.
 
-    Each chunk of whole lines is copied behind an LF that stands for the end
-    of the row before it.  One `flatnonzero` finds the separators; every
-    other byte must be a digit or a sign opening its field.  A field's last
-    8 digits are one unaligned load (`_digits8`); a wider field adds one or
-    two loads further back, scaled by 10^8 or 10^16, in uint64, which holds
-    19 digits exactly.
+    Each chunk is copied behind an LF that stands for the end of the row
+    before it.  One `flatnonzero` finds the separators; every other byte
+    must be a digit or a sign opening its field.  A field's last 8 digits
+    are one 8-byte load that ends at its separator (`_digits8`); a wider
+    field adds one or two loads further back, scaled by 10^8 or 10^16, in
+    uint64, which holds 19 digits exactly.
     """
-    if not text.isascii():
-        return None
-    out = np.empty((text.count("\n") + 1, d), dtype=np.int64)
-    buf = np.empty(0, dtype=np.uint8)
-    rows = start = 0
-    while start < len(text):
-        stop = text.rfind("\n", start, start + CHUNK_BYTES) + 1
-        stop = stop or text.find("\n", start + CHUNK_BYTES) + 1 or len(text)
-        chunk = text[start:stop].encode("ascii")
-        start = stop
-        if buf.size < _PAD + len(chunk) + 1:
-            buf = np.zeros(_PAD + max(len(chunk), CHUNK_BYTES) + 1, dtype=np.uint8)
-            buf[_PAD - 1] = ord("\n")
-            # words[i]: the 8 bytes before b[i] below, as a little-endian uint64
-            words = np.ndarray(buf.size - _PAD + 1, "<u8", buf, _PAD - 9, (1,))
-        b = buf[_PAD - 1 : _PAD + len(chunk) + (chunk[-1] != ord("\n"))]
-        b[1 : len(chunk) + 1] = np.frombuffer(chunk, dtype=np.uint8)
+
+    def __init__(self, d: int):
+        self.d, self.buf = d, np.empty(0, dtype=np.uint8)
+
+    def parse(self, chunk: str, rows: int) -> Optional[tuple]:
+        """(coordinates of `chunk`'s rows, its LFs), or None to use the loop.
+
+        `chunk` is whole lines after `rows` rows.  The coordinates are a
+        (k, d) int64 view of the chunk's values, `n` column included.  A
+        value beyond int64 or an `n` column other than `rows`, `rows + 1`,
+        ... returns None.
+        """
+        if not chunk.isascii():
+            return None
+        raw = chunk.encode("ascii")
+        if self.buf.size < _PAD + len(raw) + 1:  # room for a read and a line start
+            self.buf = np.zeros(_PAD + 2 * max(len(raw), CHUNK_BYTES) + 1, dtype=np.uint8)
+            self.buf[_PAD - 1] = ord("\n")
+            # loads[i]: the 8 bytes before b[i] below, as a little-endian uint64;
+            # gathers from an aligned copy, `words`, run several times faster.
+            self.loads = np.ndarray(self.buf.size - _PAD + 1, "<u8", self.buf, _PAD - 9, (1,))
+            self.words = np.empty(self.loads.size, dtype=np.uint64)
+        d, open_end = self.d, not raw.endswith(b"\n")
+        b = self.buf[_PAD - 1 : _PAD + len(raw) + open_end]
+        b[1 : len(raw) + 1] = np.frombuffer(raw, dtype=np.uint8)
         b[-1] = ord("\n")
         seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
         lf = b[seps] == ord("\n")
+        lines = np.count_nonzero(lf) - 1 - open_end
         ends, row_end = seps[1:], lf[1:]  # the separator after each field
         width = np.diff(seps) - 1
         if not width.all():  # drop the empty fields that are LF-only lines
@@ -170,7 +216,7 @@ def _parse_rows_numpy(text: str, d: int) -> Optional[np.ndarray]:
         if ends.size % (d + 1) or np.count_nonzero(row_end) != k or not row_end[d :: d + 1].all():
             return None
         if k == 0:
-            continue
+            return np.empty((0, d), dtype=np.int64), lines
         first = b[ends - width]
         neg = first == ord("-")
         signed = neg | (first == ord("+"))
@@ -180,6 +226,8 @@ def _parse_rows_numpy(text: str, d: int) -> Optional[np.ndarray]:
         top = ndig.max()
         if ndig.min() < 1 or top > 19:
             return None
+        words = self.words[: b.size]
+        np.copyto(words, self.loads[: b.size])
         value = _digits8(words, ends, ndig)
         for place in (8, 16):
             if top > place:
@@ -191,19 +239,18 @@ def _parse_rows_numpy(text: str, d: int) -> Optional[np.ndarray]:
         table = value.view(np.int64).reshape(k, d + 1)
         if not np.array_equal(table[:, 0], np.arange(rows, rows + k)):
             return None
-        out[rows : rows + k] = table[:, 1:]
-        rows += k
-    return out[:rows] if rows else None
+        return table[:, 1:], lines
 
 
 def _digits8(words: np.ndarray, last: np.ndarray, ndig: np.ndarray) -> np.ndarray:
     """The value, as uint64, of the min(ndig, 8) digits just before each `last`.
 
-    `words[last]` loads the 8 bytes before each `last`; the mask keeps the
-    digits' values and zeroes the bytes before them.  Three multiply-shift
-    steps then join neighbouring digits into 2-, 4- and 8-digit values.
+    `np.take(words, last)` loads the 8 bytes before each `last`; the mask
+    keeps the digits' values and zeroes the bytes before them.  Three
+    multiply-shift steps then join neighbouring digits into 2-, 4- and
+    8-digit values.
     """
-    v = words[last]
+    v = np.take(words, last)
     v &= _DIGIT_MASKS[ndig]
     v *= np.uint64(10 << 8 | 1)
     v >>= np.uint64(8)
@@ -216,11 +263,15 @@ def _digits8(words: np.ndarray, last: np.ndarray, ndig: np.ndarray) -> np.ndarra
     return v
 
 
-def _parse_rows_loop(text: str, d: int) -> np.ndarray:
-    """Line-by-line parse of the data rows (line 2 on); the reference parser."""
+def _parse_rows_loop(text: str, d: int, start_line: int = 2, start_n: int = 0) -> np.ndarray:
+    """Line-by-line parse of the data rows; the reference parser.
+
+    `text` is the file from line `start_line` on, after `start_n` rows; the
+    file has no data rows when neither it nor the lines before it hold one.
+    """
     rows = []
-    expected_n = 0
-    for lineno, raw in enumerate(text.split("\n"), start=2):
+    expected_n = start_n
+    for lineno, raw in enumerate(text.split("\n"), start=start_line):
         line = raw.strip()
         if not line:
             continue
@@ -239,9 +290,9 @@ def _parse_rows_loop(text: str, d: int) -> np.ndarray:
             )
         expected_n += 1
         rows.append(values[1:])
-    if not rows:
+    if not rows and not start_n:
         raise CsvFormatError("line 2: no data rows")
-    return np.asarray(rows, dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +394,8 @@ def cmd_analyze(args) -> int:
         with open(args.infile, "r") as fh:
             arr = read_trajectory_csv(fh)
         horizon = arr.shape[0] - 1
+        if args.steps is not None and args.steps != horizon:
+            raise ValueError(f"--steps {args.steps} conflicts with the CSV's horizon {horizon}")
         if args.gen is not None:
             if args.steps is None:
                 args.steps = horizon

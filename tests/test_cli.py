@@ -137,11 +137,49 @@ def _check_against_loop(d, body):
     fields = re.split("[,\n]", body)
     if isinstance(expected[0], np.dtype) and set(body) <= set("0123456789+-,\n"):
         if max(len(f.lstrip("+-")) for f in fields) <= 19:
-            assert cli._parse_rows_numpy(body, d) is not None
+            assert cli._ChunkParser(d).parse(body, 0) is not None
 
 
-def _no_loop(text, d):
+def _no_loop(*args):
     raise AssertionError("the line loop ran")
+
+
+@st.composite
+def _planted_bodies(draw):
+    """(d, body, planted): data rows of d = 1..3 spelled as the writer spells
+    them, some after LF-only lines, with one row the loop refuses planted at a
+    random line when `planted`: a wrong field count, a field that is not an
+    integer, or a wrong step index."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-(2**63), 2**63 - 1) | st.integers(-50, 50)
+    rows = [[n, *draw(st.lists(coord, min_size=d, max_size=d))] for n in range(draw(st.integers(1, 40)))]
+    planted = draw(st.booleans())
+    if planted:
+        at = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["count", "field", "index"]))
+        if fault == "count":
+            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + [0]
+        elif fault == "field":
+            rows[at][draw(st.integers(0, d))] = draw(st.sampled_from(["", "x", "1.5", "--1", "1e3", "0x1"]))
+        else:
+            rows[at][0] = draw(st.sampled_from([-1, at + 1, at + 7]))
+    lines = []
+    for row in rows:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        lines.append(",".join(map(str, row)))
+    return d, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), planted
+
+
+class _RecordedReads(io.StringIO):
+    """A text handle that records the size asked of every `read`."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
 
 
 class TestTrajectoryCsv:
@@ -207,6 +245,24 @@ class TestTrajectoryCsv:
         assert buf.getvalue() == "\n".join(lines) + "\n"
 
     @settings(deadline=None)
+    @given(_edge_paths(), st.integers(1, 9), st.integers(2, 5))
+    @example((3, [[0, 2**63 - 1, -(2**63)], [1, 2**63 - 1, -(2**63)]]), 1, 2)
+    def test_writer_pieces_match_row_by_row(self, case, piece, block):
+        # Pieces of `piece` rows and blocks of `block` positions: each block
+        # must be spelled before the next overwrites it.
+        d, rows = case
+        path = np.array(rows, dtype=np.int64)
+        path = path[:, 0] if d == 1 else path
+        horizon = len(rows) - 1
+        expected = _row_by_row_csv(walk_from_path(path), horizon)
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_BYTES", piece * 8 * (d + 1))  # int64 rows of n, x1..xd
+            mp.setattr(WalkStream._checked_blocks, "__defaults__", (block,))
+            write_trajectory_csv(walk_from_path(path), horizon, buf)
+        assert buf.getvalue() == expected
+
+    @settings(deadline=None)
     @given(_edge_paths(), st.sampled_from([cli.CHUNK_BYTES]) | st.integers(1, 64))
     @example((1, [[-(2**63)], [1 - 2**63]]), 1)
     @example((3, [[0, 2**63 - 1, -(2**63)]]), 3)
@@ -222,6 +278,43 @@ class TestTrajectoryCsv:
             back = read_trajectory_csv(io.StringIO(buf.getvalue()))
         assert back.dtype == np.int64 and back.tolist() == path.tolist()
 
+    def test_reader_asks_at_most_a_chunk_a_read(self, monkeypatch):
+        # About 8 chunks of 19-digit coordinates, all on the numpy path.
+        steps = np.random.default_rng(0).integers(-1, 2, size=20_000)
+        path = 2**62 + np.concatenate([[0], np.cumsum(steps)])
+        buf = io.StringIO()
+        write_trajectory_csv(walk_from_path(path), len(steps), buf)
+        fh = _RecordedReads(buf.getvalue())
+        monkeypatch.setattr(cli, "_parse_rows_loop", _no_loop)
+        assert read_trajectory_csv(fh).tolist() == path.tolist()
+        assert len(fh.sizes) > len(buf.getvalue()) // cli.CHUNK_BYTES >= 7
+        assert all(isinstance(size, int) and 0 < size <= cli.CHUNK_BYTES for size in fh.sizes), fh.sizes
+
+    @settings(max_examples=300, deadline=None)
+    @given(_planted_bodies(), st.integers(1, 64))
+    @example((1, "0,1\n1,2\n2\n", True), 4)
+    @example((2, "0,1,2\n\n\n1,x,3\n", True), 6)
+    def test_streamed_reader_fails_as_the_loop_on_the_whole_text(self, case, chunk):
+        # Chunks of 1-64 bytes: the planted row is in a later chunk than the
+        # rows before it, and its line number counts the lines of theirs.
+        d, body, planted = case
+        header = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+        if planted:
+            with pytest.raises(CsvFormatError) as want:
+                _parse_rows_loop(body, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_BYTES", chunk)
+            if planted:
+                with pytest.raises(CsvFormatError) as got:
+                    read_trajectory_csv(io.StringIO(header + body))
+                assert str(got.value) == str(want.value)
+            else:
+                mp.setattr(cli, "_parse_rows_loop", _no_loop)
+                back = read_trajectory_csv(io.StringIO(header + body))
+        if not planted:
+            expected = _parse_rows_loop(body, d)
+            assert back.tolist() == (expected[:, 0] if d == 1 else expected).tolist()
+
     @pytest.mark.parametrize("body", ["\n0,1\n1,2\n", "0,1\n\n1,2\n", "0,1\n1,2\n\n", "0,1\n1,2"])
     def test_blank_lines_and_no_final_lf_stay_off_the_loop(self, body, monkeypatch):
         monkeypatch.setattr(cli, "_parse_rows_loop", _no_loop)
@@ -232,7 +325,7 @@ class TestTrajectoryCsv:
     )
     def test_fields_past_int64_or_19_digits_go_to_the_loop(self, field, tmp_path, capsys):
         body = f"0,{field}\n1,0\n"
-        assert cli._parse_rows_numpy(body, 1) is None
+        assert cli._ChunkParser(1).parse(body, 0) is None
         _check_against_loop(1, body)
         if -(2**63) <= int(field) < 2**63:
             return
@@ -428,6 +521,16 @@ class TestAnalyze:
         assert run(["analyze", "--gen", "spiral2d", "--steps", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cap of 100" in err
+
+    @pytest.mark.parametrize("gen", [[], ["--gen", "srw", "--p", "0.5", "--seed", "1"]], ids=["csv", "gen"])
+    def test_steps_other_than_the_csv_horizon_is_a_usage_error(self, gen, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        assert run(["generate", "--gen", "srw", "--p", "0.5", "--seed", "1", "--steps", "3", "--out", str(csv)]) == 0
+        assert run(["analyze", "--in", str(csv), *gen, "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --steps 2 conflicts with the CSV's horizon 3\n"
+        assert run(["analyze", "--in", str(csv), *gen, "--steps", "3"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-2])["summary"]["horizon"] == 3
 
     def test_missing_input(self, capsys):
         assert run(["analyze", "--in", "/nonexistent/file.csv", "--m", "1"]) == 2
