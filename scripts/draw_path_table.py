@@ -1,4 +1,4 @@
-"""Time per row of `BatchSource`'s two draw paths, by draws per row and rows.
+"""Time per row of the two draw paths of a Monte Carlo chunk, by draws per row and rows.
 
     PYTHONPATH=src python scripts/draw_path_table.py [--widths 16 32 64] [--repeats 7]
 
@@ -10,7 +10,7 @@ lockstep path steps every row's PCG64 at once in numpy, the per-row path
 assigns each row's state to one PCG64 and draws it with
 ``Generator.random``.  Prints a Markdown table of the best of `repeats`
 alternating timings of each, in µs per row, their ratio, and the path that
-`BatchSource.take` picks for that shape.
+`generators._draw_batch` picks for that shape.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from rangewalk.generators import (
 
 
 def us_per_row(draw, states: np.ndarray, width: int) -> float:
-    """One timing of `draw` on a copy of `states` (the lockstep advances them)."""
-    fresh = states.copy()
+    """One timing of `draw` on `states`, which it leaves as they were."""
     t = time.perf_counter()
-    draw(fresh, width)
+    draw(states, width)
     return (time.perf_counter() - t) / len(states) * 1e6
 
 

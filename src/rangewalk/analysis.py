@@ -525,12 +525,14 @@ def check_excursion_bound(stream: WalkStream, horizon: int) -> ExcursionCheck:
         )
     last = int(zeros[-1])
     gaps = np.diff(zeros)
-    ids = np.repeat(np.arange(gaps.size), gaps)
     absx = np.abs(x[:last]).view(np.uint64)  # exact at x = -2^63 too
     half = (gaps // 2).astype(np.uint64)
-    bad = absx > half[ids]  # 2|x| > gap, in integers
-    first = int(np.argmax(bad)) if bad.any() else None
     peaks = np.maximum.reduceat(absx, zeros[:-1])
+    first = None
+    bad = np.flatnonzero(peaks > half)  # 2|x| > gap somewhere, in integers
+    if bad.size:
+        start = int(zeros[bad[0]])
+        first = start + int(np.argmax(absx[start : zeros[bad[0] + 1]] > half[bad[0]]))
     tight = int(np.count_nonzero((peaks == half) & (gaps % 2 == 0)))
     return ExcursionCheck(
         first_violation=first,

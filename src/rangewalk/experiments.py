@@ -1,18 +1,18 @@
 """Monte Carlo harness: independent seeded trials, exact aggregation, theory targets.
 
 Trial i draws the PCG64 stream of ``make_walk(config, seed=mix_seed(master_seed, i))``.
-`run_trials` and `estimate_no_return` run trials on one engine, in chunks of
-``max(1, CHUNK_CELLS // (horizon + 1))``: a chunk is one (trials, steps)
-uniform matrix, mapped to increments by the generator's uniform law and
-reduced with one cumsum and per-row lowest, highest and last positions and
-first-return times.  So a no-return estimate for srw(p) reads the very trials
-of ``mc`` on srw(p) with the same master seed.  Rows are seeded in bulk: the
-seeds of up to CHUNK_CELLS trials at a time (whole chunks) go through
-`mix_seeds` and `pcg64_states` at once, which give each trial's PCG64 state
-as numpy's own ``PCG64(seed)`` would, and each chunk draws its rows through
-`BatchSource`, numpy's own uniforms.  Horizons beyond CHUNK_CELLS go in column
-blocks that carry that state, so memory stays flat in the horizon.  `workers`
-schedules whole chunks on a thread pool, and results are reduced in
+`run_trials` and `estimate_no_return` run trials on one engine, so a no-return
+estimate for srw(p) reads the very trials of ``mc`` on srw(p) with the same
+master seed.  Trials of N <= CHUNK_CELLS steps go in chunks of
+``max(1, CHUNK_CELLS // (N + 1))``: a chunk is one (trials, steps) uniform
+matrix, drawn once and mapped to increments by the generator's uniform law
+(`_draw_batch`), and reduced with one cumsum and per-row lowest, highest and
+last positions and first-return times.  Its rows are seeded in bulk:
+`mix_seeds` and `pcg64_states` give the PCG64 states of up to CHUNK_CELLS
+trials at once, as numpy's own ``PCG64(seed)`` would.  A longer trial reads
+its own stream, the source ``make_walk`` builds, one CHUNK_CELLS block at a
+time, so memory stays flat in the horizon.  `workers` schedules chunks, or
+runs of long trials, on a thread pool, and results are reduced in
 trial-index order, so a report is byte-identical for any `workers`.
 A deterministic config, which runs one trial, goes through the range and
 extrema trackers instead.  The theory target is the |drift| of the trial-0 walk
@@ -34,7 +34,9 @@ import numpy as np
 from .analysis import _scan
 from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
 from .generators import (
-    BatchSource,
+    _draw_batch,
+    _DrawnSource,
+    _Scratch,
     gen_simple_rw,
     is_stochastic,
     make_walk,
@@ -173,30 +175,46 @@ class _Extremes:
 def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: int = 1) -> dict:
     """`_Extremes` counts of trials 0..trials-1 of one law, in trial order.
 
-    `workers` schedules whole chunks on a pool of at most one thread a chunk.
+    A task is a chunk or, past CHUNK_CELLS steps, a contiguous run of trials
+    that share one `_Scratch`, at most `workers` runs a slice of seeds.
+    `workers` schedules the tasks on a pool of at most one thread a task.
     """
     rows = max(1, CHUNK_CELLS // (horizon + 1))
     # Seeding has a fixed cost, so whole runs of chunks are seeded at once.
     span = rows * max(1, CHUNK_CELLS // rows)
+    long = horizon > CHUNK_CELLS
 
     def slices():
         for start in range(0, trials, span):
-            states = pcg64_states(mix_seeds(master_seed, start, min(start + span, trials)))
-            yield [states[i : i + rows] for i in range(0, len(states), rows)]
+            seeds = mix_seeds(master_seed, start, min(start + span, trials))
+            if long:
+                yield np.array_split(seeds, min(workers, len(seeds)))
+            else:
+                states = pcg64_states(seeds)
+                yield [states[i : i + rows] for i in range(0, len(states), rows)]
 
-    def one(states):
-        source = BatchSource(law, states)
+    def streams(seeds):  # one counts dict a trial
+        scratch, parts = _Scratch(CHUNK_CELLS), []
+        for seed in seeds.tolist():
+            source, state = _DrawnSource(law, seed, scratch), _Extremes(1)
+            for done in range(0, horizon, CHUNK_CELLS):
+                state.advance(source.take(min(CHUNK_CELLS, horizon - done))[None])
+            parts.append(state.counts())
+        return parts
+
+    def chunk(states):
         state = _Extremes(len(states))
-        for done in range(0, horizon, CHUNK_CELLS):
-            state.advance(source.take(min(CHUNK_CELLS, horizon - done)))
-        return state.counts()
+        state.advance(_draw_batch(law, states, horizon))
+        return [state.counts()]
 
-    n_chunks = -(-trials // rows)
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            parts = [part for chunks in slices() for part in pool.map(one, chunks)]
+    one = streams if long else chunk
+    n_tasks = -(-trials // rows)
+    if workers > 1 and n_tasks > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+            results = [result for tasks in slices() for result in pool.map(one, tasks)]
     else:
-        parts = [one(chunk) for chunks in slices() for chunk in chunks]
+        results = [one(task) for tasks in slices() for task in tasks]
+    parts = [part for result in results for part in result]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 

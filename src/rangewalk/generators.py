@@ -169,7 +169,7 @@ def pcg64_states(seeds) -> np.ndarray:
     twice from 0, adding initstate in between: state =
     (inc + initstate)·MULT + inc mod 2^128.  Returns a (len(seeds), 4)
     uint64 array of state high, state low, inc high and inc low words, the
-    form `BatchSource` keeps its rows in.
+    form `_draw_batch` reads its rows from.
     """
     a, b, c, d = seed_words(seeds).T
     inc_hi, inc_lo = c << 1 | d >> 63, d << 1 | 1
@@ -193,26 +193,13 @@ def _pcg64_state(row: np.ndarray) -> dict:
 _U11, _U58, _U63, _U64 = (np.uint64(v) for v in (11, 58, 63, 64))
 
 
-def _advance_states(bitgen: np.random.PCG64, states: np.ndarray, k: int) -> None:
-    """Step every row of a `pcg64_states` array k times, in place.
-
-    Each row's state is assigned to `bitgen`, jumped with its own
-    ``advance(k)`` and read back.
-    """
-    for row, state in zip(states, map(_pcg64_state, states)):
-        bitgen.state = state
-        bitgen.advance(k)
-        after = bitgen.state["state"]["state"]
-        row[0], row[1] = after >> 64, after & _MASK64
-
-
 def _lockstep_random(states: np.ndarray, width: int) -> np.ndarray:
     """`width` uniforms of every row of `states`, all rows stepped at once.
 
     Each step runs every row's LCG in uint64 limbs, then PCG64's XSL-RR
     output (the xor of the new state's words, rotated right by its top six
-    bits) and ``Generator.random``'s (x >> 11)·2^-53.  Advances `states` in
-    place and returns a (rows, width) array.
+    bits) and ``Generator.random``'s (x >> 11)·2^-53.  Returns a (rows,
+    width) array.
     """
     hi, lo, inc_hi, inc_lo = states.T.copy()
     u = np.empty((width, len(states)))
@@ -221,15 +208,13 @@ def _lockstep_random(states: np.ndarray, width: int) -> np.ndarray:
         x, rot = hi ^ lo, hi >> _U58
         x = (x >> rot) | (x << ((_U64 - rot) & _U63))  # no shift by 64 when rot = 0
         np.multiply(x >> _U11, 2.0**-53, out=draws)
-    states[:, 0], states[:, 1] = hi, lo
     return u.T
 
 
 def _per_row_random(gen: np.random.Generator, states: np.ndarray, width: int) -> np.ndarray:
     """`width` uniforms of every row of `states`, one row at a time through `gen`.
 
-    Each row's state is assigned to gen's PCG64 before its draw.  `states`
-    is left as it was (`_advance_states` catches it up).  Returns a
+    Each row's state is assigned to gen's PCG64 before its draw.  Returns a
     (rows, width) array.
     """
     bitgen = gen.bit_generator
@@ -261,9 +246,9 @@ def stationary_distribution(transition) -> np.ndarray:
     """Unique pi with pi P = pi and sum(pi) = 1, residual <= 1e-10.
 
     Validates `transition` as a stochastic matrix of at most 16 states first.
-    Solved directly (replace one balance equation by the normalization); a
-    damped power iteration is kept as a fallback for ill-conditioned input.
-    Raises :class:`ReducibleChainError` when the chain is reducible.
+    Solved directly, with one balance equation replaced by the
+    normalization.  Raises :class:`ReducibleChainError` when the chain is
+    reducible, and ValueError when the solve fails or misses the gate.
     """
     p = np.asarray(transition, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
@@ -277,38 +262,22 @@ def stationary_distribution(transition) -> np.ndarray:
     if not _is_irreducible(p):
         raise ReducibleChainError("chain is reducible")
     n = p.shape[0]
-
-    def _residual(pi):
-        return float(np.max(np.abs(pi @ p - pi)))
-
     a = p.T - np.eye(n)
     a[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     try:
-        pi = np.linalg.solve(a, rhs)
+        pi = np.clip(np.linalg.solve(a, rhs), 0.0, None)
     except np.linalg.LinAlgError:
-        pi = None
-    if pi is not None:
-        pi = np.clip(pi, 0.0, None)
-        total = pi.sum()
-        if total > 0:
-            pi = pi / total
-            if _residual(pi) <= 1e-10 and abs(pi.sum() - 1.0) <= 1e-12:
-                return pi
-    # Damped iteration x <- x (P + I)/2 converges for any irreducible chain.
-    pi = np.full(n, 1.0 / n)
-    for _ in range(1_000_000):
-        nxt = 0.5 * (pi + pi @ p)
-        if np.max(np.abs(nxt - pi)) < 1e-15:
-            pi = nxt
-            break
-        pi = nxt
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    if _residual(pi) > 1e-10:
-        raise RuntimeError("stationary distribution failed to reach residual 1e-10")
-    return pi
+        pi = np.zeros(n)
+    if pi.sum() > 0:
+        pi = pi / pi.sum()
+        if np.max(np.abs(pi @ p - pi)) <= 1e-10 and abs(pi.sum() - 1.0) <= 1e-12:
+            return pi
+    raise ValueError(
+        "stationary distribution: the direct solve misses the gate "
+        "max|pi P - pi| <= 1e-10, |sum(pi) - 1| <= 1e-12 (ill-conditioned chain)"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +339,7 @@ _NO_KEY = -(1 << 62)
 
 
 class _Scratch:
-    """Work arrays that one read of a seeded stream reuses on every block.
+    """Work arrays that a stream read, or a run of long trials, reuses on every block.
 
     A fresh block-sized array page-faults anew on every block, so a drawn
     source keeps these at a fixed number of cells and each block works in
@@ -585,68 +554,48 @@ class _ChainLaw(_UniformLaw):
         return inc, seq[:, -1].copy()
 
 
-#: Rows per uniform drawn from which a take steps its rows in lockstep.
+#: Rows per uniform drawn from which `_draw_batch` steps its rows in lockstep.
 LOCKSTEP_ROWS_PER_DRAW = 16
 
 
-class BatchSource:
-    """Increments of seeded walks that share one law, a (rows, k) block at a time.
+def _draw_batch(law: _UniformLaw, states: np.ndarray, k: int) -> np.ndarray:
+    """The first k increments of seeded walks that share one law, a row a walk.
 
-    Row j replays ``make_walk(config, seed=seeds[j])`` bit for bit from
-    ``states = pcg64_states(seeds)``; the batch keeps its own copy of that
-    array as its rows' only state.  Both draw paths give numpy's own
-    ``Generator.random`` uniforms.  A take that draws w uniforms a row from
-    at least ``LOCKSTEP_ROWS_PER_DRAW * w`` rows steps every row's PCG64 at
-    once in numpy: its cost is some 30 numpy calls per draw, shared by the
-    rows.  Any other take assigns each row's state to one reused PCG64 in
-    turn, a fixed cost per row, and draws the row with ``Generator.random``;
-    the next take, if any, first jumps the states ahead by the draws made.
-    In a chunk of 2^16 cells, lockstep runs for rows of at most 63 draws.
+    Row j is that of ``make_walk(config, seed=seeds[j])`` bit for bit, from
+    ``states = pcg64_states(seeds)``.  Both draw paths give numpy's own
+    ``Generator.random`` uniforms.  A draw of w uniforms a row from at least
+    ``LOCKSTEP_ROWS_PER_DRAW * w`` rows steps every row's PCG64 at once in
+    numpy: its cost is some 30 numpy calls per draw, shared by the rows.
+    Any other draw assigns each row's state to one PCG64 in turn, a fixed
+    cost per row, and draws the row with ``Generator.random``.  In a chunk
+    of 2^16 cells, lockstep runs for rows of at most 63 draws.
     """
-
-    def __init__(self, law: _UniformLaw, states: np.ndarray):
-        self._law = law
-        self._states = np.array(states, dtype=np.uint64)
-        self._bitgen = np.random.PCG64(0)  # each row assigns its own state
-        self._gen = np.random.Generator(self._bitgen)
-        self._carry: Optional[np.ndarray] = None
-        self._lag = 0  # draws the states are behind the rows
-
-    def take(self, k: int) -> np.ndarray:
-        first = self._carry is None
-        head = self._law.head if first else 0
-        width = head + k
-        if self._lag:
-            _advance_states(self._bitgen, self._states, self._lag)
-        if len(self._states) >= LOCKSTEP_ROWS_PER_DRAW * width:
-            u = _lockstep_random(self._states, width)
-            self._lag = 0
-        else:
-            u = _per_row_random(self._gen, self._states, width)
-            self._lag = width
-        if first:
-            self._carry = self._law.start(u[:, :head])
-        inc, self._carry = self._law.steps(u[:, head:], self._carry)
-        return inc
+    width = law.head + k
+    if len(states) >= LOCKSTEP_ROWS_PER_DRAW * width:
+        u = _lockstep_random(states, width)
+    else:
+        u = _per_row_random(np.random.Generator(np.random.PCG64(0)), states, width)
+    return law.steps(u[:, law.head :], law.start(u[:, : law.head]))[0]
 
 
 class _DrawnSource:
     """The increment source of one seeded walk: one row of a batch.
 
-    It maps its draws through the same law as :class:`BatchSource`, from
-    numpy's own ``Generator(PCG64(seed))``, which it keeps: for a single
-    seed that is cheaper than `pcg64_states`, and it is the batch's oracle.
-    Each take draws into, and works in, the source's own `_Scratch` of at
+    It maps its draws through the same law as `_draw_batch`, from numpy's
+    own ``Generator(PCG64(seed))``, which it keeps: for a single seed that
+    is cheaper than `pcg64_states`, and it is the batch's oracle.  Each take
+    draws into, and works in, `scratch` (which the sources of a run of Monte
+    Carlo trials share) if it holds the take, else an own `_Scratch` of at
     least `DEFAULT_BLOCK` cells, so the next take overwrites the increments
     it returns.
     """
 
-    def __init__(self, law: _UniformLaw, seed: int):
+    def __init__(self, law: _UniformLaw, seed: int, scratch: Optional[_Scratch] = None):
         self._law = law
         self.peak = self.bound = law.peak  # d = 1: a step's norm is its |value|
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._carry: Optional[np.ndarray] = None
-        self._scratch = _Scratch(0)
+        self._scratch = _Scratch(0) if scratch is None else scratch
 
     def take(self, k: int) -> np.ndarray:
         if self._carry is None:
@@ -1162,9 +1111,9 @@ def make_walk(config: dict, seed: Optional[int] = None) -> WalkStream:
 def uniform_law(walk: WalkStream) -> _UniformLaw:
     """The uniform-to-increment law of a seeded stochastic stream.
 
-    Pair it with :class:`BatchSource` to run many seeds of one config from a
-    single `make_walk`: the config is parsed, and an ergodic chain's
-    stationary law solved, once.
+    Pair it with `_draw_batch` or `_DrawnSource` to run many seeds of one
+    config from a single `make_walk`: the config is parsed, and an ergodic
+    chain's stationary law solved, once.
     """
     factory = walk.source_factory
     if not isinstance(factory, _Seeded):

@@ -891,6 +891,50 @@ class TestExcursionBound:
         assert chk.peaks == tuple(peaks) and chk.gaps == tuple(gaps)
         assert chk.tight == tight
 
+    @staticmethod
+    def _per_step_oracle(x: np.ndarray) -> tuple:
+        """The checker's earlier whole-path form: one excursion id a step."""
+        zeros = np.flatnonzero(x == 0)
+        last = int(zeros[-1])
+        gaps = np.diff(zeros)
+        ids = np.repeat(np.arange(gaps.size), gaps)
+        absx = np.abs(x[:last]).view(np.uint64)
+        half = (gaps // 2).astype(np.uint64)
+        bad = absx > half[ids]
+        first = int(np.argmax(bad)) if bad.any() else None
+        peaks = np.maximum.reduceat(absx, zeros[:-1])
+        tight = int(np.count_nonzero((peaks == half) & (gaps % 2 == 0)))
+        return first, gaps.size, tuple(map(int, peaks)), tuple(map(int, gaps)), tight, last
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=80),
+        st.lists(st.integers(0, 79), max_size=6),
+        st.lists(st.tuples(st.integers(0, 79), st.integers(1, 3)), max_size=3),
+    )
+    def test_matches_per_step_oracle(self, m, steps, zeros, spikes):
+        # An m-bounded path with zeros planted by setting a step to whatever
+        # brings x back to 0 (kept only while it stays within m), and spikes
+        # of m that push an excursion over its half gap.
+        steps = [max(-m, min(m, s)) for s in steps]
+        for at, size in spikes:
+            if at < len(steps):
+                steps[at] = min(size, m)
+        path = [0]
+        for n, step in enumerate(steps):
+            if n in zeros and abs(path[-1]) <= m:
+                step = -path[-1]
+            path.append(path[-1] + step)
+        x = np.array(path, dtype=np.int64)
+        if np.count_nonzero(x == 0) < 2:
+            with pytest.raises(ClassRAssumptionError):
+                check_excursion_bound(walk_from_path(path, m=m), len(path) - 1)
+            return
+        chk = check_excursion_bound(walk_from_path(path, m=m), len(path) - 1)
+        got = (chk.first_violation, chk.n_excursions, chk.peaks, chk.gaps, chk.tight, chk.last_zero)
+        assert got == self._per_step_oracle(x)
+
 
 class TestTailEstimate:
     def test_constant_series(self):

@@ -429,6 +429,17 @@ class TestAnalyze:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: transition entries must lie in [0, 1]\n"
 
+    def test_failed_stationary_solve_is_a_usage_error(self, monkeypatch, capsys):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        argv = ["mc", "--gen", "ergodic", "--preset", "switch:0.1,0.3", "--steps", "10", "--seed", "1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: stationary distribution: the direct solve misses")
+
     def test_spec_example_last_tau(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         run(["generate", "--gen", "zigzag", "--ell", "0.5", "--steps", "20", "--out", str(out)])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangewalk.experiments as E
+import rangewalk.generators as G
 from rangewalk.core import INT64_MAX, CoordinateOverflowError
 from rangewalk.experiments import (
     AggregateReport,
@@ -22,7 +24,7 @@ from rangewalk.experiments import (
     exact_range_speed,
     run_trials,
 )
-from rangewalk.generators import BatchSource, make_walk, mix_seed, pcg64_states
+from rangewalk.generators import make_walk, mix_seed, pcg64_states
 
 # Frozen by independent enumeration over all 2^10 sign sequences with exact
 # rational weights (p = 3/10, 1/2, 7/10): E[R_10/10].
@@ -470,23 +472,65 @@ class TestChunkedTrials:
         assert seeded == [44, 44, 12]
         assert report.per_trial == _oracle_per_trial(config, 10, 100, 5)[0]
 
-    def test_each_chunk_draws_from_its_own_bit_generator(self, monkeypatch):
-        # Two threads run chunks at once; a shared generator would mix rows.
-        made = []
+    def test_concurrent_tasks_share_no_bit_generator_or_scratch(self, monkeypatch):
+        # Threads run tasks at once; a shared generator or scratch would mix rows.
+        drawn, streams = [], []
+        per_row = G._per_row_random
 
-        class Recorded(BatchSource):
-            def __init__(self, law, states):
-                super().__init__(law, states)
-                made.append(self)
+        def spy(gen, states, width):
+            drawn.append(gen.bit_generator)
+            return per_row(gen, states, width)
 
-        monkeypatch.setattr(E, "BatchSource", Recorded)
+        class Recorded(G._DrawnSource):
+            def __init__(self, law, seed, scratch=None):
+                super().__init__(law, seed, scratch)
+                streams.append((seed, threading.get_ident(), scratch, self))
+
+        monkeypatch.setattr(G, "_per_row_random", spy)
+        monkeypatch.setattr(E, "_DrawnSource", Recorded)
         monkeypatch.setattr(E, "CHUNK_CELLS", 44)
         config = {"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 10}
         spec = TrialSpec(config=config, horizon=10, trials=200, master_seed=9)
         report = run_trials(spec, workers=2, keep_trials=True)
         assert report.per_trial == _oracle_per_trial(config, 10, 200, 9)[0]
-        assert len(made) == 50
-        assert len({id(batch._bitgen) for batch in made}) == 50
+        # 50 chunks of 4 rows, each drawn row by row through its own generator.
+        assert len(drawn) == 50 and len({id(bitgen) for bitgen in drawn}) == 50
+        assert streams == []
+
+        # 12 trials past a chunk on 3 threads: 3 runs of 4 trials, one scratch a run.
+        config = dict(config, steps=100)
+        spec = TrialSpec(config=config, horizon=100, trials=12, master_seed=9)
+        report = run_trials(spec, workers=3, keep_trials=True)
+        assert report.per_trial == _oracle_per_trial(config, 100, 12, 9)[0]
+        streams.sort(key=lambda rec: [mix_seed(9, i) for i in range(12)].index(rec[0]))
+        assert len({id(source._rng.bit_generator) for *_, source in streams}) == 12
+        runs = [streams[i : i + 4] for i in range(0, 12, 4)]
+        assert len({id(run[0][2]) for run in runs}) == 3
+        for run in runs:
+            (scratch,) = {id(rec[2]) for rec in run}
+            assert len({rec[1] for rec in run}) == 1  # one thread a run
+            assert all(id(source._scratch) == scratch for *_, source in run)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-draw", "streamed"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"gen": "srw", "p": 0.5},
+            {"gen": "birth-death", "preset": "reflected"},  # a carry across blocks
+            {"gen": "ergodic", "preset": "switch:0.1,0.3"},  # a head uniform
+        ],
+        ids=lambda c: c.get("preset", "srw"),
+    )
+    def test_chunk_edge_matches_per_trial_oracle(self, config, extra, workers, monkeypatch):
+        # N = CHUNK_CELLS is the longest trial drawn in one chunk; one more
+        # step reads each trial's own stream in blocks of CHUNK_CELLS.
+        monkeypatch.setattr(E, "CHUNK_CELLS", 64)
+        horizon = 64 + extra
+        config = dict(config, steps=horizon)
+        spec = TrialSpec(config=config, horizon=horizon, trials=7, master_seed=3)
+        report = run_trials(spec, workers=workers, keep_trials=True)
+        assert report.per_trial == _oracle_per_trial(config, horizon, 7, 3)[0]
 
     def test_ergodic_run_in_criterion_11_shape_matches_its_streams(self):
         # Criterion 11 runs switch:0.1,0.3 trials longer than a chunk on a

@@ -14,13 +14,12 @@ from rangewalk.suites import _shipped_generators
 from rangewalk.generators import (
     LOCKSTEP_ROWS_PER_DRAW,
     _PCG64_MULT,
-    BatchSource,
     DegeneratePlanError,
     MarkovIncrementChain,
     ReducibleChainError,
     ZigzagPlan,
-    _advance_states,
     _ChainLaw,
+    _draw_batch,
     _gather_states,
     _Scratch,
     _pcg64_state,
@@ -62,8 +61,8 @@ class TestSeeding:
 _EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
 _seeds = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
 
-# A batch of _ROWS rows draws takes of up to _T uniforms a row in lockstep,
-# longer ones row by row; these widths lie on both sides of that bound.
+# A batch of _ROWS rows draws up to _T uniforms a row in lockstep, more row
+# by row; these widths lie on both sides of that bound.
 _T = 5
 _ROWS = LOCKSTEP_ROWS_PER_DRAW * _T
 _STRADDLE = [_T - 1, _T, _T + 1, 2 * _T]
@@ -127,13 +126,16 @@ class TestBulkSeeding:
     @example([0, 2**64 - 1], [2, _T + 1, 1], True)
     @settings(max_examples=30)
     def test_rows_equal_generator_random(self, seeds, widths, fill):
+        # Each width is one draw from the seeded states, which it leaves as they were.
         if fill:
             seeds = seeds + mix_seeds(0, len(seeds), _ROWS).tolist()
-        batch = BatchSource(_RawUniforms(), pcg64_states(seeds))
-        u = np.concatenate([batch.take(k) for k in widths], axis=1)
-        for seed, row in zip(seeds, u):
-            want = np.random.Generator(np.random.PCG64(seed)).random(sum(widths))
-            assert np.array_equal(row, want)
+        states = pcg64_states(seeds)
+        before = states.copy()
+        for k in widths:
+            u = _draw_batch(_RawUniforms(), states, k)
+            assert np.array_equal(states, before)
+            for seed, row in zip(seeds, u):
+                assert np.array_equal(row, np.random.Generator(np.random.PCG64(seed)).random(k))
 
     @staticmethod
     def _edge_states() -> np.ndarray:
@@ -154,23 +156,12 @@ class TestBulkSeeding:
         # Copies of the edge rows, enough that takes of up to 64 draws run in lockstep.
         edge = self._edge_states()
         states = np.tile(edge, (-(-LOCKSTEP_ROWS_PER_DRAW * 64 // len(edge)), 1))
-        batch = BatchSource(_RawUniforms(), states)
-        u = np.concatenate([batch.take(k) for k in widths], axis=1)
-        for row, got in zip(edge, u):
-            gen = np.random.Generator(np.random.PCG64())
-            gen.bit_generator.state = _pcg64_state(row)
-            assert np.array_equal(got, gen.random(sum(widths)))
-
-    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 2**16, 2**40 + 3, 2**128 - 1])
-    def test_jump_equals_pcg64_advance(self, k):
-        states = np.concatenate([self._edge_states(), pcg64_states(_EDGE_SEEDS)])
-        jumped = states.copy()
-        _advance_states(np.random.PCG64(), jumped, k)
-        for row, got in zip(states, jumped):
-            bitgen = np.random.PCG64()
-            bitgen.state = _pcg64_state(row)
-            bitgen.advance(k)
-            assert _pcg64_state(got) == bitgen.state
+        for k in widths:
+            u = _draw_batch(_RawUniforms(), states, k)
+            for row, got in zip(edge, u):
+                gen = np.random.Generator(np.random.PCG64())
+                gen.bit_generator.state = _pcg64_state(row)
+                assert np.array_equal(got, gen.random(k))
 
     def test_empty_batch(self):
         assert pcg64_states(mix_seeds(0, 5, 5)).shape == (0, 4)
@@ -231,9 +222,9 @@ class TestStationaryDistribution:
         assert np.max(np.abs(pi @ p - pi)) <= 1e-10
         assert abs(pi.sum() - 1.0) <= 1e-12
 
-    def test_singular_solve_falls_back_to_damped_iteration(self, monkeypatch):
+    def test_singular_solve_is_refused(self, monkeypatch):
         # An irreducible but ill-conditioned chain whose direct solve is
-        # singular.  Only the contract is pinned: its pi is not well determined.
+        # singular: no pi is returned that the residual gate has not passed.
         p = np.array([[1.0, 0.0, 1e-56], [0.0, 1.0, 1e-107], [1e-249, 1.0, 1e-265]])
         singular = []
         solve = np.linalg.solve
@@ -246,10 +237,15 @@ class TestStationaryDistribution:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        pi = stationary_distribution(p)
+        with pytest.raises(ValueError, match=r"misses the gate max\|pi P - pi\| <= 1e-10"):
+            stationary_distribution(p)
         assert singular == [True]
-        assert np.max(np.abs(pi @ p - pi)) <= 1e-10
-        assert abs(pi.sum() - 1.0) <= 1e-12
+
+    def test_solve_missing_the_gate_is_refused(self, monkeypatch):
+        # A solve that returns but misses the residual gate is refused as well.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0.9, 0.1]))
+        with pytest.raises(ValueError, match="misses the gate"):
+            stationary_distribution([[0.9, 0.1], [0.3, 0.7]])
 
 
 class TestMarkovIncrementChain:
@@ -955,20 +951,21 @@ _LAW_CONFIGS = [
 class TestBatchSource:
     @pytest.mark.parametrize("config", _LAW_CONFIGS, ids=lambda c: c.get("preset", "srw"))
     @pytest.mark.parametrize("rows", [1, 5, _ROWS])
-    # A chain's law draws one more uniform in its first take (head = 1).
+    # A chain's law draws one more uniform (head = 1): w = k + 1 straddles the
+    # lockstep bound one step lower.  Each width is one draw of that many steps.
     @pytest.mark.parametrize(
         "widths",
         [(24,), (3, 1, 20)] + [(k,) for k in _STRADDLE] + [(_T + 5, 3), (2, _T + 1, 1)],
     )
     def test_rows_replay_their_streams(self, config, rows, widths):
-        steps = sum(widths)
+        steps = max(widths)
         config = dict(config, steps=steps)
         seeds = [mix_seed(4, i) for i in range(rows)]
-        batch = BatchSource(uniform_law(make_walk(config, seed=0)), pcg64_states(seeds))
-        inc = np.concatenate([batch.take(k) for k in widths], axis=1)
-        for seed, row in zip(seeds, inc):
-            path = make_walk(config, seed=seed).path_array(steps)
-            assert np.array_equal(row, np.diff(path))
+        law, states = uniform_law(make_walk(config, seed=0)), pcg64_states(seeds)
+        paths = [make_walk(config, seed=seed).path_array(steps) for seed in seeds]
+        for k in widths:
+            for path, row in zip(paths, _draw_batch(law, states, k)):
+                assert np.array_equal(row, np.diff(path[: k + 1]))
 
     @pytest.mark.parametrize(
         "config",
