@@ -130,7 +130,7 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     digits, a value beyond int64, a wrong field count or step index) goes to
     the line loop with the rest of the file, from its own line and step
     index.  The loop accepts what `int()` accepts and names the line of the
-    first error.
+    first error.  Every row is copied once, into one result array.
     """
     header = fh.readline()
     if not header:
@@ -139,7 +139,12 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     if len(cols) < 2 or cols[0] != "n" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
         raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
     d = len(cols) - 1
-    parser, parts, line, rows = _ChunkParser(d), [], 2, 0
+    try:  # a row takes at least 2(d + 1) bytes: d + 1 one-digit fields and their separators
+        cap = os.fstat(fh.fileno()).st_size // (2 * (d + 1))
+    except OSError:  # no file behind `fh` (io.StringIO): the result grows by doubling
+        cap = 0
+    out = np.empty((cap, d), dtype=np.int64)  # the result; rows it never holds are never touched
+    parser, line, rows = _ChunkParser(d), 2, 0
     tail, rest = [], None  # the reads since the last LF; the loop's text
     while True:
         text = fh.read(CHUNK_BYTES)
@@ -152,16 +157,27 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
         if parsed is None:
             rest = chunk + tail[0] + fh.read()
             break
-        coords, lines = parsed
-        parts.append(coords.copy())  # without the `n` column
-        rows += coords.shape[0]
+        coords, lines = parsed  # without the `n` column
+        rows = _append_rows(out, rows, coords)
         line += lines
         if not text:
             break
     if rest is not None or not rows:  # with no rows, the loop gives its error
-        parts.append(_parse_rows_loop(rest or "", d, line, rows))
-    arr = np.concatenate(parts)
-    return arr[:, 0] if d == 1 else arr
+        rows = _append_rows(out, rows, _parse_rows_loop(rest or "", d, line, rows))
+    out.resize((rows, d), refcheck=False)  # no view of `out` is alive
+    return out[:, 0] if d == 1 else out
+
+
+def _append_rows(out: np.ndarray, rows: int, new: np.ndarray) -> int:
+    """Copy `new` into `out` after its first `rows` rows; returns the new count.
+
+    `out` grows in place, to at least twice its rows, when it is too short.
+    """
+    end = rows + new.shape[0]
+    if end > out.shape[0]:
+        out.resize((max(end, 2 * out.shape[0]), out.shape[1]), refcheck=False)
+    out[rows:end] = new
+    return end
 
 
 class _ChunkParser:

@@ -76,17 +76,6 @@ def path_to_array(path) -> np.ndarray:
     return np.array([p[0] for p in points] if d == 1 else points, dtype=np.int64)
 
 
-def _increments(arr: np.ndarray) -> np.ndarray:
-    """Consecutive steps x_{k+1} - x_k; raises if one does not fit in int64."""
-    a, b = arr[:-1], arr[1:]
-    diffs = b - a
-    # A step can wrap only where the path spans more than INT64_MAX; then
-    # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
-    if int(arr.max()) - int(arr.min()) > INT64_MAX and ((b < a) != (diffs < 0)).any():
-        raise CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
-    return diffs
-
-
 def squared_distances(rows: np.ndarray, origin, peak: Optional[int] = None) -> np.ndarray:
     """Exact ||row - origin||^2 for each row of an (N, d) int64 array.
 
@@ -132,20 +121,95 @@ def _peak(diffs: np.ndarray) -> int:
     return max(max(h, -l) for l, h in _spans(diffs)) if diffs.size else 0
 
 
-def _first_long_step(diffs: np.ndarray, m: int, peak: Optional[int] = None) -> Optional[int]:
-    """Index of the first increment of Euclidean norm > m, or None; exact ints.
+def _squared_norms(cols: np.ndarray, peak: int) -> np.ndarray:
+    """Exact squared norms of the steps whose coordinates are the rows of a
+    (d, N) int64 array, with `peak` at least its largest |entry|.
 
-    Every step test runs here.  `peak`, the largest |coordinate| of `diffs`
-    when the caller has it, settles most arrays without a pass: no step is
-    longer than m while d * peak^2 <= m^2, which for d = 1 is exact.
+    In place while d * peak^2 fits in int64, so the array is spent and no
+    temporary is built; Python ints (object dtype) beyond.
     """
-    d = 1 if diffs.ndim == 1 else diffs.shape[1]
-    peak = _peak(diffs) if peak is None else peak
+    if len(cols) * peak * peak > INT64_MAX:
+        return squared_distances(cols.T, (0,) * len(cols), peak)
+    np.multiply(cols, cols, out=cols)
+    for col in cols[1:]:
+        np.add(cols[0], col, out=cols[0])
+    return cols[0]
+
+
+def _first_long_step(cols: np.ndarray, m: int, peak: int, spend: bool = False) -> Optional[int]:
+    """Index of the first step of Euclidean norm > m, or None; exact ints.
+
+    Every step test runs here.  `cols` holds the steps' coordinates, one row
+    per axis, (d, N) of any integer dtype; `peak`, at least its largest
+    |entry|, settles most arrays without a pass: no step is longer than m
+    while d * peak^2 <= m^2, which for d = 1 is exact.  The squares are
+    taken on an int64 copy (narrow stored steps would wrap: 12^2 in int8),
+    or, with `spend`, in the int64 array itself.
+    """
+    d = len(cols)
     if d * peak * peak <= m * m:
         return None
-    bad = (diffs > m) | (diffs < -m) if d == 1 else squared_distances(diffs, (0,) * d, peak) > m * m
+    if d == 1:  # a compare, no arithmetic: m < peak fits the dtype
+        bad = (cols[0] > m) | (cols[0] < -m)
+    else:
+        bad = _squared_norms(cols if spend else cols.astype(np.int64), peak) > m * m
     k = int(np.argmax(bad))
     return k if bad[k] else None
+
+
+def _narrowest(peak: int):
+    """The narrowest signed integer dtype holding every value in [-peak, peak]."""
+    return next((t for t in (np.int8, np.int16, np.int32) if peak <= np.iinfo(t).max), np.int64)
+
+
+#: Steps per chunk of `_scan_steps`' pass over a stored path; its buffers
+#: are d rows of this many int64s (a measured optimum, see
+#: scripts/path_replay_table.py).
+STEP_CHUNK = 1 << 14
+
+
+def _scan_steps(arr: np.ndarray, m: Optional[int], keep: bool = False):
+    """One chunked pass over the steps x_{k+1} - x_k of an int64 path.
+
+    Returns (steps, peak, found).  `peak` is the largest |coordinate| of a
+    step.  `found` is the largest squared step norm when m is None, else
+    the index of the first step of norm > m, or None.  With `keep`, `steps`
+    is a (d, N - 1) copy of the steps in the narrowest integer dtype that
+    holds them (None otherwise).  Raises :class:`CoordinateOverflowError` on
+    a step that does not fit in int64.
+
+    Each chunk is differenced axis by axis into one (d, STEP_CHUNK) buffer
+    allocated per call, so no whole-path temporary is built.
+    """
+    n = arr.shape[0] - 1
+    axes = [arr] if arr.ndim == 1 else list(arr.T)
+    d = len(axes)
+    buf = np.empty((d, min(n, STEP_CHUNK)), dtype=np.int64)
+    steps = np.empty((d, n), dtype=np.int8) if keep else None
+    peak, found = 0, 0 if m is None else None
+    for lo in range(0, n, STEP_CHUNK):
+        hi = min(n, lo + STEP_CHUNK)
+        cols = buf[:, : hi - lo]
+        # A step can wrap only where the chunk spans more than INT64_MAX; then
+        # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
+        wide = int(arr[lo : hi + 1].max()) - int(arr[lo : hi + 1].min()) > INT64_MAX
+        for x, col in zip(axes, cols):
+            a, b = x[lo:hi], x[lo + 1 : hi + 1]
+            np.subtract(b, a, out=col)
+            if wide and ((b < a) != (col < 0)).any():
+                raise CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
+        top = max(int(cols.max()), -int(cols.min()))
+        peak = max(peak, top)
+        if keep:
+            if top > np.iinfo(steps.dtype).max:
+                steps = steps.astype(_narrowest(top))
+            steps[:, lo:hi] = cols
+        if m is None:  # only a chunk with d * top^2 above the worst so far can raise it
+            if d * top * top > found:
+                found = max(found, top * top if d == 1 else int(_squared_norms(cols, top).max()))
+        elif found is None and (k := _first_long_step(cols, m, top, spend=True)) is not None:
+            found = lo + k
+    return steps, peak, found
 
 
 def validate_increment_bound(path, m: int) -> Optional[int]:
@@ -162,7 +226,7 @@ def validate_increment_bound(path, m: int) -> Optional[int]:
     arr = path_to_array(path)
     if arr.shape[0] == 0:
         raise ValueError("empty path")
-    return _first_long_step(_increments(arr), m)
+    return _scan_steps(arr, m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +370,8 @@ class WalkStream:
                         raise CoordinateOverflowError(
                             "walk left the signed 64-bit coordinate range"
                         )
-                jump = None if honest else _first_long_step(inc, m, peak)
                 cols = inc.reshape(n_inc, d).T
+                jump = None if honest else _first_long_step(cols, m, peak)
             staged = stage[n_inc::-1]
             for axis, col in enumerate(cols):
                 staged[0], staged[1:] = carry[axis], col
@@ -337,15 +401,15 @@ class WalkStream:
 
 
 class _ArraySource:
-    def __init__(self, diffs: np.ndarray, peak: int, bound: int):
-        self._diffs = diffs
+    def __init__(self, steps: np.ndarray, peak: int, bound: int):
+        self._steps = steps[0] if len(steps) == 1 else steps.T  # (N,) or (N, d) views
         self._at = 0
-        self.peak, self.bound = peak, bound  # facts `walk_from_path` checked on the diffs
+        self.peak, self.bound = peak, bound  # facts `walk_from_path` checked on the steps
 
     def take(self, k: int) -> np.ndarray:
-        if self._at + k > self._diffs.shape[0]:
+        if self._at + k > self._steps.shape[0]:
             raise ValueError("array-backed stream exhausted beyond its stored path")
-        out = self._diffs[self._at : self._at + k]
+        out = self._steps[self._at : self._at + k]
         self._at += k
         return out
 
@@ -362,32 +426,30 @@ def walk_from_path(
     satisfies.  The stored path's actual increments are validated against m.
     An explicit `metadata` (e.g. the generator config that produced a CSV)
     replaces the synthesized one; its m must hold for the data.
+
+    The stream keeps its own copy of the increments, in the narrowest
+    integer dtype that holds them, so changing `path` later changes no read.
     """
     arr = path_to_array(path)
     if arr.shape[0] == 0:
         raise ValueError("empty path")
     d = 1 if arr.ndim == 1 else arr.shape[1]
-    diffs = _increments(arr)
-    peak = _peak(diffs)
-    bound = m
+    bound = m if metadata is None else metadata.m
+    steps, peak, found = _scan_steps(arr, bound, keep=True)
     if metadata is not None:
         if m is not None and m != metadata.m:
             raise ValueError("m argument conflicts with the supplied metadata")
-        bound = metadata.m
         if metadata.d != d:
             raise DimensionMismatchError(
                 f"metadata declares d={metadata.d} but the path has d={d}"
             )
-    if bound is None:  # the smallest integer bound the data satisfies, at least 1
-        worst = peak**2
-        if d > 1 and worst:
-            worst = int(np.max(squared_distances(diffs, (0,) * d, peak)))
-        bound = math.isqrt(worst - 1) + 1 if worst > 1 else 1  # ceil(sqrt(worst))
+    if bound is None:  # ceil(sqrt(found)), found the largest squared step: at least 1
+        bound = math.isqrt(found - 1) + 1 if found > 1 else 1
     elif bound < 1:
         raise ValueError("increment bound m must be >= 1")
-    elif (violation := _first_long_step(diffs, bound, peak)) is not None:
+    elif found is not None:
         raise ValueError(
-            f"stored path violates declared increment bound m={bound} at step {violation}"
+            f"stored path violates declared increment bound m={bound} at step {found}"
         )
     meta = metadata or WalkMetadata(
         generator_name=name,
@@ -396,4 +458,4 @@ def walk_from_path(
         m=bound,
         d=d,
     )
-    return WalkStream(meta, lambda: _ArraySource(diffs, peak, bound), origin=arr[0].tolist())
+    return WalkStream(meta, lambda: _ArraySource(steps, peak, bound), origin=arr[0].tolist())

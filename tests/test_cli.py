@@ -315,6 +315,26 @@ class TestTrajectoryCsv:
             expected = _parse_rows_loop(body, d)
             assert back.tolist() == (expected[:, 0] if d == 1 else expected).tolist()
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("spaced", [False, True])
+    def test_a_file_reads_as_its_text(self, tmp_path, monkeypatch, d, spaced):
+        # Rows of one-digit fields are the fewest bytes a row the result is
+        # sized for; a spaced row sends the rest of the file to the loop.
+        rows = [[k] + [k % 3 - 1] * d for k in range(10)]
+        if spaced:
+            rows[7][1] = " 5"
+        body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        text = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n" + body
+        csv = tmp_path / "t.csv"
+        csv.write_text(text, newline="\n")
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 8)
+        with open(csv, "r") as fh:
+            back = read_trajectory_csv(fh)
+        expected = _parse_rows_loop(body, d)
+        assert back.shape == ((10,) if d == 1 else (10, d)) and back.dtype == np.int64
+        assert back.tolist() == (expected[:, 0] if d == 1 else expected).tolist()
+        assert read_trajectory_csv(io.StringIO(text)).tolist() == back.tolist()
+
     @pytest.mark.parametrize("body", ["\n0,1\n1,2\n", "0,1\n\n1,2\n", "0,1\n1,2\n\n", "0,1\n1,2"])
     def test_blank_lines_and_no_final_lf_stay_off_the_loop(self, body, monkeypatch):
         monkeypatch.setattr(cli, "_parse_rows_loop", _no_loop)

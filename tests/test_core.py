@@ -4,13 +4,14 @@ import itertools
 import math
 import re
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rangewalk import suites
+from rangewalk import core, suites
 from rangewalk.analysis import analyze_stream
 from rangewalk.core import (
     DEFAULT_BLOCK,
@@ -549,6 +550,112 @@ class TestWalkFromPath:
         s = walk_from_path([(0, 0), (2**62, 2**62)])
         assert s.m == 6521908912666391107
         assert validate_increment_bound([(0, 0), (2**62, 2**62)], s.m - 1) == 0
+
+
+# Steps at the edges of the narrow stored dtypes, and of int64 itself.
+_EDGE_STEPS = sorted(
+    {s * v for v in (0, 1, 127, 128, 32767, 32768, 2**31 - 1, 2**31, INT64_MAX) for s in (1, -1)} | {INT64_MIN}
+)
+
+
+def _whole_path_oracle(arr: np.ndarray, m):
+    """The step check on the whole path at once: its int64 differences, their
+    wrap test, and exact Python-int norms.
+
+    Returns ("overflow", None) for a step that wraps int64, ("m", inferred m)
+    for m None, else ("violation", first long step or None).
+    """
+    a, b = arr[:-1], arr[1:]
+    diffs = b - a
+    if int(arr.max()) - int(arr.min()) > INT64_MAX and ((b < a) != (diffs < 0)).any():
+        return "overflow", None
+    norms = [sum(int(c) ** 2 for c in np.atleast_1d(row)) for row in diffs]
+    if m is None:
+        worst = max(norms, default=0)
+        return "m", math.isqrt(worst - 1) + 1 if worst > 1 else 1
+    return "violation", next((k for k, sq in enumerate(norms) if sq > m * m), None)
+
+
+def _jumps(stream: WalkStream, horizon: int, block_size: int) -> list:
+    """The position of every long step `_checked_blocks` reports."""
+    found, done = [], 0
+    for block, jump in stream._checked_blocks(horizon, block_size):
+        if jump is not None:
+            found.append(done + jump)
+        done += block.shape[0]
+    return found
+
+
+class TestStepPass:
+    """`walk_from_path`'s chunked step pass and its narrow stored increments."""
+
+    def test_a_narrow_source_reused_under_a_smaller_m_widens_before_squaring(self):
+        # 12^2 = 144 wraps to -112 in int8, which would hide the long step.
+        walk = walk_from_path([[0, 0], [1, 0], [13, 0], [13, 1]])
+        assert walk.m == 12 and walk.source_factory()._steps.dtype == np.int8
+        rewrapped = WalkStream(WalkMetadata("path", {}, None, m=11, d=2), walk.source_factory)
+        assert [jump for _, jump in rewrapped._checked_blocks(3)] == [2]
+
+    @pytest.mark.parametrize(
+        "peak, dtype",
+        [(1, np.int8), (127, np.int8), (128, np.int16), (32768, np.int32), (2**31, np.int64), (2**63, np.int64)],
+    )
+    def test_stores_the_narrowest_dtype_that_holds_the_steps(self, peak, dtype):
+        walk = walk_from_path([0, 1, 1 - peak, 1 - peak])
+        assert walk.source_factory()._steps.dtype == dtype
+        assert walk.path_array(2).dtype == np.int64
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_changing_the_callers_array_changes_no_replay(self, d):
+        rng = np.random.Generator(np.random.PCG64(d))
+        path = np.cumsum(rng.integers(-200, 201, (300, d)), axis=0)
+        path = path[:, 0].copy() if d == 1 else path
+        want = path.copy()
+        walk = walk_from_path(path)
+        path += 7
+        path[5] = INT64_MAX
+        assert np.array_equal(walk.path_array(299), want)
+        assert np.array_equal(np.concatenate(list(walk.blocks(299, block_size=16))), want)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(2, 9), st.data())
+    def test_matches_the_whole_path_oracle(self, d, chunk, data):
+        n = data.draw(st.integers(1, 24))
+        # A row is a step of -1, 0 or 1 a coordinate or, one time in four, of
+        # edge steps; a coordinate that would leave int64 jumps to an edge of
+        # it instead (a wrapping step, often).
+        path = [[data.draw(st.sampled_from([0, 5, INT64_MIN, INT64_MAX])) for _ in range(d)]]
+        for _ in range(n - 1):
+            row, steps = [], _EDGE_STEPS if data.draw(st.integers(0, 3)) == 3 else [-1, 0, 1]
+            for c in path[-1]:
+                x = c + data.draw(st.sampled_from(steps))
+                row.append(x if INT64_MIN <= x <= INT64_MAX else data.draw(st.sampled_from([INT64_MIN, INT64_MAX])))
+            path.append(row)
+        arr = np.array(path, dtype=np.int64).reshape((n,) if d == 1 else (n, d))
+        m = data.draw(st.sampled_from([None, 1, 127, 128, 32768, 2**31, 2**62]))
+        kind, value = _whole_path_oracle(arr, m)
+        with mock.patch.object(core, "STEP_CHUNK", chunk):
+            if kind == "overflow":
+                with pytest.raises(CoordinateOverflowError):
+                    walk_from_path(arr, m=m)
+                with pytest.raises(CoordinateOverflowError):
+                    validate_increment_bound(arr, m or 1)
+                return
+            if m is not None:
+                assert validate_increment_bound(arr, m) == value
+            if kind == "violation" and value is not None:
+                message = f"stored path violates declared increment bound m={m} at step {value}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    walk_from_path(arr, m=m)
+                return
+            walk = walk_from_path(arr, m=m)
+        assert walk.m == (value if m is None else m)
+        assert np.array_equal(np.concatenate(list(walk.blocks(n - 1, block_size=chunk))), arr)
+        # The narrow source reused under other m's, against the int64 steps.
+        steps, origin = np.diff(arr, axis=0), arr[0].tolist()
+        for m2 in {1, 127, 128, max(1, walk.m - 1), walk.m}:
+            rewrapped = WalkStream(WalkMetadata("path", {}, None, m=m2, d=d), walk.source_factory, origin=origin)
+            assert _jumps(rewrapped, n - 1, chunk) == _jumps(_stream_over(steps, origin, m2), n - 1, chunk)
 
 
 class TestWalkMetadata:
