@@ -6,9 +6,9 @@ cap).  Trajectories travel as CSV (`n,x1[,x2,...]`), analysis reports as
 JSON lines, experiment reports as a single JSON document.  CSV rows are
 streamed both ways, CHUNK_BYTES of text at a time: spelled in numpy, byte for
 byte as `str(int)`, and read back in numpy while every field is an optional
-sign and at most 19 ASCII digits; from the first chunk with another spelling
-that `int()` accepts (`1_000`, Unicode digits, padding whitespace, 20 or more
-digits) on, the rest of the file is read line by line.
+sign and at most 19 ASCII digits; a chunk with another spelling that `int()`
+accepts (`1_000`, Unicode digits, padding whitespace, 20 or more digits) is
+read line by line, and the next chunk goes back to numpy.
 """
 
 from __future__ import annotations
@@ -125,11 +125,11 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
 
     The rows are read CHUNK_BYTES characters at a time; the start of a line
     that a read cuts off opens the next chunk.  Each chunk of whole lines is
-    parsed in numpy (`_ChunkParser`).  The first chunk it does not accept
-    (a CR that `fh` did not translate, other whitespace, `_`, non-ASCII
-    digits, a value beyond int64, a wrong field count or step index) goes to
-    the line loop with the rest of the file, from its own line and step
-    index.  The loop accepts what `int()` accepts and names the line of the
+    parsed in numpy (`_ChunkParser`).  A chunk it does not accept (a CR that
+    `fh` did not translate, other whitespace, `_`, non-ASCII digits, a value
+    beyond int64, a wrong field count or step index) goes to the line loop
+    alone, from its own line and step index, and the next chunk goes back to
+    numpy.  The loop accepts what `int()` accepts and names the line of the
     first error.  Every row is copied once, into one result array.
     """
     header = fh.readline()
@@ -145,7 +145,7 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
         cap = 0
     out = np.empty((cap, d), dtype=np.int64)  # the result; rows it never holds are never touched
     parser, line, rows = _ChunkParser(d), 2, 0
-    tail, rest = [], None  # the reads since the last LF; the loop's text
+    tail, overflow = [], None  # the reads since the last LF; a value beyond int64
     while True:
         text = fh.read(CHUNK_BYTES)
         cut = text.rfind("\n") + 1
@@ -155,29 +155,27 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
         chunk, tail = "".join(tail) + text[:cut], [text[cut:]]
         parsed = parser.parse(chunk, rows)
         if parsed is None:
-            rest = chunk + tail[0] + fh.read()
-            break
-        coords, lines = parsed  # without the `n` column
-        rows = _append_rows(out, rows, coords)
-        line += lines
+            coords, lines = _parse_rows_loop(chunk, d, line, rows), chunk.count("\n")
+            try:
+                coords = np.asarray(coords, dtype=np.int64).reshape(-1, d)
+            except OverflowError as exc:  # raised at the end: an error on a later line comes first
+                overflow = overflow or exc
+        else:
+            coords, lines = parsed  # without the `n` column
+        end = rows + len(coords)
+        if end > out.shape[0]:
+            out.resize((max(end, 2 * out.shape[0]), d), refcheck=False)
+        if overflow is None:
+            out[rows:end] = coords
+        rows, line = end, line + lines
         if not text:
             break
-    if rest is not None or not rows:  # with no rows, the loop gives its error
-        rows = _append_rows(out, rows, _parse_rows_loop(rest or "", d, line, rows))
+    if overflow is not None:
+        raise overflow
+    if not rows:
+        raise CsvFormatError("line 2: no data rows")
     out.resize((rows, d), refcheck=False)  # no view of `out` is alive
     return out[:, 0] if d == 1 else out
-
-
-def _append_rows(out: np.ndarray, rows: int, new: np.ndarray) -> int:
-    """Copy `new` into `out` after its first `rows` rows; returns the new count.
-
-    `out` grows in place, to at least twice its rows, when it is too short.
-    """
-    end = rows + new.shape[0]
-    if end > out.shape[0]:
-        out.resize((max(end, 2 * out.shape[0]), out.shape[1]), refcheck=False)
-    out[rows:end] = new
-    return end
 
 
 class _ChunkParser:
@@ -279,11 +277,11 @@ def _digits8(words: np.ndarray, last: np.ndarray, ndig: np.ndarray) -> np.ndarra
     return v
 
 
-def _parse_rows_loop(text: str, d: int, start_line: int = 2, start_n: int = 0) -> np.ndarray:
-    """Line-by-line parse of the data rows; the reference parser.
+def _parse_rows_loop(text: str, d: int, start_line: int = 2, start_n: int = 0) -> list:
+    """Line-by-line parse of data rows; the reference parser.
 
-    `text` is the file from line `start_line` on, after `start_n` rows; the
-    file has no data rows when neither it nor the lines before it hold one.
+    `text` is whole lines of the file from line `start_line` on, after
+    `start_n` rows.  Returns each row's coordinates as Python ints.
     """
     rows = []
     expected_n = start_n
@@ -306,9 +304,7 @@ def _parse_rows_loop(text: str, d: int, start_line: int = 2, start_n: int = 0) -
             )
         expected_n += 1
         rows.append(values[1:])
-    if not rows and not start_n:
-        raise CsvFormatError("line 2: no data rows")
-    return np.asarray(rows, dtype=np.int64).reshape(-1, d)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +408,14 @@ def cmd_analyze(args) -> int:
         horizon = arr.shape[0] - 1
         if args.steps is not None and args.steps != horizon:
             raise ValueError(f"--steps {args.steps} conflicts with the CSV's horizon {horizon}")
-        if args.gen is not None:
-            if args.steps is None:
-                args.steps = horizon
-            cfg = _build_config(args)
-            meta = make_walk(cfg).metadata
-            if args.m is not None and args.m != meta.m:
-                raise ValueError(f"--m {args.m} conflicts with the generator's m={meta.m}")
-            stream = walk_from_path(arr, metadata=meta)
-        else:
-            stream = walk_from_path(arr, m=args.m, name="csv")
-    else:
-        cfg = _build_config(args)
-        stream = make_walk(cfg)
-        horizon = cfg["steps"]
-        if args.m is not None and args.m != stream.m:
-            raise ValueError(f"--m {args.m} conflicts with the generator's m={stream.m}")
+        args.steps = horizon
+    stream = make_walk(_build_config(args)) if args.gen is not None else None
+    if stream is not None and args.m is not None and args.m != stream.m:
+        raise ValueError(f"--m {args.m} conflicts with the generator's m={stream.m}")
+    horizon = args.steps
+    if args.infile is not None:  # with --gen, the generator's config describes the CSV
+        meta = None if stream is None else stream.metadata
+        stream = walk_from_path(arr, m=args.m, name="csv", metadata=meta)
     checkpoints = _parse_checkpoints(args.checkpoints, horizon)
     with _open_out(args.out) as fh:  # before the run, so a bad path costs no run
         report = analyze_stream(stream, horizon, checkpoints=checkpoints)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rangewalk.analysis import RangeTracker
 from rangewalk.cli import (
     CsvFormatError,
-    _parse_rows_loop,
     read_trajectory_csv,
     run_command,
     write_trajectory_csv,
@@ -28,6 +27,14 @@ from rangewalk.generators import gen_spiral2d, gen_zigzag
 
 def run(argv):
     return run_command(argv)
+
+
+def _parse_rows_loop(text, d):
+    """The line loop on a whole body: the reference parse, an int64 array or an error."""
+    rows = cli._parse_rows_loop(text, d)
+    if not rows:
+        raise CsvFormatError("line 2: no data rows")
+    return np.asarray(rows, dtype=np.int64).reshape(-1, d)
 
 
 def _row_by_row_csv(stream, horizon):
@@ -319,7 +326,7 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("spaced", [False, True])
     def test_a_file_reads_as_its_text(self, tmp_path, monkeypatch, d, spaced):
         # Rows of one-digit fields are the fewest bytes a row the result is
-        # sized for; a spaced row sends the rest of the file to the loop.
+        # sized for; a spaced row sends its chunk to the loop.
         rows = [[k] + [k % 3 - 1] * d for k in range(10)]
         if spaced:
             rows[7][1] = " 5"
@@ -371,11 +378,34 @@ class TestTrajectoryCsv:
     @example((1, ",,\n"), 1)
     @example((1, "0,+-1\n"), 2)
     @example((2, "+0,-0,+0\n\n1,2,3"), 1)
+    @example((1, f"0,{2**63}\n1,0\n2,0,0\n"), 22)  # the later line's error wins over the overflow
     def test_reader_agrees_with_line_loop_at_chunk_edges(self, case, chunk):
         # Chunks of 1-64 bytes, so that nearly every line opens a chunk.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "CHUNK_BYTES", chunk)
             _check_against_loop(*case)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_loop_reads_only_the_chunk_numpy_refuses(self, d, monkeypatch):
+        # One spaced row among 200: the loop parses its chunk alone, and the
+        # chunks after it go back to numpy.
+        rows = [[n] + [n % 5 - 2] * d for n in range(200)]
+        rows[100][1] = " 7"
+        lines = [",".join(map(str, row)) + "\n" for row in rows]
+        header = "n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+        texts, loop = [], cli._parse_rows_loop
+
+        def recorded_loop(text, *args):
+            texts.append(text)
+            return loop(text, *args)
+
+        monkeypatch.setattr(cli, "_parse_rows_loop", recorded_loop)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 64)
+        back = read_trajectory_csv(io.StringIO(header + "".join(lines)))
+        assert len(texts) == 1 and " 7" in texts[0]
+        assert len(texts[0]) <= cli.CHUNK_BYTES + max(map(len, lines))  # a chunk and the line cut before it
+        expected = _parse_rows_loop("".join(lines), d)
+        assert back.tolist() == (expected[:, 0] if d == 1 else expected).tolist()
 
 
 class TestGenerate:
