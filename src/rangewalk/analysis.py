@@ -242,20 +242,27 @@ class ReturnTimes:
         object.__setattr__(self, "times", times)
 
 
+def _zeros_and_peaks(stream: WalkStream, horizon: int):
+    """The n <= horizon with x_n = 0 of a 1-D stream (int64), and for each the
+    largest |x| since the zero before it, or since x_0 (uint64, exact at -2^63):
+    one segment maximum a block between its zero hits, the open one carried."""
+    zeros, peaks = [], []
+    done, carry = 0, np.uint64(0)
+    for block, _ in stream._checked_blocks(horizon):
+        hits = np.flatnonzero(block == 0)
+        seg = np.maximum.reduceat(np.abs(block).view(np.uint64), np.concatenate(([0], hits)))
+        seg[0] = max(seg[0], carry)  # a zero at offset 0 leaves seg[0] its own 0
+        zeros.append(hits + done)
+        peaks.append(seg[:-1])
+        carry, done = seg[-1], done + block.shape[0]
+    return np.concatenate(zeros), np.concatenate(peaks)
+
+
 def return_times(stream: WalkStream, horizon: int) -> ReturnTimes:
     """All n <= horizon with x_n = 0, ascending.  d = 1 only."""
     if stream.d != 1:
         raise ValueError("return times are defined for d = 1 walks")
-    found = []
-    done = 0
-    for block in stream.blocks(horizon):
-        hits = np.flatnonzero(block == 0)
-        if hits.size:
-            found.append(hits + done)
-        done += block.shape[0]
-    if found:
-        return ReturnTimes(tuple(np.concatenate(found).tolist()))
-    return ReturnTimes(())
+    return ReturnTimes(tuple(_zeros_and_peaks(stream, horizon)[0].tolist()))
 
 
 def ratio_series(rt: ReturnTimes) -> np.ndarray:
@@ -488,7 +495,7 @@ class ExcursionCheck:
     """Outcome of the per-excursion bound check.
 
     Covers every complete excursion [tau_{k-1}, tau_k) inside the horizon;
-    the tail after the last zero is reported via `coverage`, not checked.
+    the tail from `last_zero` to `horizon` is not checked.
     """
 
     first_violation: Optional[int]
@@ -514,33 +521,34 @@ def check_excursion_bound(stream: WalkStream, horizon: int) -> ExcursionCheck:
     """
     if stream.d != 1:
         raise ValueError("excursion check requires d = 1")
-    x = stream.path_array(horizon)
-    if x[0] != 0:
+    zeros, peaks = _zeros_and_peaks(stream, horizon)
+    if not zeros.size or zeros[0]:
         raise ValueError("excursion check requires x_0 = 0")
-    zeros = np.flatnonzero(x == 0)
     if zeros.size < 2:
         raise ClassRAssumptionError(
             f"only {zeros.size} zero visit(s) within horizon {horizon}: "
             "class-R assumption not covered"
         )
-    last = int(zeros[-1])
-    gaps = np.diff(zeros)
-    absx = np.abs(x[:last]).view(np.uint64)  # exact at x = -2^63 too
+    gaps, peaks = np.diff(zeros), peaks[1:]
     half = (gaps // 2).astype(np.uint64)
-    peaks = np.maximum.reduceat(absx, zeros[:-1])
     first = None
     bad = np.flatnonzero(peaks > half)  # 2|x| > gap somewhere, in integers
-    if bad.size:
-        start = int(zeros[bad[0]])
-        first = start + int(np.argmax(absx[start : zeros[bad[0] + 1]] > half[bad[0]]))
-    tight = int(np.count_nonzero((peaks == half) & (gaps % 2 == 0)))
+    if bad.size:  # read again up to the end of the first failing excursion
+        k, done = bad[0], 0
+        for block, _ in stream._checked_blocks(int(zeros[k + 1])):
+            lo = max(int(zeros[k]) - done, 0)
+            over = np.flatnonzero(np.abs(block[lo:]).view(np.uint64) > half[k])
+            if over.size:
+                first = done + lo + int(over[0])
+                break
+            done += block.shape[0]
     return ExcursionCheck(
         first_violation=first,
         n_excursions=int(gaps.size),
-        peaks=tuple(int(p) for p in peaks),
-        gaps=tuple(int(g) for g in gaps),
-        tight=tight,
-        last_zero=last,
+        peaks=tuple(peaks.tolist()),
+        gaps=tuple(gaps.tolist()),
+        tight=int(np.count_nonzero((peaks == half) & (gaps % 2 == 0))),
+        last_zero=int(zeros[-1]),
         horizon=horizon,
     )
 

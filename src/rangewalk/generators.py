@@ -633,29 +633,22 @@ class _TentSource:
         self._zero_time = zero_time
         self._pos = 0
         self._j = 0
-        self._a = self._expect_zero(0)
+        self._a = int(zero_time(0))
         if self._a != 0:
             raise DegeneratePlanError("schedule must start at time 0")
-        self._b = self._expect_zero(1)
-
-    def _expect_zero(self, j: int) -> int:
-        return int(self._zero_time(j))
-
-    def _advance_excursion(self):
-        self._j += 1
-        self._a = self._b
-        self._b = self._expect_zero(self._j + 1)
-        if self._b <= self._a:
-            raise DegeneratePlanError(
-                f"return-time schedule not strictly increasing at index {self._j + 1}"
-            )
+        self._b = int(zero_time(1))
 
     def take(self, k: int) -> np.ndarray:
         out = np.empty(k, dtype=np.int64)
         filled = 0
         while filled < k:
-            if self._pos >= self._b:
-                self._advance_excursion()
+            if self._pos >= self._b:  # the next excursion
+                self._j += 1
+                self._a, self._b = self._b, int(self._zero_time(self._j + 1))
+                if self._b <= self._a:
+                    raise DegeneratePlanError(
+                        f"return-time schedule not strictly increasing at index {self._j + 1}"
+                    )
             g = self._b - self._a
             half = g // 2
             local = self._pos - self._a
@@ -751,10 +744,8 @@ def compute_n0(ell: float) -> int:
 def _zigzag_zero_time(ell: float, n0: int):
     """Zero j of the plan, exactly: 0 at j = 0, then tau_{j-1}.
 
-    tau_n = 2*3^n in closed form at ell = 1/2, else 2*floor(q^(n+n0)).
+    tau_n = 2*floor(q^(n+n0)), which is 2*3^n at ell = 1/2 (q = 3, n0 = 0).
     """
-    if ell == 0.5:
-        return lambda j: 2 * 3 ** (j - 1) if j else 0
     f = Fraction(ell)
     q = (1 + f) / (1 - f)
 

@@ -245,19 +245,19 @@ def zigzag_exact_suite(steps: int = 1_000_000) -> list:
 def spiral_distinct_suite(steps: int = 100_000) -> list:
     """Spiral fills Z^2: all vertices distinct, r_n = n + 1, unit steps."""
     stream = generators.gen_spiral2d(steps)
-    path = stream.path_array(steps)
-    tracker = analysis.RangeTracker(d=2)
-    r = tracker.update(path)
-    distinct = tracker.count == steps + 1
-    counts_ok = bool(np.array_equal(r, np.arange(1, steps + 2)))
-    diffs = np.diff(path, axis=0)
-    unit = bool((np.sum(diffs * diffs, axis=1) == 1).all())
-    norm_ratio = float(np.sqrt(np.dot(path[-1], path[-1]))) / steps
+    unit, last = True, np.empty((0, 2), dtype=np.int64)  # the row before the block
+    for block, _ in stream._checked_blocks(steps):
+        diffs = np.diff(np.concatenate((last, block)), axis=0)
+        unit &= bool((np.sum(diffs * diffs, axis=1) == 1).all())
+        last = block[-1:].copy()
+    # r grows by at most 1 a step from r_0 = 1, so r_N = N + 1 forces r_n = n + 1.
+    count = int(analysis.track_range(stream, steps, [steps])[1][0])
+    norm_ratio = float(np.sqrt(np.dot(last[0], last[0]))) / steps
     return [
         _result(
             "spiral2d distinct vertices with r_n = n + 1",
-            distinct and counts_ok,
-            f"{steps + 1} points, {tracker.count} distinct",
+            count == steps + 1,
+            f"{steps + 1} points, {count} distinct",
         ),
         _result("spiral2d unit axis steps", unit, f"checked {steps} steps"),
         _result(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangewalk import analysis
+from rangewalk import analysis, suites
 from rangewalk.analysis import (
     DEFAULT_SET_CAP,
     ClassRAssumptionError,
@@ -891,6 +891,30 @@ class TestExcursionBound:
         assert chk.peaks == tuple(peaks) and chk.gaps == tuple(gaps)
         assert chk.tight == tight
 
+    def test_no_verdict_reads_the_whole_path(self, monkeypatch):
+        stream = gen_simple_rw(0.5, 2000, 11)
+        x = stream.path_array(2000)
+
+        def whole_path(*_):
+            raise AssertionError("a verdict read the whole path")
+
+        monkeypatch.setattr(WalkStream, "path_array", whole_path)
+        chk = check_excursion_bound(stream, 2000)
+        got = (chk.first_violation, chk.n_excursions, chk.peaks, chk.gaps, chk.tight, chk.last_zero)
+        assert got == self._per_step_oracle(x)
+        assert check_excursion_bound(walk_from_path([0, 1, 0, 3, 0]), 4).first_violation == 3
+        assert return_times(stream, 2000).times == tuple(np.flatnonzero(x == 0).tolist())
+        results = suites.excursion_suite(paths=3, steps=2000) + suites.spiral_distinct_suite(2000)
+        assert all(r.passed for r in results)
+        assert [r.detail for r in results] == [
+            "7 excursions, 7 tight peaks",
+            "44 excursions",
+            "3 seeds at horizon 2000, 0 violations, 0 without two zeros",
+            "2001 points, 2001 distinct",
+            "checked 2000 steps",
+            "ratio 0.011045 at n = 2000",
+        ]
+
     @staticmethod
     def _per_step_oracle(x: np.ndarray) -> tuple:
         """The checker's earlier whole-path form: one excursion id a step."""
@@ -912,11 +936,14 @@ class TestExcursionBound:
         st.lists(st.integers(-3, 3), min_size=2, max_size=80),
         st.lists(st.integers(0, 79), max_size=6),
         st.lists(st.tuples(st.integers(0, 79), st.integers(1, 3)), max_size=3),
+        st.integers(2, 9),
     )
-    def test_matches_per_step_oracle(self, m, steps, zeros, spikes):
+    def test_matches_per_step_oracle(self, m, steps, zeros, spikes, block_size):
         # An m-bounded path with zeros planted by setting a step to whatever
         # brings x back to 0 (kept only while it stays within m), and spikes
-        # of m that push an excursion over its half gap.
+        # of m that push an excursion over its half gap.  Blocks of 2-9
+        # positions put zeros, peaks and the first violation across block
+        # edges, for the checker's one read and its second one.
         steps = [max(-m, min(m, s)) for s in steps]
         for at, size in spikes:
             if at < len(steps):
@@ -927,11 +954,15 @@ class TestExcursionBound:
                 step = -path[-1]
             path.append(path[-1] + step)
         x = np.array(path, dtype=np.int64)
+        walk = walk_from_path(path, m=m)
+        stream = _SmallBlocks(walk.metadata, walk.source_factory)
+        stream.block_size = block_size
+        assert return_times(stream, len(path) - 1).times == tuple(np.flatnonzero(x == 0).tolist())
         if np.count_nonzero(x == 0) < 2:
             with pytest.raises(ClassRAssumptionError):
-                check_excursion_bound(walk_from_path(path, m=m), len(path) - 1)
+                check_excursion_bound(stream, len(path) - 1)
             return
-        chk = check_excursion_bound(walk_from_path(path, m=m), len(path) - 1)
+        chk = check_excursion_bound(stream, len(path) - 1)
         got = (chk.first_violation, chk.n_excursions, chk.peaks, chk.gaps, chk.tight, chk.last_zero)
         assert got == self._per_step_oracle(x)
 
