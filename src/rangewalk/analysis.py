@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import INT64_MAX, INT64_MIN, WalkStream, _spans, at_origin, squared_distances
+from .core import INT64_MAX, INT64_MIN, WalkStream, _distinct, _spans, at_origin, squared_distances
 
 #: Set-mode range tracking refuses to store more points than this by default.
 DEFAULT_SET_CAP = 1 << 30
@@ -71,6 +71,10 @@ def arith_checkpoints(horizon: int, step: int) -> np.ndarray:
 #: plus the block's positions); past that it falls back to sorted keys.
 BOX_CELLS_PER_POINT = 4
 
+#: The box's stamps stay below this and below INT32_MAX, an unseen cell;
+#: past it visited cells are reset to -1 and the stamps restart at 0.
+_STAMP_LIMIT = 2**31 - 1
+
 
 def _pack_keys(cols: list, origin: list, spans: Optional[list] = None) -> np.ndarray:
     """Pack coordinate columns into sortable scalar keys.
@@ -96,8 +100,10 @@ class RangeTracker:
     """Online count of distinct visited points r_n = card{x_0, ..., x_n}.
 
     Marks first visits in an int32 box over the walk's bounding box while it
-    is dense (BOX_CELLS_PER_POINT), then switches once to sorted keys; a
-    memory guard aborts beyond `cap` stored points.
+    is dense (BOX_CELLS_PER_POINT): each cell keeps the stamp, a running
+    position count, of its first visit, so a position is new where its cell
+    holds its own stamp; then switches once to sorted keys.  A memory guard
+    aborts beyond `cap` stored points.
     """
 
     def __init__(self, d: int = 1, cap: int = DEFAULT_SET_CAP):
@@ -105,6 +111,7 @@ class RangeTracker:
         self._cap = cap
         self._count = 0
         self._box: Optional[np.ndarray] = None  # while dense
+        self._clock = 0  # the next position's stamp in the box
         self._spans: list = []  # the box's lowest and highest coordinate on each axis
         self._known: Optional[np.ndarray] = None  # sorted keys, after the fallback
         self._origin: Optional[list] = None  # the d = 2 keys' origin
@@ -157,7 +164,7 @@ class RangeTracker:
         fits = [s for s in (padded, tight) if math.prod(b - a + 1 for a, b in s) <= limit]
         if not fits:
             return False
-        # Unseen cells hold INT32_MAX, visited ones -1.
+        # Unseen cells hold INT32_MAX, visited ones a stamp below it.
         box = np.full(tuple(b - a + 1 for a, b in fits[0]), 2**31 - 1, dtype=np.int32)
         if self._box is not None:
             box[tuple(slice(a - c, b - c + 1) for (a, b), (c, _) in zip(old, fits[0]))] = self._box
@@ -166,20 +173,23 @@ class RangeTracker:
 
     def _box_keys(self) -> np.ndarray:
         """The sorted keys of the box's visited cells."""
-        at = np.unravel_index(np.flatnonzero(self._box.ravel() < 0), self._box.shape)
+        at = np.unravel_index(np.flatnonzero(self._box.ravel() < 2**31 - 1), self._box.shape)
         return _pack_keys([a + c for a, (c, _) in zip(at, self._spans)], self._origin)
 
     def _mark_box(self, cols: list) -> np.ndarray:
         flat = self._box.ravel()  # a view: the box is C-contiguous
         idx = cols[0] - self._spans[0][0]
         for col, (c, _), n in zip(cols[1:], self._spans[1:], self._box.shape[1:]):
-            idx *= n
-            idx += col - c
-        order = np.arange(idx.shape[0], dtype=np.int32)
-        np.minimum.at(flat, idx, order)  # each cell keeps its first visit in the block
-        new = flat[idx] == order
-        flat[idx] = -1
-        return self._admit(new)
+            idx *= n  # int64 wraps, so the exact cell index comes out at the end
+            idx += col
+            idx -= c
+        if self._clock + idx.shape[0] > _STAMP_LIMIT:  # visited cells drop below every stamp
+            flat[flat < 2**31 - 1] = -1
+            self._clock = 0
+        stamp = np.arange(self._clock, self._clock + idx.shape[0], dtype=np.int32)
+        self._clock += idx.shape[0]
+        np.minimum.at(flat, idx, stamp)  # each cell keeps the stamp of its first visit
+        return self._admit(np.take(flat, idx) == stamp)
 
     def _mark_keys(self, keys: np.ndarray) -> np.ndarray:
         order = np.argsort(keys, kind="stable")  # each key's first visit leads its run
@@ -285,7 +295,7 @@ def ratio_series(rt: ReturnTimes) -> np.ndarray:
 def _as_checkpoints(horizon: int, checkpoints) -> np.ndarray:
     if checkpoints is None:
         return dyadic_checkpoints(horizon)
-    cps = np.unique(np.asarray([int(c) for c in checkpoints], dtype=np.int64))
+    cps = _distinct(np.asarray([int(c) for c in checkpoints], dtype=np.int64))
     if cps.size == 0:
         raise ValueError("empty checkpoint schedule")
     if cps[0] < 0 or cps[-1] > horizon:
@@ -336,15 +346,20 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
     segment reductions of its first-visit mask and of |x_n - x_0|.  While
     the maximal-range inequality holds, it holds through a block whose last
     M_n is at most m r, r the count before it (squared for d >= 2): M_n
-    grows only at a first visit, after which r_n - 1 >= r.  Only the other
-    blocks, and the sandwich, get r_n and M_n at every position.  A block
-    that excludes 0 on some axis has no zero hit.
+    grows only at a first visit, after which r_n - 1 >= r.  That holds for
+    any run of positions, so a block the bound does not settle is cut at
+    offsets 0, 1, 2, 4, ..., and the same bound, with r before each segment
+    and M at its end, settles segments.  Only the other segments, and every
+    segment under the sandwich, get r_n and M_n at every position, in order
+    up to each check's first violation.  A block that excludes 0 on some
+    axis has no zero hit.
 
     Returns (samples, x_0, first): exact ints per checkpoint under "x",
     "r", "disp", "tau_count" and "last_tau", x_0 as an int (d = 1) or a
     list, and the first violating n of each failed check by name.
     """
     d, m = stream.d, stream.m
+    power = 1 if d == 1 else 2  # the maximal-range bound is squared for d >= 2
     cps = np.asarray(cps, dtype=np.int64)
     extent = d == 1 and (m == 1 or not count_range)
     tracker = RangeTracker(d) if count_range and not extent else None
@@ -390,18 +405,27 @@ def _scan(stream: WalkStream, horizon: int, cps, count_range: bool, extrema: boo
                 samples["disp"] += np.maximum(run, best).tolist()
                 was, best = best, max(best, int(top))
             pending = [name for name in checks[1:] if name not in first]  # checks[0] ran above
-            if "maximal_range" in pending and best <= (m * before) ** (1 if d == 1 else 2):
+            if "maximal_range" in pending and best <= (m * before) ** power:
                 pending.remove("maximal_range")  # settled for the whole block, see above
-            if pending:
-                r = before + np.cumsum(new, dtype=np.int64)
-                disp = np.maximum(np.maximum.accumulate(disp), was)
-                for name in pending:
-                    if name == "maximal_range":
-                        bad = _maximal_range_violated(disp, r, m, d)
-                    else:
-                        bad = (r < disp + 1) | (r > 2 * disp + 1)
-                    if bad.any():
-                        first[name] = done + int(np.argmax(bad))
+            if pending:  # segments from offsets 0, 1, 2, 4, ...: r before each, M at its end
+                ends = np.minimum(1 << np.arange((block.shape[0] - 1).bit_length() + 1), block.shape[0])
+                counts = [before] + (before + _running_at(new, ends - 1, np.add, np.int64)[0]).tolist()
+                tops = [was] + np.maximum(_running_at(disp, ends - 1, np.maximum)[0], was).tolist()
+                for k, (s, e) in enumerate(zip([0] + ends[:-1].tolist(), ends.tolist())):
+                    if pending == ["maximal_range"] and tops[k + 1] <= (m * counts[k]) ** power:
+                        continue  # the same bound settles the segment
+                    r = counts[k] + np.cumsum(new[s:e], dtype=np.int64)
+                    far = np.maximum(np.maximum.accumulate(disp[s:e]), tops[k])
+                    for name in tuple(pending):
+                        if name == "maximal_range":
+                            bad = _maximal_range_violated(far, r, m, d)
+                        else:
+                            bad = (r < far + 1) | (r > 2 * far + 1)
+                        if bad.any():
+                            first[name] = done + s + int(np.argmax(bad))
+                            pending.remove(name)
+                    if not pending:
+                        break
         if both and ptr < cps.size:  # zero hits matter only up to a checkpoint
             hits = np.flatnonzero(at_origin(block)) if all(l <= 0 <= h for l, h in spans) else at[:0]
             upto = np.searchsorted(hits, at, side="right")

@@ -116,6 +116,12 @@ def _spans(arr: np.ndarray) -> list:
     return [(int(c.min()), int(c.max())) for c in ([arr] if arr.ndim == 1 else arr.T)]
 
 
+def _distinct(arr: np.ndarray) -> np.ndarray:
+    """`np.unique(arr)` without the numpy.ma import np.unique pays on its first call."""
+    arr = np.sort(arr, axis=None)
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+
+
 def _peak(diffs: np.ndarray) -> int:
     """The largest |coordinate| of an (N,) or (N, d) int64 array, 0 if N = 0 (exact int)."""
     return max(max(h, -l) for l, h in _spans(diffs)) if diffs.size else 0

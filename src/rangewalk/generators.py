@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_BLOCK, WalkMetadata, WalkStream
+from .core import DEFAULT_BLOCK, WalkMetadata, WalkStream, _distinct
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -532,7 +532,7 @@ class _ChainLaw(_UniformLaw):
         self.peak = max(map(abs, chain.states))
         cuts = np.cumsum(chain.transition, axis=1)[:, :-1]
         # A one-state chain has no cuts; a break that no uniform reaches stands in.
-        self._breaks = np.unique(cuts) if cuts.size else np.array([np.inf])
+        self._breaks = _distinct(cuts) if cuts.size else np.array([np.inf])
         # Interval i is breaks[i - 1] <= u < breaks[i]: there state s reaches
         # exactly its cuts at or below breaks[i - 1].
         edges = np.concatenate(([-np.inf], self._breaks))

@@ -250,6 +250,8 @@ def spiral_distinct_suite(steps: int = 100_000) -> list:
         diffs = np.diff(np.concatenate((last, block)), axis=0)
         unit &= bool((np.sum(diffs * diffs, axis=1) == 1).all())
         last = block[-1:].copy()
+    if steps < 1:  # only 0 gets here: the blocks refuse a negative horizon
+        raise ValueError("spiral-distinct needs steps >= 1 for its ||x_n||/n ratio")
     # r grows by at most 1 a step from r_0 = 1, so r_N = N + 1 forces r_n = n + 1.
     count = int(analysis.track_range(stream, steps, [steps])[1][0])
     norm_ratio = float(np.sqrt(np.dot(last[0], last[0]))) / steps

@@ -316,6 +316,22 @@ class TestDenseBox:
             assert tracker._known is None  # never left the box
 
     @settings(deadline=None)
+    @given(
+        _compact_walks(), st.integers(2, 9), st.sampled_from([1, 2, 9, 20]), st.sampled_from([1, 4, 10**9])
+    )
+    def test_matches_python_set_across_restamps(self, case, block_size, limit, cells_per_point):
+        # A small stamp limit resets the visited cells to -1 every block or few.
+        d, blocks = case
+        path = np.concatenate(blocks)
+        blocks = np.split(path, range(block_size, path.shape[0], block_size))
+        tracker = RangeTracker(d=d)
+        with mock.patch.object(analysis, "_STAMP_LIMIT", limit), \
+                mock.patch.object(analysis, "BOX_CELLS_PER_POINT", cells_per_point):
+            for block, want in zip(blocks, _oracle_counts(blocks)):
+                assert tracker.update(block).tolist() == want
+                assert tracker._clock <= max(limit, block_size)
+
+    @settings(deadline=None)
     @given(st.integers(1, 2), st.data())
     def test_1d_walks_with_m_up_to_2_never_leave_the_box(self, m, data):
         # span <= 2 M_n <= 2m (r_n - 1): at most 4 cells a point for m <= 2.
@@ -721,6 +737,24 @@ class TestStepContract:
         want = _assert_contract(steps, m, block_size)
         assert want["maximal_range"] == len(steps)
 
+    @pytest.mark.parametrize("block_size", [16, 33, 64])
+    @pytest.mark.parametrize("dm", [(1, 2), (2, 1), (3, 2)])
+    def test_settle_rule_at_segment_edges(self, dm, block_size):
+        # An unsettled block is checked in segments from offsets 0, 1, 2, 4, ...:
+        # jumps on either side of each edge, in the first block and in the third.
+        d, m = dm
+        offsets = {o for j in range(1, 7) for o in (2**j - 1, 2**j, 2**j + 1) if o < block_size}
+        for n in sorted(offsets | {2 * block_size + o for o in offsets}):
+            want = _assert_contract(_late_jump(d, m, n - 1, 0, 3), m, block_size)
+            assert want["maximal_range"] == n
+
+    @pytest.mark.parametrize("block_size", [16, 33, 64, 80])
+    def test_sandwich_carries_m_across_segments(self, block_size):
+        # One long step that keeps the sandwich, a run down to -12 at n = 16
+        # and back, then steps between 0 and 1 up to n = 78: M_n stays 12,
+        # set one or two segments before.
+        steps = np.array([-1, -1, 3] + [-1] * 13 + [1] * 12 + [1, -1] * 25)
+        assert _assert_contract(steps, 1, block_size) == {"increment_bound": 3}
 
     @settings(deadline=None)
     @given(st.data(), st.sampled_from([0, 0.5, 1, 4]))

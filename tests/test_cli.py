@@ -701,6 +701,13 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
 
+    def test_spiral_at_zero_steps_is_an_input_error(self, capsys):
+        # ||x_n||/n has no value at n = 0.
+        assert run(["verify", "--suite", "spiral-distinct", "--steps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spiral-distinct needs steps >= 1 for its ||x_n||/n ratio\n"
+
     @pytest.mark.parametrize("name", list(SUITES))
     def test_each_suite_gets_only_its_options(self, name, monkeypatch, capsys):
         fn, takes = SUITES[name]

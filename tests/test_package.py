@@ -1,4 +1,9 @@
-"""The package's public surface: `rangewalk.__all__`, pinned."""
+"""The package's public surface: `rangewalk.__all__`, pinned, and what its first calls import."""
+
+import subprocess
+import sys
+
+import pytest
 
 import rangewalk
 
@@ -64,3 +69,22 @@ def test_internal_steps_stay_unexported():
     # AnalysisReport.tails.
     for name in ("LatticePoint", "compute_n0", "zigzag_plan", "tail_limit_estimate"):
         assert not hasattr(rangewalk, name), name
+
+
+def test_first_calls_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 8-14 ms of a one-shot run.
+    code = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from rangewalk import make_walk, track_range
+stream = make_walk({"gen": "ergodic", "preset": "switch:0.1,0.3", "steps": 100}, seed=1)
+track_range(stream, 100, [100, 3, 3, 0])
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    if out.stdout.strip() == "preloaded":
+        pytest.skip("import numpy loads numpy.ma with this numpy")
+    assert out.stdout.strip() == "False"
