@@ -140,17 +140,12 @@ class _Extremes:
         self.first = np.zeros(rows, dtype=np.int64)
         self.done = 0
 
-    def advance(self, inc: np.ndarray) -> None:
-        """Walk every row on by its row of a (rows, k) block of unit increments.
-
-        The block is overwritten with the positions.
-        """
-        # The same exact guard as WalkStream.blocks: no position can wrap.
+    def advance(self, pos: np.ndarray) -> None:
+        """Take each row's next k positions, a row of a (rows, k) block."""
+        # The same exact guard as WalkStream.blocks: a position that wrapped is never kept.
         extent = max(-int(self.last.min()), int(self.last.max()))
-        if extent + inc.shape[1] > INT64_MAX:
+        if extent + pos.shape[1] > INT64_MAX:
             raise CoordinateOverflowError("walk left the signed 64-bit coordinate range")
-        pos = np.cumsum(inc, axis=1, out=inc)
-        pos += self.last[:, None]
         np.minimum(self.lo, pos.min(axis=1), out=self.lo)
         np.maximum(self.hi, pos.max(axis=1), out=self.hi)
         # Column j holds x_{done + j + 1}, so x_0 is never a return.
@@ -158,7 +153,7 @@ class _Extremes:
         at = hit.argmax(axis=1)
         new = hit[np.arange(len(at)), at] & (self.first == 0)
         self.first[new] = self.done + 1 + at[new]
-        self.done += inc.shape[1]
+        self.done += pos.shape[1]
         self.last = pos[:, -1].copy()
 
     def counts(self) -> dict:
@@ -178,6 +173,10 @@ def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: i
     A task is a chunk or, past CHUNK_CELLS steps, a contiguous run of trials
     that share one `_Scratch`, at most `workers` runs a slice of seeds.
     `workers` schedules the tasks on a pool of at most one thread a task.
+    A long trial's int8 steps are widened where they are summed: as in
+    `WalkStream.blocks`, the carry and the steps go back to front into the
+    scratch's ids, and one prefix sum runs from that reversed view into its
+    keys, which a take leaves free.
     """
     rows = max(1, CHUNK_CELLS // (horizon + 1))
     # Seeding has a fixed cost, so whole runs of chunks are seeded at once.
@@ -194,17 +193,22 @@ def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: i
                 yield [states[i : i + rows] for i in range(0, len(states), rows)]
 
     def streams(seeds):  # one counts dict a trial
-        scratch, parts = _Scratch(CHUNK_CELLS), []
+        scratch, parts = _Scratch(CHUNK_CELLS + 1), []
+        _, stage, pos, _ = scratch.views((1, CHUNK_CELLS + 1))
         for seed in seeds.tolist():
             source, state = _DrawnSource(law, seed, scratch), _Extremes(1)
             for done in range(0, horizon, CHUNK_CELLS):
-                state.advance(source.take(min(CHUNK_CELLS, horizon - done))[None])
+                k = min(CHUNK_CELLS, horizon - done)
+                staged = stage[:, k::-1]
+                staged[:, 0], staged[:, 1:] = state.last, source.take(k)
+                np.cumsum(staged, axis=1, out=pos[:, : k + 1])
+                state.advance(pos[:, 1 : k + 1])
             parts.append(state.counts())
         return parts
 
     def chunk(states):
-        state = _Extremes(len(states))
-        state.advance(_draw_batch(law, states, horizon))
+        state, inc = _Extremes(len(states)), _draw_batch(law, states, horizon)
+        state.advance(np.cumsum(inc, axis=1, out=inc))  # every row starts at 0
         return [state.counts()]
 
     one = streams if long else chunk

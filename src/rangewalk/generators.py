@@ -343,10 +343,11 @@ class _Scratch:
 
     A fresh block-sized array page-faults anew on every block, so a drawn
     source keeps these at a fixed number of cells and each block works in
-    views of them: the uniforms, the int64 interval ids and the bools of
+    views of them: the uniforms, the int64 interval ids and the bytes of
     one compare.  The fill keys of `_gather_states` reuse the uniforms'
-    memory once the ids are counted, and the increments reuse the ids'
-    memory once the states are filled.  `ramp` holds the keys' positions.
+    memory once the ids are counted, and a law writes its int8 increments
+    over the bytes, so the uniforms' and the ids' memory is free again once
+    it returns.  `ramp` holds the keys' positions.
     """
 
     def __init__(self, cells: int):
@@ -445,13 +446,14 @@ class _UniformLaw:
     The map works on a (rows, k) array of uniforms, one row per walk, and
     an int64 carry per row.  A row draws `head` uniforms before its first
     step (a chain's initial state), which `start` turns into the first
-    carry; `steps` maps the next k uniforms of every row to increments (it
-    may write them over the uniforms) and returns the new carry.  A streamed
-    walk is the one-row case of a batch of trials, so both run this one map.
-    A law holds no state of its own, because every read of a stream and
-    every batch share one; a read passes its `_Scratch` to `steps`, which
-    may then work in its views and return the increments in one.  `peak` is
-    the largest |increment| the law can map a uniform to.
+    carry; `steps` maps the next k uniforms of every row to increments and
+    returns the new carry.  A streamed walk is the one-row case of a batch
+    of trials, so both run this one map.  A law holds no state of its own,
+    because every read of a stream and every batch share one; a read passes
+    its `_Scratch` to `steps`, which then works in its views and returns
+    int8 increments in its bytes.  Without one, as for a batch, which sums
+    its increments in place, they are int64 (over the uniforms for an iid
+    law).  `peak` is the largest |increment| the law can map a uniform to.
     """
 
     head = 0
@@ -481,8 +483,11 @@ class _IidLaw(_UniformLaw):
     def steps(self, u, carry, scratch=None):
         *lower, last = self._cuts
         reached = [u >= cut for cut in lower]
-        # The last compare is written over u: a fresh array this size page-faults anew.
-        inc = np.greater_equal(u, last, out=u.view(np.int64))
+        # The last compare reuses the block's memory: a fresh array this size page-faults anew.
+        if scratch is None:
+            inc = np.greater_equal(u, last, out=u.view(np.int64))
+        else:
+            inc = np.greater_equal(u, last, out=scratch.views(u.shape)[3]).view(np.int8)
         inc *= self._rises[-1]
         inc += self._first
         for rise, mask in zip(self._rises, reached):
@@ -505,7 +510,7 @@ class _ReflectedLaw(_UniformLaw):
         s += carry[:, None]
         last = s[:, -1].copy()
         np.abs(s, out=s)
-        out = np.empty_like(s) if scratch is None else scratch.views(s.shape)[1]
+        out = np.empty_like(s) if scratch is None else scratch.views(s.shape)[3].view(np.int8)
         out[:, 0] = s[:, 0] - np.abs(carry)
         np.subtract(s[:, 1:], s[:, :-1], out=out[:, 1:])
         return out, last
@@ -543,14 +548,16 @@ class _ChainLaw(_UniformLaw):
         return np.count_nonzero(u[:, :1] >= self._start_cuts, axis=1)
 
     def steps(self, u, carry, scratch=None):
-        scratch = _Scratch(u.size) if scratch is None else scratch
-        _, ids, _, reached = scratch.views(u.shape)
+        work = _Scratch(u.size) if scratch is None else scratch
+        _, ids, _, reached = work.views(u.shape)
         first, *rest = self._breaks
         np.greater_equal(u, first, out=ids)
         for cut in rest:
             ids += np.greater_equal(u, cut, out=reached)
-        seq = _gather_states(ids, self._table, carry, scratch)
-        inc = np.take(self._labels, seq, out=ids, mode="clip")  # the ids are spent
+        seq = _gather_states(ids, self._table, carry, work)
+        out = ids if scratch is None else reached.view(np.int8)  # the ids and the bytes are spent
+        # The table takes the out's dtype: np.take casts through a temporary of the out's size.
+        inc = np.take(self._labels.astype(out.dtype), seq, out=out, mode="clip")
         return inc, seq[:, -1].copy()
 
 
@@ -586,8 +593,8 @@ class _DrawnSource:
     is cheaper than `pcg64_states`, and it is the batch's oracle.  Each take
     draws into, and works in, `scratch` (which the sources of a run of Monte
     Carlo trials share) if it holds the take, else an own `_Scratch` of at
-    least `DEFAULT_BLOCK` cells, so the next take overwrites the increments
-    it returns.
+    least `DEFAULT_BLOCK` cells, so the next take overwrites the int8
+    increments it returns.
     """
 
     def __init__(self, law: _UniformLaw, seed: int, scratch: Optional[_Scratch] = None):

@@ -67,6 +67,8 @@ def maximal_range_suite(
     paths: int = 1000, length: int = 1000, m_values=(1, 2, 3, 5), seed: int = 7
 ) -> list:
     """Maximal range inequality on random bounded paths, generators, and Z^2."""
+    if paths < 1:
+        raise ValueError("maximal-range needs paths >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     results = []
     if isinstance(m_values, int):
@@ -117,6 +119,8 @@ def maximal_range_suite(
 def sandwich_suite(paths: int = 1000, length: int = 1000, seed: int = 7) -> list:
     """1-D sandwich M+1 <= r <= 2M+1 at every n, on set counts and numpy's running
     max of |x_n| (not the extent path), plus extent-vs-set range oracle equivalence."""
+    if paths < 1:
+        raise ValueError("sandwich needs paths >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     sandwich_bad = 0
     oracle_bad = 0
@@ -151,6 +155,8 @@ def sandwich_suite(paths: int = 1000, length: int = 1000, seed: int = 7) -> list
 
 def excursion_suite(paths: int = 100, steps: int = 10_000, seed: int = 7) -> list:
     """Excursion bound |x_n| <= gap/2 on tents and symmetric random walks."""
+    if paths < 1:
+        raise ValueError("excursion needs paths >= 1")
     results = []
     zz, _ = generators.gen_zigzag(0.5, steps)
     chk = analysis.check_excursion_bound(zz, steps)

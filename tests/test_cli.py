@@ -708,6 +708,14 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: spiral-distinct needs steps >= 1 for its ||x_n||/n ratio\n"
 
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    @pytest.mark.parametrize("name", ["maximal-range", "sandwich", "excursion"])
+    def test_fewer_than_one_path_is_an_input_error(self, name, paths, capsys):
+        assert run(["verify", "--suite", name, "--paths", paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} needs paths >= 1\n"
+
     @pytest.mark.parametrize("name", list(SUITES))
     def test_each_suite_gets_only_its_options(self, name, monkeypatch, capsys):
         fn, takes = SUITES[name]

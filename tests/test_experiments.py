@@ -532,6 +532,26 @@ class TestChunkedTrials:
         report = run_trials(spec, workers=workers, keep_trials=True)
         assert report.per_trial == _oracle_per_trial(config, horizon, 7, 3)[0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"gen": "srw", "p": 0.5},
+            {"gen": "srw", "p": 0.8},  # positions far from 0 carried into later chunks
+            {"gen": "ergodic", "preset": "switch:0.1,0.3"},
+        ],
+        ids=lambda c: c.get("preset", f"srw:{c.get('p')}"),
+    )
+    def test_long_trials_sum_int8_steps_across_chunk_edges(self, config, workers, monkeypatch):
+        # Chunks of 8 steps: every prefix sum starts from the carry staged
+        # before the chunk's steps, and a last chunk is shorter.
+        monkeypatch.setattr(E, "CHUNK_CELLS", 8)
+        for horizon in (9, 16, 45):
+            config = dict(config, steps=horizon)
+            spec = TrialSpec(config=config, horizon=horizon, trials=5, master_seed=21)
+            report = run_trials(spec, workers=workers, keep_trials=True)
+            assert report.per_trial == _oracle_per_trial(config, horizon, 5, 21)[0]
+
     def test_ergodic_run_in_criterion_11_shape_matches_its_streams(self):
         # Criterion 11 runs switch:0.1,0.3 trials longer than a chunk on a
         # pool of threads that share one law; here 6 trials of two chunks.
@@ -562,10 +582,12 @@ class TestChunkedTrials:
         for start, step, k in ((INT64_MAX - 1, 1, 1), (1 - INT64_MAX, -1, 1), (INT64_MAX - 3, 1, 3)):
             state = E._Extremes(2)
             state.last[1] = start
-            state.advance(np.full((2, k), step, dtype=np.int64))
+            ahead = [step * j for j in range(1, k + 1)]
+            state.advance(np.array([ahead, [start + x for x in ahead]], dtype=np.int64))
             assert abs(int(state.last[1])) == INT64_MAX
+            # The next position is INT64_MIN, or INT64_MAX + 1 wrapped to it: refused.
             with pytest.raises(CoordinateOverflowError):
-                state.advance(np.full((2, 1), step, dtype=np.int64))
+                state.advance(np.array([[step * (k + 1)], [-INT64_MAX - 1]], dtype=np.int64))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

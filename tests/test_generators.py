@@ -1,6 +1,7 @@
 """Generator families: stochastic walks and the deterministic constructions."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from rangewalk.generators import (
     ZigzagPlan,
     _ChainLaw,
     _draw_batch,
+    _DrawnSource,
     _gather_states,
     _Scratch,
     _pcg64_state,
@@ -987,3 +989,85 @@ class TestBatchSource:
     def test_deterministic_walk_has_no_law(self):
         with pytest.raises(ValueError):
             uniform_law(make_walk({"gen": "zigzag", "ell": 0.5, "steps": 4}))
+
+
+def _iid_steps(weights, labels):
+    """The plain map of an i.i.d. law: the label of
+    ``searchsorted(cumsum(w), u, side="right")``, clipped to the last one."""
+
+    def steps(u):
+        j = np.searchsorted(np.cumsum(weights), u, side="right")
+        return np.asarray(labels)[np.minimum(j, len(labels) - 1)]
+
+    return steps
+
+
+def _reflected_steps(u):
+    """|S_n| - |S_{n-1}| of the symmetric walk S_n that the uniforms draw."""
+    return np.diff(np.abs(np.cumsum(_iid_steps([0.5, 0.5], [1, -1])(u))), prepend=0)
+
+
+def _chain_steps(chain):
+    """The state loop: u[0] draws the start state, each later u the next state."""
+
+    def steps(u):
+        start = _start_ref(chain.stationary, u[:1])
+        return np.asarray(chain.states)[_reference_states(chain.transition, u[None, 1:], start)[0]]
+
+    return steps
+
+
+_MIXING = MarkovIncrementChain(
+    (1, 0, -1), np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+)
+_SWITCH = MarkovIncrementChain.two_state(0.1, 0.3)
+
+#: Each drawn law: its walk of seed 0 and the plain map of a seed's uniforms to its steps.
+_DRAWN = {
+    **{
+        f"srw:{p}": (gen_simple_rw(p, 1, 0), _iid_steps([p, 1 - p], [1, -1]))
+        for p in (0.0, 0.3, 0.5, 1.0)
+    },
+    "lazy:0.4": (gen_birth_death("lazy:0.4", 1, 0), _iid_steps([0.4, 0.3, 0.3], [0, 1, -1])),
+    "symmetric": (gen_birth_death("symmetric", 1, 0), _iid_steps([0.5, 0.5], [1, -1])),
+    "reflected": (gen_birth_death("reflected", 1, 0), _reflected_steps),
+    "switch:0.1,0.3": (gen_ergodic_walk(_SWITCH, 1, 0), _chain_steps(_SWITCH)),
+    "3-state mixing": (gen_ergodic_walk(_MIXING, 1, 0), _chain_steps(_MIXING)),
+}
+
+
+class TestDrawnSteps:
+    """A read's source returns int8 steps, the plain map of its uniforms."""
+
+    @pytest.mark.parametrize("name", list(_DRAWN))
+    def test_takes_are_the_plain_map_in_int8(self, name):
+        walk, plain = _DRAWN[name]
+        law, seed = uniform_law(walk), 17
+        # Blocks of 2 to 9 positions in a scratch of 9 cells, then a take that grows it.
+        source, sizes = _DrawnSource(law, seed, _Scratch(9)), list(range(2, 10)) + [300, 5]
+        takes = []
+        for k in sizes:
+            inc = source.take(k)
+            assert inc.dtype == np.int8 and inc.shape == (k,)
+            takes.append(inc.copy())
+        assert source._scratch.cells >= 300
+        u = np.random.Generator(np.random.PCG64(seed)).random(law.head + sum(sizes))
+        assert np.concatenate(takes).tolist() == plain(u).tolist()
+        # A read's own source, from no scratch, is the same.
+        own = walk.source_factory()
+        assert own.take(sum(sizes)).tolist() == plain(
+            np.random.Generator(np.random.PCG64(0)).random(law.head + sum(sizes))
+        ).tolist()
+
+    def test_chain_read_builds_no_block_sized_temporary(self):
+        # The labels go to the scratch's bytes from an int8 table: an int64
+        # table makes np.take cast through an int64 copy of the out, 512 KiB.
+        source = gen_ergodic_walk(_SWITCH, 1, 5).source_factory()
+        source.take(2**16)
+        tracemalloc.start()
+        try:
+            source.take(2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
