@@ -42,6 +42,12 @@ def _checked_i64(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64), which `mix_seed` would mask to another's."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+
+
 def _point(value) -> tuple:
     """One lattice point as int64-checked coordinates; an int is a d = 1 point."""
     coords = (value,) if np.ndim(value) == 0 else tuple(value)  # a str or bytes is one value
@@ -260,8 +266,8 @@ class WalkMetadata:
             raise ValueError("increment bound m must be >= 1")
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
-        if self.seed is not None and not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 class IncrementSource(Protocol):

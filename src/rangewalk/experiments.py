@@ -6,8 +6,11 @@ estimate for srw(p) reads the very trials of ``mc`` on srw(p) with the same
 master seed.  Trials of N <= CHUNK_CELLS steps go in chunks of
 ``max(1, CHUNK_CELLS // (N + 1))``: a chunk is one (trials, steps) uniform
 matrix, drawn once and mapped to increments by the generator's uniform law
-(`_draw_batch`), and reduced with one cumsum and per-row lowest, highest and
-last positions and first-return times.  Its rows are seeded in bulk:
+(`_draw_batch`), and reduced in its memory order: a lockstep draw is
+step-major, so its prefix sum adds each step's contiguous column into the
+next and each per-row lowest, highest and last position and first-return
+time is a reduction over columns, while a per-row draw is row-major and
+runs one cumsum and reductions along its rows.  Its rows are seeded in bulk:
 `mix_seeds` and `pcg64_states` give the PCG64 states of up to CHUNK_CELLS
 trials at once, as numpy's own ``PCG64(seed)`` would.  A longer trial reads
 its own stream, the source ``make_walk`` builds, one CHUNK_CELLS block at a
@@ -24,6 +27,7 @@ trials; division by N happens once at aggregation.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,19 +36,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import _scan
-from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream
+from .core import DEFAULT_BLOCK, INT64_MAX, CoordinateOverflowError, WalkStream, _check_seed
 from .generators import (
     _draw_batch,
     _DrawnSource,
+    _prefix_sum,
     _Scratch,
     gen_simple_rw,
     is_stochastic,
     make_walk,
-    mix_seed,
-    mix_seeds,
-    pcg64_states,
     uniform_law,
 )
+from .pcg64 import mix_seed, mix_seeds, pcg64_states
 
 METRICS = ("range_speed", "walk_speed", "no_return", "max_speed")
 
@@ -70,6 +73,7 @@ class TrialSpec:
             raise ValueError("horizon must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _check_seed(self.master_seed)
         metrics = tuple(self.metrics)
         if not metrics:
             raise ValueError("metric set must be non-empty")
@@ -124,13 +128,23 @@ class AggregateReport:
         return doc
 
 
+@functools.lru_cache(maxsize=8)
+def _countdown(k: int) -> np.ndarray:
+    """k - 1, k - 2, ..., 0 in the smallest unsigned dtype that holds k - 1, read-only (shared)."""
+    weights = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))
+    weights.flags.writeable = False
+    return weights
+
+
 class _Extremes:
     """Carried per-row state of stochastic walks from x_0 = 0 (d = 1, m = 1).
 
     Holds each row's lowest, highest and last position and its first-return
     time (the first n >= 1 with x_n = 0, or 0 for none), which give R_N
     (hi - lo + 1, since every step is a unit step), X_N, M_N and the
-    no-return indicator.
+    no-return indicator.  Every reduction of a block runs along its step
+    axis, so a step-major block (lockstep draws) reduces a contiguous
+    column at a time and a row-major one a row at a time.
     """
 
     def __init__(self, rows: int):
@@ -146,14 +160,20 @@ class _Extremes:
         extent = max(-int(self.last.min()), int(self.last.max()))
         if extent + pos.shape[1] > INT64_MAX:
             raise CoordinateOverflowError("walk left the signed 64-bit coordinate range")
-        np.minimum(self.lo, pos.min(axis=1), out=self.lo)
-        np.maximum(self.hi, pos.max(axis=1), out=self.hi)
-        # Column j holds x_{done + j + 1}, so x_0 is never a return.
-        hit = pos == 0
-        at = hit.argmax(axis=1)
-        new = hit[np.arange(len(at)), at] & (self.first == 0)
-        self.first[new] = self.done + 1 + at[new]
-        self.done += pos.shape[1]
+        k = pos.shape[1]
+        low, high = pos.min(axis=1), pos.max(axis=1)
+        np.minimum(self.lo, low, out=self.lo)
+        np.maximum(self.hi, high, out=self.hi)
+        # Unit steps visit every integer between a block's extremes: a row that
+        # has not returned yet returns in this block exactly when they span 0.
+        new = (self.first == 0) & (low <= 0) & (high >= 0)
+        if new.any():  # rows that have returned, or stay off 0, skip the search
+            # Column j holds x_{done + j + 1}, so x_0 is never a return.  A new
+            # row has a zero, so of its weights (k - 1 - j)·[x = 0] the first
+            # zero's is the largest, even at weight 0: uint16 holds a 2^16 block.
+            left = ((pos == 0) * _countdown(k)).max(axis=1)
+            np.subtract(self.done + k, left, out=self.first, where=new, dtype=np.int64)
+        self.done += k
         self.last = pos[:, -1].copy()
 
     def counts(self) -> dict:
@@ -208,7 +228,7 @@ def _chunked_counts(law, horizon: int, trials: int, master_seed: int, workers: i
 
     def chunk(states):
         state, inc = _Extremes(len(states)), _draw_batch(law, states, horizon)
-        state.advance(np.cumsum(inc, axis=1, out=inc))  # every row starts at 0
+        state.advance(_prefix_sum(inc))  # every row starts at 0
         return [state.counts()]
 
     one = streams if long else chunk
@@ -408,6 +428,7 @@ def estimate_no_return(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_seed(master_seed)
     nested = tuple(sorted(int(h) for h in horizons)) if horizons else None
     if nested and not (1 <= nested[0] and nested[-1] <= horizon):
         raise ValueError(f"nested horizons must lie in [1, {horizon}], got {list(nested)}")

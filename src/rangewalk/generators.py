@@ -6,10 +6,8 @@ same seed is bit-exact no matter how it is blocked.  Deterministic generators
 (zigzag tents, scheduled tents, the square spiral, cyclic drift patterns) use
 exact integer/rational arithmetic throughout.
 
-Per-trial seeds are derived from a master seed with the SplitMix64 finalizer,
-a 64-bit bijection; changing it would break report reproducibility.  A batch
-of trials is seeded in numpy: `pcg64_states` computes, for many seeds at once,
-the state that numpy's own ``PCG64(seed)`` starts from.
+Per-trial seeds and the bulk PCG64 seeding and draws of a batch of trials
+live in `pcg64`.
 
 Every stochastic law maps a uniform u to the number of its cuts that u
 reaches (u >= cut), and that count picks the label.  The cuts are the
@@ -34,9 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DEFAULT_BLOCK, WalkMetadata, WalkStream, _distinct
-
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
+from .pcg64 import _lockstep_random, _per_row_random
 
 #: Largest warm-up exponent for which Eq.-style rational checks stay exact.
 _EXACT_EXP_CAP = 1 << 16
@@ -48,181 +44,6 @@ class DegeneratePlanError(ValueError):
 
 class ReducibleChainError(ValueError):
     """The transition matrix has no unique stationary distribution."""
-
-
-# ---------------------------------------------------------------------------
-# Seeding
-# ---------------------------------------------------------------------------
-
-
-def splitmix64(x):
-    """SplitMix64 finalizer, a bijection on 64-bit integers.
-
-    `x` is a Python int or a uint64 array, whose arithmetic wraps mod 2^64.
-    """
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def mix_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed: splitmix64(splitmix64(master) + index).
-
-    Injective in `index` for a fixed master seed, so trials never share a
-    stream.  This mapping is part of the report-reproducibility contract.
-    """
-    return splitmix64((splitmix64(master_seed & _MASK64) + index) & _MASK64)
-
-
-def mix_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """``mix_seed(master_seed, i)`` for every i in range(start, stop), as uint64."""
-    return splitmix64(np.arange(start, stop, dtype=np.uint64) + splitmix64(master_seed & _MASK64))
-
-
-# numpy's SeedSequence (NEP 19) hashes a seed's uint32 words into a pool of
-# four with a multiply-xorshift "hashmix" whose multiplier is itself stepped
-# by a constant on every call, then hashes the pool into output words the
-# same way from a second constant.  PCG64 (O'Neill 2014) takes four uint64
-# output words as its initial state and stream and runs two LCG steps.
-_HASH_POOL = (0x43B0D7E5, 0x931E8875)
-_HASH_OUT = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_chain(init_mult: tuple, count: int) -> list:
-    """The (xor, multiplier) constants of `count` successive hashmix calls.
-
-    A call xors its word with the running constant, steps the constant and
-    multiplies by the new one.  The chain does not depend on the words.
-    """
-    h, mult = init_mult
-    out = []
-    for _ in range(count):
-        nxt = h * mult & _MASK32
-        out.append((np.uint32(h), np.uint32(nxt)))
-        h = nxt
-    return out
-
-
-_POOL_CHAIN = _hash_chain(_HASH_POOL, 16)  # 4 pool fills, then 12 cross mixes
-_OUT_CHAIN = _hash_chain(_HASH_OUT, 8)  # 8 uint32 output words = 4 uint64
-
-
-def _hashmix(words: np.ndarray, constants: tuple) -> np.ndarray:
-    xor, mult = constants
-    words = (words ^ xor) * mult
-    return words ^ (words >> 16)
-
-
-def seed_words(seeds) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64 seed s.
-
-    A seed is its little-endian uint32 words, one below 2^32 and two above.
-    The pool pads them with zeros to four words, so a seed below 2^32 hashes
-    as if its high word were 0.  Returns a (len(seeds), 4) uint64 array.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
-    chain = iter(_POOL_CHAIN)
-    pool = [_hashmix(word, next(chain)) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _MIX_L - _hashmix(pool[src], next(chain)) * _MIX_R
-                pool[dst] = mixed ^ (mixed >> 16)
-    out = [_hashmix(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_OUT_CHAIN)]
-    return np.stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], axis=1)
-
-
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of each 128-bit product a * b (uint64 array, 64-bit int)."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    low, mid = a0 * b0, a1 * b0
-    cross = (low >> 32) + (mid & _MASK32) + a0 * b1  # at most 2^64 - 1
-    return a1 * b1 + (mid >> 32) + (cross >> 32)
-
-
-def _muladd128(hi, lo, mult: int, add_hi, add_lo):
-    """(hi·2^64 + lo)·mult + (add_hi·2^64 + add_lo) mod 2^128, in uint64 limbs.
-
-    `mult` is a Python int below 2^128; every other operand is a uint64 array
-    or ``np.uint64``, since numpy < 2 promotes uint64 mixed with int64, or
-    with a Python int when both are scalars, to float64.  Returns the high
-    and low words.
-    """
-    mult_hi, mult_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
-    prod_hi = _mulhi64(lo, mult & _MASK64) + lo * mult_hi + hi * mult_lo
-    prod_lo = lo * mult_lo
-    out_lo = prod_lo + add_lo
-    return prod_hi + add_hi + (out_lo < prod_lo), out_lo
-
-
-def pcg64_states(seeds) -> np.ndarray:
-    """The state and increment of ``PCG64(s)`` for every uint64 seed s.
-
-    With ``seed_words(s) = (a, b, c, d)``, PCG64 takes initstate = a·2^64 + b
-    and initseq = c·2^64 + d, sets inc = 2·initseq + 1 and steps its LCG
-    twice from 0, adding initstate in between: state =
-    (inc + initstate)·MULT + inc mod 2^128.  Returns a (len(seeds), 4)
-    uint64 array of state high, state low, inc high and inc low words, the
-    form `_draw_batch` reads its rows from.
-    """
-    a, b, c, d = seed_words(seeds).T
-    inc_hi, inc_lo = c << 1 | d >> 63, d << 1 | 1
-    lo = inc_lo + b
-    hi = inc_hi + a + (lo < inc_lo)
-    state_hi, state_lo = _muladd128(hi, lo, _PCG64_MULT, inc_hi, inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
-
-
-def _pcg64_state(row: np.ndarray) -> dict:
-    """The ``PCG64.state`` dict of one row of `pcg64_states`."""
-    state_hi, state_lo, inc_hi, inc_lo = row.tolist()
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-_U11, _U58, _U63, _U64 = (np.uint64(v) for v in (11, 58, 63, 64))
-
-
-def _lockstep_random(states: np.ndarray, width: int) -> np.ndarray:
-    """`width` uniforms of every row of `states`, all rows stepped at once.
-
-    Each step runs every row's LCG in uint64 limbs, then PCG64's XSL-RR
-    output (the xor of the new state's words, rotated right by its top six
-    bits) and ``Generator.random``'s (x >> 11)·2^-53.  Returns a (rows,
-    width) array.
-    """
-    hi, lo, inc_hi, inc_lo = states.T.copy()
-    u = np.empty((width, len(states)))
-    for draws in u:
-        hi, lo = _muladd128(hi, lo, _PCG64_MULT, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U58
-        x = (x >> rot) | (x << ((_U64 - rot) & _U63))  # no shift by 64 when rot = 0
-        np.multiply(x >> _U11, 2.0**-53, out=draws)
-    return u.T
-
-
-def _per_row_random(gen: np.random.Generator, states: np.ndarray, width: int) -> np.ndarray:
-    """`width` uniforms of every row of `states`, one row at a time through `gen`.
-
-    Each row's state is assigned to gen's PCG64 before its draw.  Returns a
-    (rows, width) array.
-    """
-    bitgen = gen.bit_generator
-    u = np.empty((len(states), width))
-    for row, state in zip(u, map(_pcg64_state, states)):
-        bitgen.state = state
-        gen.random(out=row)
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +166,10 @@ class _Scratch:
     source keeps these at a fixed number of cells and each block works in
     views of them: the uniforms, the int64 interval ids and the bytes of
     one compare.  The fill keys of `_gather_states` reuse the uniforms'
-    memory once the ids are counted, and a law writes its int8 increments
-    over the bytes, so the uniforms' and the ids' memory is free again once
-    it returns.  `ramp` holds the keys' positions.
+    memory once the ids are counted, an iid law with more than one cut adds
+    up its lower cuts in the ids' memory (`spare`), and a law writes its
+    int8 increments over the bytes, so the uniforms' and the ids' memory is
+    free again once it returns.  `ramp` holds the keys' positions.
     """
 
     def __init__(self, cells: int):
@@ -362,6 +184,11 @@ class _Scratch:
         n = math.prod(shape)
         u, ids, reached = (a[:n].reshape(shape) for a in (self._u, self._ids, self._reached))
         return u, ids, u.view(np.int64), reached
+
+    def spare(self, shape) -> tuple:
+        """Two int8 arrays of `shape` in the ids' memory, free while the ids are."""
+        n = math.prod(shape)
+        return tuple(self._ids.view(np.int8)[: 2 * n].reshape((2, *shape)))
 
     def ramp(self, rows: int, n: int) -> np.ndarray:
         """``(k + 1) << _STATE_BITS`` for k < n; built once for every row
@@ -440,6 +267,21 @@ def _gather_states(ids: np.ndarray, table: np.ndarray, s0, scratch: Optional[_Sc
 # ---------------------------------------------------------------------------
 
 
+def _prefix_sum(steps: np.ndarray) -> np.ndarray:
+    """Each row's running sum of a (rows, k) array, in place, in its memory order.
+
+    A row-major array (per-row draws, a stream's read) runs one cumsum along
+    its rows.  In a step-major one (lockstep draws) a step of every row is
+    one contiguous column, so k - 1 adds, each of a column into the next,
+    sum every row at once; one cumsum would loop over the rows.
+    """
+    if steps.flags.c_contiguous:
+        return np.cumsum(steps, axis=1, out=steps)
+    for prev, cur in zip(steps.T, steps.T[1:]):
+        np.add(prev, cur, out=cur)
+    return steps
+
+
 class _UniformLaw:
     """One stochastic generator's map from uniforms to increments.
 
@@ -471,7 +313,10 @@ class _IidLaw(_UniformLaw):
 
     The cuts are nondecreasing and u reaches a cut when u >= cut.  srw(p) and
     birth-death symmetric have cuts (p,) and labels (1, -1); lazy(alpha) has
-    cuts (alpha, alpha + (1 - alpha)/2) and labels (0, 1, -1).
+    cuts (alpha, alpha + (1 - alpha)/2) and labels (0, 1, -1).  The lower
+    cuts' rise · (u >= cut) terms add up, in place, in two spare int8
+    arrays: a read's lie in its scratch's ids, a batch's are fresh, and they
+    come before the last cut, whose compare overwrites a batch's uniforms.
     """
 
     def __init__(self, cuts: Sequence[float], labels: Sequence[int]):
@@ -482,16 +327,24 @@ class _IidLaw(_UniformLaw):
 
     def steps(self, u, carry, scratch=None):
         *lower, last = self._cuts
-        reached = [u >= cut for cut in lower]
-        # The last compare reuses the block's memory: a fresh array this size page-faults anew.
+        base = self._first
+        if lower:
+            fresh = (np.empty_like(u, dtype=np.int8) for _ in range(2))
+            base, mask = fresh if scratch is None else scratch.spare(u.shape)
+            base.fill(self._first)
+            for cut, rise in zip(lower, self._rises):
+                np.greater_equal(u, cut, out=mask)
+                mask *= rise
+                base += mask
+        # The last cut's increments reuse the block's memory, a read's bytes or a
+        # batch's uniforms, as int64 once its compare has read them: a fresh
+        # array this size page-faults anew.
         if scratch is None:
-            inc = np.greater_equal(u, last, out=u.view(np.int64))
+            inc = np.multiply(u >= last, self._rises[-1], out=u.view(np.int64))
         else:
             inc = np.greater_equal(u, last, out=scratch.views(u.shape)[3]).view(np.int8)
-        inc *= self._rises[-1]
-        inc += self._first
-        for rise, mask in zip(self._rises, reached):
-            inc += rise * mask
+            inc *= self._rises[-1]
+        inc += base
         return inc, carry
 
 
@@ -505,8 +358,7 @@ class _ReflectedLaw(_UniformLaw):
     _signs = _IidLaw((0.5,), (1, -1))
 
     def steps(self, u, carry, scratch=None):
-        s, _ = self._signs.steps(u, carry)
-        np.cumsum(s, axis=1, out=s)
+        s = _prefix_sum(self._signs.steps(u, carry)[0])
         s += carry[:, None]
         last = s[:, -1].copy()
         np.abs(s, out=s)
@@ -572,10 +424,13 @@ def _draw_batch(law: _UniformLaw, states: np.ndarray, k: int) -> np.ndarray:
     ``states = pcg64_states(seeds)``.  Both draw paths give numpy's own
     ``Generator.random`` uniforms.  A draw of w uniforms a row from at least
     ``LOCKSTEP_ROWS_PER_DRAW * w`` rows steps every row's PCG64 at once in
-    numpy: its cost is some 30 numpy calls per draw, shared by the rows.
-    Any other draw assigns each row's state to one PCG64 in turn, a fixed
-    cost per row, and draws the row with ``Generator.random``.  In a chunk
-    of 2^16 cells, lockstep runs for rows of at most 63 draws.
+    numpy: its cost is some 30 in-place numpy calls per draw, shared by the
+    rows, and its uniforms, and so an iid law's increments, are step-major
+    (a column of the (rows, k) array is contiguous; `_prefix_sum` sums
+    either order).  Any other draw assigns each row's state to one PCG64 in
+    turn, a fixed cost per row, and draws the row with ``Generator.random``,
+    row-major.  In a chunk of 2^16 cells, lockstep runs for rows of at most
+    63 draws.
     """
     width = law.head + k
     if len(states) >= LOCKSTEP_ROWS_PER_DRAW * width:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, experiments, generators
+from . import analysis, experiments, generators, pcg64
 from .core import walk_from_path
 
 
@@ -178,7 +178,7 @@ def excursion_suite(paths: int = 100, steps: int = 10_000, seed: int = 7) -> lis
     bad = 0
     skipped = 0
     for i in range(paths):
-        stream = generators.gen_simple_rw(0.5, steps, generators.mix_seed(seed, i))
+        stream = generators.gen_simple_rw(0.5, steps, pcg64.mix_seed(seed, i))
         try:
             chk = analysis.check_excursion_bound(stream, steps)
         except analysis.ClassRAssumptionError:

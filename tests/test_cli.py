@@ -650,6 +650,15 @@ class TestMc:
         assert run(["mc", "--gen", "srw", "--p", "0.5", "--steps", "10", "--trials", "2"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    def test_master_seed_outside_uint64_is_a_usage_error(self, seed, capsys):
+        # mix_seed masks the master seed: 2^64 would rerun seed 0's trials.
+        assert run([
+            "mc", "--gen", "srw", "--p", "0.5", "--steps", "10", "--trials", "50", "--seed", seed,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be an unsigned 64-bit integer"]
+
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "mc.json"
         assert run([

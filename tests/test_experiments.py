@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rangewalk.experiments as E
@@ -24,7 +24,8 @@ from rangewalk.experiments import (
     exact_range_speed,
     run_trials,
 )
-from rangewalk.generators import make_walk, mix_seed, pcg64_states
+from rangewalk.generators import make_walk, uniform_law
+from rangewalk.pcg64 import mix_seed, mix_seeds, pcg64_states
 
 # Frozen by independent enumeration over all 2^10 sign sequences with exact
 # rational weights (p = 3/10, 1/2, 7/10): E[R_10/10].
@@ -46,6 +47,15 @@ class TestTrialSpec:
             TrialSpec(config=base, horizon=10, metrics=())
         with pytest.raises(ValueError):
             TrialSpec(config=base, horizon=10, metrics=("speediness",))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**64 + 5])
+    def test_master_seed_outside_uint64_is_refused(self, seed):
+        # mix_seed masks the master seed: 2^64 would rerun seed 0's trials.
+        base = {"gen": "srw", "p": 0.5, "steps": 10}
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            TrialSpec(config=base, horizon=10, trials=50, master_seed=seed)
+        for edge in (0, 2**64 - 1):
+            TrialSpec(config=base, horizon=10, master_seed=edge)  # allowed
 
     def test_deterministic_generator_needs_single_trial(self):
         cfg = {"gen": "zigzag", "ell": 0.5, "steps": 10}
@@ -260,6 +270,11 @@ class TestNoReturn:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             estimate_no_return(0.5, horizon, 10, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_uint64_is_refused(self, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            estimate_no_return(0.5, 10, 10, seed)
+
     @pytest.mark.parametrize("horizons", [(0, 5), (-2,), (5, 11)])
     def test_nested_horizons_outside_the_horizon(self, horizons):
         with pytest.raises(ValueError, match=r"nested horizons must lie in \[1, 10\]"):
@@ -435,6 +450,80 @@ _STOCHASTIC = st.one_of(
     ),
     _unit.map(lambda p: {"gen": "ergodic", "preset": f"iid:{p}"}),
 )
+
+
+# How a row of the _Extremes oracle moves in each block: drawn by the law, or
+# planted so that its first zero falls on a block's first or last column, in
+# a later block only, or never.
+_PLANTED = ("drawn", "zero-first", "zero-last", "later", "never")
+
+
+def _planted_steps(kind: str, block: int, k: int):
+    """A planted row's k steps in `block`, or None where the law's draw stands."""
+    if kind == "never":
+        return [1] * k
+    if block == 0 and kind == "zero-first":  # a lazy step: x_1 = 0
+        return [0] * k
+    if block == 0 and kind == "zero-last":  # x_k = 0, the first zero
+        return [1] + [0] * (k - 2) + [-1] if k > 1 else [0]
+    if kind == "later" and block < 2:  # out to 1, back to 0 on block 1's first column
+        return [1 - 2 * block] + [0] * (k - 1)
+    return None
+
+
+class TestExtremes:
+    """`_Extremes` against a plain loop, on blocks in both memory orders."""
+
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_PLANTED), min_size=1, max_size=300),
+        st.integers(1, 300),
+        st.integers(1, 3),
+        st.booleans(),
+        st.one_of(
+            st.floats(0.0, 1.0).map(lambda p: {"gen": "srw", "p": p}),
+            st.floats(0.0, 0.99).map(lambda a: {"gen": "birth-death", "preset": f"lazy:{a}"}),
+        ),
+        st.integers(0, 2**64 - 1),
+    )
+    # The first-return weights are uint8 up to k = 256 and uint16 from 257.
+    @example(list(_PLANTED) * 60, 256, 3, True, {"gen": "srw", "p": 0.5}, 1)
+    @example(list(_PLANTED) * 60, 257, 3, True, {"gen": "birth-death", "preset": "lazy:0.3"}, 2)
+    @example(list(_PLANTED) * 60, 300, 3, False, {"gen": "srw", "p": 0.5}, 3)
+    @example(["zero-first", "zero-last", "later", "never"], 1, 3, True, {"gen": "srw", "p": 0.5}, 4)
+    def test_matches_a_python_loop_on_both_draw_paths(self, kinds, k, blocks, lockstep, config, master):
+        # Each block is a fresh draw of every row, planted rows overwritten,
+        # summed in its memory order and carried on from the row's last position.
+        rows = len(kinds)
+        law = uniform_law(make_walk(dict(config, steps=k), seed=0))
+        state, paths = E._Extremes(rows), [[0] for _ in range(rows)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "LOCKSTEP_ROWS_PER_DRAW", 0 if lockstep else 2**62)
+            for block in range(blocks):
+                states = pcg64_states(mix_seeds(master, block * rows, (block + 1) * rows))
+                inc = G._draw_batch(law, states, k)
+                if rows > 1 and k > 1:  # lockstep draws are step-major
+                    assert inc.flags.c_contiguous != lockstep
+                for row, kind in zip(inc, kinds):
+                    steps = _planted_steps(kind, block, k)
+                    if steps is not None:
+                        row[:] = steps
+                pos = G._prefix_sum(inc)
+                pos += state.last[:, None]
+                for path, row in zip(paths, pos.tolist()):
+                    path.extend(row)
+                state.advance(pos)
+        counts = state.counts()
+        for i, path in enumerate(paths):
+            first = path.index(0, 1) if 0 in path[1:] else 0
+            assert counts["range"][i] == max(path) - min(path) + 1
+            assert counts["final_signed"][i] == path[-1]
+            assert counts["max_disp"][i] == max(map(abs, path))
+            assert counts["first_return"][i] == first
+            assert counts["no_return"][i] == (first == 0)
+            if kinds[i] != "drawn":
+                planted = {"zero-first": 1, "zero-last": k, "later": k + 1 if blocks > 1 else 0}
+                assert first == planted.get(kinds[i], 0)
 
 
 class TestChunkedTrials:

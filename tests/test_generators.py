@@ -14,7 +14,6 @@ from rangewalk.core import validate_increment_bound
 from rangewalk.suites import _shipped_generators
 from rangewalk.generators import (
     LOCKSTEP_ROWS_PER_DRAW,
-    _PCG64_MULT,
     DegeneratePlanError,
     MarkovIncrementChain,
     ReducibleChainError,
@@ -24,7 +23,6 @@ from rangewalk.generators import (
     _DrawnSource,
     _gather_states,
     _Scratch,
-    _pcg64_state,
     compute_n0,
     gen_birth_death,
     gen_ergodic_walk,
@@ -35,13 +33,17 @@ from rangewalk.generators import (
     gen_zigzag,
     is_stochastic,
     make_walk,
+    stationary_distribution,
+    uniform_law,
+)
+from rangewalk.pcg64 import (
+    _PCG64_MULT,
+    _pcg64_state,
     mix_seed,
     mix_seeds,
     pcg64_states,
     seed_words,
     splitmix64,
-    stationary_distribution,
-    uniform_law,
 )
 
 
@@ -1071,3 +1073,17 @@ class TestDrawnSteps:
         finally:
             tracemalloc.stop()
         assert peak < 2**18
+
+    def test_lazy_read_builds_no_block_sized_temporary(self):
+        # The lower cut's compare and rise add up in the scratch's ids: a
+        # fresh bool mask or rise * mask product of a 2^16 take is 64 KiB.
+        source = gen_birth_death("lazy:0.4", 1, 5).source_factory()
+        source.take(2**16)
+        tracemalloc.start()
+        try:
+            steps = source.take(2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+        assert steps.dtype == np.int8 and set(np.unique(steps).tolist()) == {-1, 0, 1}
