@@ -24,7 +24,7 @@ from typing import Iterator, Optional, TextIO
 import numpy as np
 
 from .analysis import MemoryGuardError, analyze_stream, arith_checkpoints, dyadic_checkpoints
-from .core import WalkStream, walk_from_path
+from .core import WalkStream, _StepPass, _stored_walk
 from .experiments import METRICS, TrialSpec, compare, run_trials
 from .generators import is_stochastic, make_walk
 from .suites import SUITES, run_suite
@@ -49,28 +49,25 @@ CHUNK_BYTES = 1 << 16
 def write_trajectory_csv(stream: WalkStream, horizon: int, fh: TextIO) -> None:
     """Write x_0..x_horizon as `n,x1[,...]` rows with LF endings.
 
-    Each block is copied beside its `n` column into one int64 table that the
-    write reuses, then spelled (`_ascii_rows`) and written in pieces of at
-    most CHUNK_BYTES of that table.  A piece's text takes at most 21 bytes
-    an entry (19 digits, sign, separator), and its work arrays and text stay
-    small enough for the heap to reuse.
+    Each block is cut into pieces of at most CHUNK_BYTES of int64 table; a
+    piece is copied beside its `n` column into one table of that size that
+    the write reuses, then spelled (`_ascii_rows`) and written.  A piece's
+    text takes at most 21 bytes an entry (19 digits, sign, separator), and
+    its table, work arrays and text stay small enough for the heap to reuse.
     """
     d = stream.d
     fh.write("n," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-    table = np.empty((0, d + 1), dtype=np.int64)
     step = max(1, CHUNK_BYTES // (8 * (d + 1)))  # table rows a piece
+    table, ramp = np.empty((step, d + 1), dtype=np.int64), np.arange(step)
     n = 0
     for block, _ in stream._checked_blocks(horizon):
-        k = block.shape[0]
-        if table.shape[0] < k:
-            table = np.empty((k, d + 1), dtype=np.int64)
-            table[:, 0] = np.arange(n, n + k)
-        rows = table[:k]
-        rows[:, 1:] = block.reshape(k, d)  # the next block overwrites `block`
-        for start in range(0, k, step):
-            fh.write(_ascii_rows(rows[start : start + step]))
-        table[:, 0] += k
-        n += k
+        block = block.reshape(len(block), d)  # the next block overwrites it
+        for start in range(0, len(block), step):
+            rows = table[: min(step, len(block) - start)]
+            np.add(ramp[: len(rows)], n + start, out=rows[:, 0])
+            rows[:, 1:] = block[start : start + step]
+            fh.write(_ascii_rows(rows))
+        n += len(block)
 
 
 def _ascii_rows(table: np.ndarray) -> str:
@@ -121,7 +118,43 @@ _DIGIT_MASKS = np.array(
 
 
 def read_trajectory_csv(fh: TextIO) -> np.ndarray:
-    """Parse a trajectory CSV; malformed rows report their line number.
+    """Parse a trajectory CSV into one int64 array, (N,) for d = 1 else (N, d);
+    malformed rows report their line number (see `_csv_chunks`).
+
+    Each chunk is copied once, into the result: sized from the file's length
+    when `fh` has a file number (a row takes at least 2(d + 1) bytes; the
+    rows it never fills are never touched), grown by doubling otherwise, and
+    trimmed in place at the end.
+    """
+    d = _csv_header(fh)
+    try:
+        cap = os.fstat(fh.fileno()).st_size // (2 * (d + 1))
+    except OSError:  # no file behind `fh` (io.StringIO)
+        cap = 0
+    out, rows = np.empty((cap, d), dtype=np.int64), 0
+    for coords in _csv_chunks(fh, d):
+        if rows + len(coords) > len(out):
+            out.resize((max(rows + len(coords), 2 * len(out)), d), refcheck=False)  # no view is alive
+        out[rows : rows + len(coords)] = coords
+        rows += len(coords)
+    out.resize((rows, d), refcheck=False)
+    return out[:, 0] if d == 1 else out
+
+
+def _csv_header(fh: TextIO) -> int:
+    """Read the header line `n,x1[,...]`; returns d."""
+    header = fh.readline()
+    if not header:
+        raise CsvFormatError("line 1: empty file, expected header n,x1[,...]")
+    cols = header.strip().split(",")
+    if len(cols) < 2 or cols[0] != "n" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
+        raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
+    return len(cols) - 1
+
+
+def _csv_chunks(fh: TextIO, d: int) -> Iterator[np.ndarray]:
+    """Yield the coordinates of the data rows after the header, a (k, d)
+    int64 array a chunk; malformed rows report their line number.
 
     The rows are read CHUNK_BYTES characters at a time; the start of a line
     that a read cuts off opens the next chunk.  Each chunk of whole lines is
@@ -129,21 +162,10 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
     `fh` did not translate, other whitespace, `_`, non-ASCII digits, a value
     beyond int64, a wrong field count or step index) goes to the line loop
     alone, from its own line and step index, and the next chunk goes back to
-    numpy.  The loop accepts what `int()` accepts and names the line of the
-    first error.  Every row is copied once, into one result array.
+    numpy.  The loop accepts what `int()` accepts and raises the first
+    error with its line.  A value beyond int64 ends the yields and is raised
+    after the last chunk, so that an error on a later line comes first.
     """
-    header = fh.readline()
-    if not header:
-        raise CsvFormatError("line 1: empty file, expected header n,x1[,...]")
-    cols = header.strip().split(",")
-    if len(cols) < 2 or cols[0] != "n" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
-        raise CsvFormatError(f"line 1: bad header {header.strip()!r}, expected n,x1[,...]")
-    d = len(cols) - 1
-    try:  # a row takes at least 2(d + 1) bytes: d + 1 one-digit fields and their separators
-        cap = os.fstat(fh.fileno()).st_size // (2 * (d + 1))
-    except OSError:  # no file behind `fh` (io.StringIO): the result grows by doubling
-        cap = 0
-    out = np.empty((cap, d), dtype=np.int64)  # the result; rows it never holds are never touched
     parser, line, rows = _ChunkParser(d), 2, 0
     tail, overflow = [], None  # the reads since the last LF; a value beyond int64
     while True:
@@ -158,24 +180,19 @@ def read_trajectory_csv(fh: TextIO) -> np.ndarray:
             coords, lines = _parse_rows_loop(chunk, d, line, rows), chunk.count("\n")
             try:
                 coords = np.asarray(coords, dtype=np.int64).reshape(-1, d)
-            except OverflowError as exc:  # raised at the end: an error on a later line comes first
+            except OverflowError as exc:
                 overflow = overflow or exc
         else:
             coords, lines = parsed  # without the `n` column
-        end = rows + len(coords)
-        if end > out.shape[0]:
-            out.resize((max(end, 2 * out.shape[0]), d), refcheck=False)
+        rows, line = rows + len(coords), line + lines
         if overflow is None:
-            out[rows:end] = coords
-        rows, line = end, line + lines
+            yield coords
         if not text:
             break
     if overflow is not None:
         raise overflow
     if not rows:
         raise CsvFormatError("line 2: no data rows")
-    out.resize((rows, d), refcheck=False)  # no view of `out` is alive
-    return out[:, 0] if d == 1 else out
 
 
 class _ChunkParser:
@@ -402,10 +419,13 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     if args.infile is None and args.gen is None:
         raise ValueError("analyze needs --in or an inline --gen configuration")
-    if args.infile is not None:
+    if args.infile is not None:  # parsed straight into narrow steps, whose errors wait for the flags
         with open(args.infile, "r") as fh:
-            arr = read_trajectory_csv(fh)
-        horizon = arr.shape[0] - 1
+            d = _csv_header(fh)
+            scan = _StepPass(d, args.m, keep=True)
+            for coords in _csv_chunks(fh, d):
+                scan.feed(coords)
+        horizon = scan.rows - 1
         if args.steps is not None and args.steps != horizon:
             raise ValueError(f"--steps {args.steps} conflicts with the CSV's horizon {horizon}")
         args.steps = horizon
@@ -415,7 +435,7 @@ def cmd_analyze(args) -> int:
     horizon = args.steps
     if args.infile is not None:  # with --gen, the generator's config describes the CSV
         meta = None if stream is None else stream.metadata
-        stream = walk_from_path(arr, m=args.m, name="csv", metadata=meta)
+        stream = _stored_walk(scan, args.m, "csv", meta)
     checkpoints = _parse_checkpoints(args.checkpoints, horizon)
     with _open_out(args.out) as fh:  # before the run, so a bad path costs no run
         report = analyze_stream(stream, horizon, checkpoints=checkpoints)

@@ -174,54 +174,97 @@ def _narrowest(peak: int):
     return next((t for t in (np.int8, np.int16, np.int32) if peak <= np.iinfo(t).max), np.int64)
 
 
-#: Steps per chunk of `_scan_steps`' pass over a stored path; its buffers
-#: are d rows of this many int64s (a measured optimum, see
+#: Positions per chunk that `_scan_path` feeds `_StepPass`; the pass's buffer
+#: is d rows of this many int64s (a measured optimum, see
 #: scripts/path_replay_table.py).
 STEP_CHUNK = 1 << 14
 
 
-def _scan_steps(arr: np.ndarray, m: Optional[int], keep: bool = False):
-    """One chunked pass over the steps x_{k+1} - x_k of an int64 path.
+class _StepPass:
+    """One pass over the steps x_{k+1} - x_k of a stored path, fed its
+    positions in consecutive (k,) or (k, d) int64 chunks.
 
-    Returns (steps, peak, found).  `peak` is the largest |coordinate| of a
-    step.  `found` is the largest squared step norm when m is None, else
-    the index of the first step of norm > m, or None.  With `keep`, `steps`
-    is a (d, N - 1) copy of the steps in the narrowest integer dtype that
-    holds them (None otherwise).  Raises :class:`CoordinateOverflowError` on
-    a step that does not fit in int64.
+    It counts the `rows` fed and keeps x_0 (`origin`), the largest
+    |coordinate| of a step (`peak`) and `found`: the largest squared step
+    norm when m is None, else the index of the first step of norm > m, or
+    None.  With `keep`, `steps()` is a (d, rows - 1) copy of the steps in the
+    narrowest integer dtype that holds them, in room for `cap` steps that
+    grows as chunks arrive.  A step beyond int64 is kept as `error` and ends
+    the step work, so that a caller can raise the errors it finds first.
 
-    Each chunk is differenced axis by axis into one (d, STEP_CHUNK) buffer
-    allocated per call, so no whole-path temporary is built.
+    Each chunk is differenced axis by axis, from the last position before
+    it, into one (d, k) int64 buffer that later chunks reuse.
     """
-    n = arr.shape[0] - 1
-    axes = [arr] if arr.ndim == 1 else list(arr.T)
-    d = len(axes)
-    buf = np.empty((d, min(n, STEP_CHUNK)), dtype=np.int64)
-    steps = np.empty((d, n), dtype=np.int8) if keep else None
-    peak, found = 0, 0 if m is None else None
-    for lo in range(0, n, STEP_CHUNK):
-        hi = min(n, lo + STEP_CHUNK)
-        cols = buf[:, : hi - lo]
-        # A step can wrap only where the chunk spans more than INT64_MAX; then
-        # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
-        wide = int(arr[lo : hi + 1].max()) - int(arr[lo : hi + 1].min()) > INT64_MAX
-        for x, col in zip(axes, cols):
-            a, b = x[lo:hi], x[lo + 1 : hi + 1]
-            np.subtract(b, a, out=col)
-            if wide and ((b < a) != (col < 0)).any():
-                raise CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
+
+    def __init__(self, d: int, m: Optional[int], keep: bool = False, cap: int = 0):
+        self.d, self.m, self.rows, self.origin, self.error = d, m, 0, None, None
+        self.peak, self.found = 0, 0 if m is None else None
+        self._n, self._last, self._buf = 0, None, np.empty((d, 0), dtype=np.int64)
+        # Axis a's steps are _kept[a * cap : a * cap + n]; one owned array, so it resizes in place.
+        self._cap, self._kept = cap, np.empty(d * cap, dtype=np.int8) if keep else None
+
+    def feed(self, pos: np.ndarray) -> None:
+        self.rows += len(pos)
+        pos = pos.reshape(len(pos), self.d)
+        if self._last is None and len(pos):
+            self.origin, self._last, pos = pos[0].tolist(), pos[0].tolist(), pos[1:]
+        k = len(pos)
+        if self.error is not None or not k:
+            return
+        if self._buf.shape[1] < k:
+            self._buf = np.empty((self.d, k), dtype=np.int64)
+        cols, last = self._buf[:, :k], self._last
+        for x, c, col in zip(pos.T, last, cols):
+            np.subtract(x[:1], c, out=col[:1])
+            np.subtract(x[1:], x[:-1], out=col[1:])
         top = max(int(cols.max()), -int(cols.min()))
-        peak = max(peak, top)
-        if keep:
-            if top > np.iinfo(steps.dtype).max:
-                steps = steps.astype(_narrowest(top))
-            steps[:, lo:hi] = cols
-        if m is None:  # only a chunk with d * top^2 above the worst so far can raise it
-            if d * top * top > found:
-                found = max(found, top * top if d == 1 else int(_squared_norms(cols, top).max()))
-        elif found is None and (k := _first_long_step(cols, m, top, spend=True)) is not None:
-            found = lo + k
-    return steps, peak, found
+        # The positions are `last` plus the prefix sums of `cols`, mod 2^64;
+        # sums that cannot leave int64 are exact, so no step wrapped.  Else
+        # |b - a| < 2^64, so b - a wrapped iff the sign of the result is wrong.
+        if max(map(abs, last)) + k * top > INT64_MAX:
+            for x, c, col in zip(pos.T, last, cols):
+                if ((np.concatenate(([c], x[:-1])) > x) != (col < 0)).any():
+                    self.error = CoordinateOverflowError("a step of the path leaves the signed 64-bit range")
+                    return
+        self._last = pos[-1].tolist()
+        self.peak = max(self.peak, top)
+        if self._kept is not None:
+            self._keep(cols, top)
+        if self.m is None:  # only a chunk with d * top^2 above the worst so far can raise it
+            if self.d * top * top > self.found:
+                self.found = max(self.found, top * top if self.d == 1 else int(_squared_norms(cols, top).max()))
+        elif self.found is None and (j := _first_long_step(cols, self.m, top, spend=True)) is not None:
+            self.found = self._n + j
+        self._n += k
+
+    def _keep(self, cols: np.ndarray, top: int) -> None:
+        d, n, k, cap = self.d, self._n, cols.shape[1], self._cap
+        if top >> 8 * self._kept.itemsize - 1:  # top > the kept dtype's largest value
+            self._kept = self._kept.astype(_narrowest(top))
+        if n + k > cap:  # grow by a quarter at least; each axis's steps move to its new start
+            self._cap = max(n + k, cap + cap // 4)
+            self._kept.resize(d * self._cap, refcheck=False)  # no view of it is alive
+            for a in range(d - 1, 0, -1):
+                self._kept[a * self._cap : a * self._cap + n] = self._kept[a * cap : a * cap + n]
+        self._kept.reshape(d, self._cap)[:, n : n + k] = cols
+
+    def steps(self) -> np.ndarray:
+        """The kept steps as a (d, rows - 1) array; the room beyond them is given back."""
+        d, n, cap = self.d, self._n, self._cap
+        if n < cap:
+            for a in range(1, d):
+                self._kept[a * n : (a + 1) * n] = self._kept[a * cap : a * cap + n]
+            self._kept.resize(d * n, refcheck=False)
+            self._cap = n
+        return self._kept.reshape(d, n)
+
+
+def _scan_path(arr: np.ndarray, m: Optional[int], keep: bool = False) -> _StepPass:
+    """`_StepPass` over a non-empty int64 path, fed STEP_CHUNK positions at a time."""
+    scan = _StepPass(1 if arr.ndim == 1 else arr.shape[1], m, keep, cap=arr.shape[0] - 1)
+    for lo in range(0, arr.shape[0], STEP_CHUNK):
+        scan.feed(arr[lo : lo + STEP_CHUNK])
+    return scan
 
 
 def validate_increment_bound(path, m: int) -> Optional[int]:
@@ -238,7 +281,10 @@ def validate_increment_bound(path, m: int) -> Optional[int]:
     arr = path_to_array(path)
     if arr.shape[0] == 0:
         raise ValueError("empty path")
-    return _scan_steps(arr, m)[2]
+    scan = _scan_path(arr, m)
+    if scan.error is not None:
+        raise scan.error
+    return scan.found
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +462,7 @@ class _ArraySource:
     def __init__(self, steps: np.ndarray, peak: int, bound: int):
         self._steps = steps[0] if len(steps) == 1 else steps.T  # (N,) or (N, d) views
         self._at = 0
-        self.peak, self.bound = peak, bound  # facts `walk_from_path` checked on the steps
+        self.peak, self.bound = peak, bound  # facts `_stored_walk` checked on the steps
 
     def take(self, k: int) -> np.ndarray:
         if self._at + k > self._steps.shape[0]:
@@ -445,29 +491,40 @@ def walk_from_path(
     arr = path_to_array(path)
     if arr.shape[0] == 0:
         raise ValueError("empty path")
-    d = 1 if arr.ndim == 1 else arr.shape[1]
-    bound = m if metadata is None else metadata.m
-    steps, peak, found = _scan_steps(arr, bound, keep=True)
+    return _stored_walk(_scan_path(arr, m if metadata is None else metadata.m, keep=True), m, name, metadata)
+
+
+def _stored_walk(
+    scan: _StepPass, m: Optional[int], name: str, metadata: Optional[WalkMetadata]
+) -> WalkStream:
+    """The stream over the steps a finished `_StepPass` kept, with the checks
+    and the m inference of `walk_from_path`.  Raises, in this order: the
+    pass's `error`, an `m` other than the metadata's, a metadata d other than
+    the path's, a bound below 1, and the first step longer than the bound."""
+    if scan.error is not None:
+        raise scan.error
     if metadata is not None:
         if m is not None and m != metadata.m:
             raise ValueError("m argument conflicts with the supplied metadata")
-        if metadata.d != d:
+        if metadata.d != scan.d:
             raise DimensionMismatchError(
-                f"metadata declares d={metadata.d} but the path has d={d}"
+                f"metadata declares d={metadata.d} but the path has d={scan.d}"
             )
+    bound, found, steps, peak = m if metadata is None else metadata.m, scan.found, scan.steps(), scan.peak
     if bound is None:  # ceil(sqrt(found)), found the largest squared step: at least 1
         bound = math.isqrt(found - 1) + 1 if found > 1 else 1
     elif bound < 1:
         raise ValueError("increment bound m must be >= 1")
-    elif found is not None:
-        raise ValueError(
-            f"stored path violates declared increment bound m={bound} at step {found}"
-        )
-    meta = metadata or WalkMetadata(
-        generator_name=name,
-        params={"steps": int(arr.shape[0] - 1)},
-        seed=None,
-        m=bound,
-        d=d,
-    )
-    return WalkStream(meta, lambda: _ArraySource(steps, peak, bound), origin=arr[0].tolist())
+    else:
+        if scan.m is None:  # the pass ran without the bound: `found` is the largest squared step
+            beyond, found = found > bound * bound, None
+            for lo in range(0, steps.shape[1] if beyond else 0, STEP_CHUNK):
+                if (j := _first_long_step(steps[:, lo : lo + STEP_CHUNK], bound, peak)) is not None:
+                    found = lo + j
+                    break
+        if found is not None:
+            raise ValueError(
+                f"stored path violates declared increment bound m={bound} at step {found}"
+            )
+    meta = metadata or WalkMetadata(name, {"steps": scan.rows - 1}, None, m=bound, d=scan.d)
+    return WalkStream(meta, lambda: _ArraySource(steps, peak, bound), origin=scan.origin)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, experiments, generators, pcg64
-from .core import walk_from_path
+from .core import _check_seed, walk_from_path
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def excursion_suite(paths: int = 100, steps: int = 10_000, seed: int = 7) -> lis
     """Excursion bound |x_n| <= gap/2 on tents and symmetric random walks."""
     if paths < 1:
         raise ValueError("excursion needs paths >= 1")
+    _check_seed(seed)  # mix_seed would mask it to another seed's paths
     results = []
     zz, _ = generators.gen_zigzag(0.5, steps)
     chk = analysis.check_excursion_bound(zz, steps)

@@ -1,18 +1,22 @@
 """CLI surface: flags, exit codes, file formats, report round trips."""
 
+import contextlib
 import inspect
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rangewalk.analysis import RangeTracker
+from rangewalk import core
+from rangewalk.analysis import RangeTracker, analyze_stream
 from rangewalk.cli import (
     CsvFormatError,
     read_trajectory_csv,
@@ -22,7 +26,7 @@ from rangewalk.cli import (
 from rangewalk import cli
 from rangewalk.core import WalkMetadata, WalkStream, walk_from_path
 from rangewalk.suites import SUITES
-from rangewalk.generators import gen_spiral2d, gen_zigzag
+from rangewalk.generators import gen_spiral2d, gen_zigzag, make_walk
 
 
 def run(argv):
@@ -600,6 +604,143 @@ class TestAnalyze:
         assert run(["analyze", "--steps", "10"]) == 2
 
 
+def _analyze_from_array(argv):
+    """`analyze --in` as it ran on the whole file as one int64 array: the
+    reference for the parse that feeds the step pass chunk by chunk.
+    Returns (exit code, stdout, stderr)."""
+    args = cli._parser().parse_args(argv)
+    try:
+        with open(args.infile, "r") as fh:
+            arr = read_trajectory_csv(fh)
+        horizon = arr.shape[0] - 1
+        if args.steps is not None and args.steps != horizon:
+            raise ValueError(f"--steps {args.steps} conflicts with the CSV's horizon {horizon}")
+        args.steps = horizon
+        stream = make_walk(cli._build_config(args)) if args.gen is not None else None
+        if stream is not None and args.m is not None and args.m != stream.m:
+            raise ValueError(f"--m {args.m} conflicts with the generator's m={stream.m}")
+        meta = None if stream is None else stream.metadata
+        walk = walk_from_path(arr, m=args.m, name="csv", metadata=meta)
+        report = analyze_stream(walk, horizon, checkpoints=cli._parse_checkpoints(args.checkpoints, horizon))
+    except (ValueError, OverflowError) as exc:
+        return 2, "", f"error: {exc}\n"
+    code = 1 if any(row["violations"] for row in report.rows) else 0
+    return code, "".join(line + "\n" for line in report.jsonl_lines()), ""
+
+
+# Flags for `analyze --in`: an inferred m, a declared one, and generator
+# metadata, whose m is known only after the parse.
+_ANALYZE_FLAGS = [
+    [],
+    ["--m", "2"],
+    ["--m", "1"],
+    ["--gen", "linear-drift", "--pattern", "1"],
+    ["--gen", "linear-drift", "--pattern", "1", "--m", "3"],
+    ["--gen", "spiral2d"],
+    ["--gen", "spiral2d", "--m", "3"],
+    ["--steps", "1"],
+]
+
+
+@st.composite
+def _analyze_cases(draw):
+    """(text, flags): a CSV of d = 1..3 from `_planted_bodies` (full-range
+    coordinates, so steps beyond int64 are common), at times with a line the
+    numpy parser refuses, a value beyond int64, CRLF or CR endings."""
+    d, body, _ = draw(_planted_bodies())
+    lines = body.split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines[at] = " " + lines[at]  # the loop reads the line; numpy refuses its chunk
+        elif lines[at]:
+            lines[at] = re.sub("[^,]*$", str(draw(st.sampled_from([2**63, -(2**63) - 1]))), lines[at])
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    header = "n," + ",".join(f"x{i + 1}" for i in range(d))
+    return eol.join([header] + lines), draw(st.sampled_from(_ANALYZE_FLAGS))
+
+
+class TestAnalyzeFromNarrowSteps:
+    """`analyze --in` parses into the step pass, with no int64 array of the
+    path: reports, exit codes and every error, in the same precedence, are
+    those of `walk_from_path(read_trajectory_csv(...))`."""
+
+    @staticmethod
+    def _check(csv, flags):
+        argv = ["analyze", "--in", str(csv), *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == _analyze_from_array(argv)
+        return code, err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_analyze_cases(), st.integers(1, 64) | st.just(cli.CHUNK_BYTES), st.integers(2, 9))
+    @example(("n,x1\n0,5", []), 1, 2)  # one row: horizon 0
+    @example(("n,x1\n0,5", ["--gen", "linear-drift", "--pattern", "1"]), 3, 2)
+    @example(("n,x1\n0,0\n1,3\n2,x", ["--m", "1"]), 4, 2)  # a bad field beats an earlier violation
+    @example(("n,x1\n0,9223372036854775807\n1,-1\n2,x\n", []), 2, 2)  # ... and an earlier step overflow
+    @example(("n,x1\n0,9223372036854775807\n1,-1\n", ["--steps", "2"]), 5, 2)  # a flag beats the overflow
+    @example(("n,x1\n0,9223372036854775807\n1,-1\n2,9223372036854775808\n", []), 64, 2)  # ... and a value
+    @example(("n,x1\n0,9223372036854775807\n1,-1\n", ["--gen", "spiral2d"]), 64, 2)  # over a d mismatch
+    @example(("n,x1,x2\n0,0,0\n1,1,1\n2,9,9\n", ["--gen", "spiral2d"]), 64, 2)  # violation at step 0
+    @example(("n,x1\n0,0\n1,1\n", ["--gen", "spiral2d"]), 64, 2)  # d mismatch
+    def test_matches_the_whole_array_reference(self, tmp_path_factory, case, chunk, step_chunk):
+        text, flags = case
+        csv = tmp_path_factory.mktemp("csv") / "t.csv"
+        csv.write_text(text, newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_BYTES", chunk)
+            mp.setattr(core, "STEP_CHUNK", step_chunk)
+            self._check(csv, flags)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_walks_under_every_flag(self, tmp_path, monkeypatch, d, eol):
+        # 3000 rows of unit steps along an axis, or none, with one step of 2
+        # at step 2000; a spaced line in the middle that the loop reads alone;
+        # 256-byte chunks, and 7-step chunks in the pass and in the search for
+        # the long step that the generator's m (1) makes a violation.
+        rng = np.random.Generator(np.random.PCG64(d))
+        steps = np.zeros((2999, d), dtype=np.int64)
+        steps[np.arange(2999), rng.integers(0, d, 2999)] = rng.integers(-1, 2, 2999)
+        steps[2000] = [2] + [0] * (d - 1)
+        path = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
+        buf = io.StringIO()
+        write_trajectory_csv(walk_from_path(path[:, 0] if d == 1 else path), 2999, buf)
+        lines = buf.getvalue().split("\n")
+        lines[1500] = " " + lines[1500]
+        csv = tmp_path / "t.csv"
+        csv.write_text(eol.join(lines), newline="")
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 256)
+        monkeypatch.setattr(core, "STEP_CHUNK", 7)
+        outcomes = [self._check(csv, flags) for flags in _ANALYZE_FLAGS]
+        violation = (2, "error: stored path violates declared increment bound m=1 at step 2000\n")
+        mismatch = [(2, f"error: metadata declares d={k} but the path has d={d}\n") for k in (1, 2)]
+        conflict = (2, "error: --m 3 conflicts with the generator's m=1\n")
+        assert outcomes[:3] == [(0, ""), (0, ""), violation]
+        assert outcomes[3:5] == [violation, (0, "")] if d == 1 else [mismatch[0]] * 2
+        assert outcomes[5:7] == [violation if d == 2 else mismatch[1], conflict]
+        assert outcomes[7] == (2, "error: --steps 1 conflicts with the CSV's horizon 2999\n")
+
+    def test_peak_memory_is_about_a_byte_a_row(self, tmp_path):
+        # 2^18 unit steps: the stored steps take 1 B a row.  An int64 array
+        # of the path would take 8 B a row, 2 MiB alone.
+        rows = 1 << 18
+        csv = tmp_path / "u.csv"
+        argv = ["analyze", "--in", str(csv), "--out", os.devnull]
+        assert run(["generate", "--gen", "srw", "--p", "0.5", "--seed", "3",
+                    "--steps", str(rows - 1), "--out", str(csv)]) == 0
+        assert run(argv) == 0  # caches and lazy imports, once
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows + 3 * 2**20, peak
+
+
 class TestMc:
     def test_json_report_with_verdicts(self, capsys):
         assert run([
@@ -724,6 +865,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {name} needs paths >= 1\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_excursion_seed_outside_uint64_is_a_usage_error(self, seed, capsys):
+        # mix_seed masks the seed: -1 would rerun the paths of seed 2^64 - 1.
+        assert run(["verify", "--suite", "excursion", "--paths", "2", "--steps", "100", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: seed must be an unsigned 64-bit integer\n"
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_each_suite_gets_only_its_options(self, name, monkeypatch, capsys):

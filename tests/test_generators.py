@@ -407,16 +407,26 @@ def _transitions(draw, max_states=5):
 def _small_chains(draw):
     """(kind, transition): a two-state chain whose maps all coalesce or keep
     the state (switch probabilities a + b <= 1), one that can swap (a + b > 1),
-    or any 1-3 state matrix of `_transitions`."""
+    or any 1-3 state matrix of `_transitions`.  The kind is read off the
+    stored cuts 1 - a and b, as the law reads them: the chain swaps exactly
+    where 1 - a < b, which a rounded a + b can miss (1.0 + 1e-159 == 1.0)."""
     kind = draw(st.sampled_from(["coalescing", "swapping", "any"]))
     if kind == "any":
         return kind, draw(_transitions(max_states=3))
+
+    def chain(a, b):
+        return np.array([[1.0 - a, a], [b, 1.0 - b]])
+
+    def swaps(p):
+        return p[0, 0] < p[1, 0]
+
     a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
-    if (a + b > 1.0) != (kind == "swapping"):
-        a, b = 1.0 - a, 1.0 - b
-    if kind == "swapping" and not a + b > 1.0:  # a + b == 1 both ways
-        a, b = 0.75, 0.75
-    return kind, np.array([[1.0 - a, a], [b, 1.0 - b]])
+    p = chain(a, b)
+    if swaps(p) != (kind == "swapping"):
+        p = chain(1.0 - a, 1.0 - b)
+    if swaps(p) != (kind == "swapping"):  # equal cuts both ways
+        p = chain(0.75, 0.75) if kind == "swapping" else chain(0.25, 0.25)
+    return kind, p
 
 
 class TestMarkovSampler:
